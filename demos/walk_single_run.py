@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from treeflow import PRESETS, RunConfig, build, rat_str, run_checks
-from treeflow.constructions import MULTI_NETWORK_PRESETS
 
 
 def main() -> int:
@@ -23,14 +22,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    networks = 3 if args.preset in MULTI_NETWORK_PRESETS else 1
-    cfg = RunConfig(
-        preset=args.preset, depth=args.depth, networks=networks, seed=args.seed
-    )
+    cfg = RunConfig(preset=args.preset, depth=args.depth, seed=args.seed)
     bundle = build(cfg)
 
     stream = bundle.state.stream
-    print(f"{args.preset} at depth {args.depth}, {networks} network(s)")
+    print(f"{args.preset} at depth {args.depth}, {cfg.networks} network(s)")
     print()
     print("schedule (step: task/subtask):")
     row = []

@@ -10,7 +10,6 @@ few thousand bits long stay cheap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -74,9 +73,6 @@ class BitString:
         if not 1 <= pos <= self.length:
             raise IndexError(f"position {pos} out of range 1..{self.length}")
         return (self.value >> (self.length - pos)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(p) for p in range(1, self.length + 1))
 
     def child(self, b: int) -> "BitString":
         return BitString(self.length + 1, (self.value << 1) | (b & 1))
@@ -166,10 +162,6 @@ def unpair_2(n: int) -> int:
     return _unpair(n)[1]
 
 
-def triple(i: int, j: int, k: int) -> int:
-    return pair(pair(i, j), k)
-
-
 def untriple(n: int) -> tuple[int, int, int]:
     a, k = _unpair(n)
     i, j = _unpair(a)
@@ -189,74 +181,3 @@ def restricted_triple(n: int) -> tuple[int, int, int]:
         if t[0] != t[1]:
             _restricted_triples.append(t)
     return _restricted_triples[n - 1]
-
-
-# Positional equivalence: x ~_w y when the lengths agree and the bits at
-# positions w..length agree; positions 1..w-1 are free.
-
-
-def equiv_w(x: BitString, y: BitString, w: int) -> bool:
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if x.length != y.length:
-        return False
-    if w > x.length:
-        return True
-    m = (1 << (x.length - w + 1)) - 1
-    return (x.value & m) == (y.value & m)
-
-
-def class_members(x: BitString, w: int) -> Iterator[BitString]:
-    """Members of the ~_w class of x in numeric order (2^min(w-1, len) many)."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    free = min(w - 1, x.length)
-    fixed_n = x.length - free
-    tail = x.value & ((1 << fixed_n) - 1) if fixed_n else x.value & 0
-    if free == x.length:
-        tail = 0
-    for head in range(1 << free):
-        yield BitString(x.length, (head << fixed_n) | tail)
-
-
-def class_size(length: int, w: int) -> int:
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    return 1 << min(w - 1, length)
-
-
-@dataclass(frozen=True)
-class SuffixClassKey:
-    """Membership test for one ~_w pattern at a given level.
-
-    Fixes positions w .. w+len(bits)-1 to the given bits; members are the
-    level-`length` strings matching there, with positions 1..w-1 free.
-    """
-
-    w: int
-    length: int
-    bits: BitString
-
-    def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("w must be >= 1")
-        if self.w + self.bits.length - 1 > self.length:
-            raise ValueError("fixed bits overrun the level")
-
-    @classmethod
-    def from_anchor(cls, anchor: BitString, w: int, length: int) -> "SuffixClassKey":
-        """Pattern fixing positions w..len(anchor) to the anchor's bits."""
-        if w > anchor.length:
-            return cls(w, length, EMPTY)
-        return cls(w, length, anchor.suffix_from(w))
-
-    def matches(self, x: BitString) -> bool:
-        if x.length != self.length:
-            return False
-        for t in range(self.bits.length):
-            if x.bit(self.w + t) != self.bits.bit(t + 1):
-                return False
-        return True
-
-    def member_count(self) -> int:
-        return 1 << (self.length - self.bits.length)

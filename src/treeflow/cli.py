@@ -50,7 +50,7 @@ from treeflow.network import (
     rat_parse,
     rat_str,
 )
-from treeflow.scheduler import PairedTaskStream, ScheduleState, TaskStream
+from treeflow.scheduler import ScheduleState, task_stream
 from treeflow.templates import DiscardRecord
 from treeflow.verify import CHECKS, ORACLE_DEPTH_CAP, dense_oracle, run_checks
 
@@ -250,8 +250,7 @@ def read_bundle(path: Path) -> ConstructionBundle:
         net.aggregates = [stored[n] for n in range(config.depth + 1)]
         nets.append(net)
 
-    stream = PairedTaskStream() if config.preset == "divisible" else TaskStream()
-    state = ScheduleState(stream, config.depth)
+    state = ScheduleState(task_stream(config.preset), config.depth)
     for net in nets:
         for e in net.edges:
             state.record_edge(e.task, e.subtask, len(e.target))

@@ -16,15 +16,14 @@ together, so frames, aggregates, and the edge history stay in lockstep.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from treeflow.bitseq import BitString, index_of, restricted_triple, unpair_1
+from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube
 from treeflow.network import (
     ONE,
     ZERO,
-    ConstructionError,
     DelayTable,
     ElementaryNetwork,
     Rational,
@@ -37,16 +36,16 @@ from treeflow.operators import (
     load_rosters,
     phi_bounded,
 )
-from treeflow.scheduler import PairedTaskStream, ResourceLimit, ScheduleState, TaskStream
+from treeflow.scheduler import ResourceLimit, ScheduleState, task_networks, task_stream
 from treeflow.templates import (
     Caps,
     DiscardRecord,
     EdgePredicate,
     StepContext,
     StepOutcome,
+    allowance_exponent,
     class_cube,
     discard_pieces,
-    t1_discard_step,
     t1_step,
     t2_step,
 )
@@ -88,7 +87,7 @@ def _roster_dict(operators=None, functions=None) -> dict:
 class RunConfig:
     preset: str
     depth: int
-    networks: int = 1
+    networks: Optional[int] = None
     rho_base: int = 3
     discard_mode: str = "exclude"
     seed: int = 0
@@ -96,6 +95,8 @@ class RunConfig:
     rosters: Optional[dict] = None
 
     def __post_init__(self):
+        if self.networks is None:
+            self.networks = 3 if self.preset in MULTI_NETWORK_PRESETS else 1
         if self.rosters is None:
             self.rosters = _roster_dict()
 
@@ -230,7 +231,7 @@ class ImageMassPredicate(EdgePredicate):
         pieces = discard_pieces(img, x, self.ctx.n, self.mode)
         if pieces is None:
             return False
-        return not exceeds_dyadic(self._pieces_mass(pieces), index_of(x) + 3)
+        return not exceeds_dyadic(self._pieces_mass(pieces), allowance_exponent(x))
 
     def beta(self, x):
         if self.operator.prefix_image_only():
@@ -242,7 +243,7 @@ class ImageMassPredicate(EdgePredicate):
             pieces = discard_pieces(img, x, self.ctx.n, self.mode)
             if pieces is None:
                 return None
-            if exceeds_dyadic(self._pieces_mass(pieces), index_of(x) + 3):
+            if exceeds_dyadic(self._pieces_mass(pieces), allowance_exponent(x)):
                 return None
         return super().beta(x)
 
@@ -292,7 +293,7 @@ class TargetMassPredicate(EdgePredicate):
         if cube is None:
             return True
         mass = self.target.pattern_mass(n, cube, pre=True)
-        return not exceeds_dyadic(mass, index_of(member) + 3)
+        return not exceeds_dyadic(mass, allowance_exponent(member))
 
     def holds(self, x, y):
         n = self.ctx.n
@@ -326,7 +327,7 @@ class TargetMassPredicate(EdgePredicate):
         # Loosest bound any source in this piece can offer: the smallest
         # worst-member index. One region-wide mass floor against it can
         # rule out the whole piece without enumerating it.
-        e_min = (1 << level) - 1 + (min_val | mask) + 3
+        e_min = allowance_exponent(BitString(level, min_val | mask))
         if self.operator.length_determined():
             img = apply_modified(self.operator, BitString(n, 0))
             pat = family_pattern(img, w, n)
@@ -376,14 +377,14 @@ class TargetMassPredicate(EdgePredicate):
             cube = family_pattern(img, self.w, n)
             if cube is not None:
                 mass = self.target.pattern_mass(n, cube, pre=True)
-                if exceeds_dyadic(mass, index_of(self._worst_member(x)) + 3):
+                if exceeds_dyadic(mass, allowance_exponent(self._worst_member(x))):
                     return None
             return probe
         # Two closed-form impossibility tests keep deep sources from
         # scanning their whole subtree when the member bound sits below
         # any reachable mass.
         worst = self._worst_member(x)
-        e = index_of(worst) + 3
+        e = allowance_exponent(worst)
         if self.operator.prefix_image_only():
             # The image is a prefix of the probed extension, so the
             # pattern region always contains that extension itself; its
@@ -461,18 +462,6 @@ def _prov(out: StepOutcome, tables: dict[int, DelayTable]) -> dict:
     }
 
 
-def _zero_outcome(n: int, net_id: int, i: int, k, table: DelayTable, note: str):
-    return StepOutcome(
-        step=n,
-        network_id=net_id,
-        task=i,
-        subtask=k,
-        case_taken=3,
-        delay_assignments=table.to_record(),
-        note=note,
-    )
-
-
 def _step_nonstochastic(config, n, nets, state, ops, fns, caps):
     net = nets[0]
     i = state.stream.task(n)
@@ -489,12 +478,12 @@ def _step_divisible(config, n, nets, state, ops, fns, caps):
     op = ops.operator_for(i)
     ctx = StepContext(n=n, i=i, net=net, state=state, rho_base=config.rho_base, caps=caps)
     pred = ImageMassPredicate(ctx, op, config.discard_mode)
-    table, classes, out = t1_discard_step(
+    table, classes, out = t1_step(
         ctx,
         pred,
-        designated,
-        lambda y: apply_modified(op, y),
-        config.discard_mode,
+        designated=designated,
+        image_of=lambda y: apply_modified(op, y),
+        discard_mode=config.discard_mode,
     )
     return {1: table}, {1: classes}, out
 
@@ -511,24 +500,21 @@ def _step_atom(config, n, nets, state, ops, fns, caps):
     return {1: table}, {1: classes}, out
 
 
-def _family_semantics(config, n, nets, state, ops, caps, i, k, triple_index):
-    """Shared by the family preset and hyperimmune even tasks: t2 on the
-    decoded base network, image-pattern discards on the target network."""
-    base_raw, target_raw, op_num = restricted_triple(triple_index)
-    count = len(nets)
-    base_id = (base_raw - 1) % count + 1
-    target_id = (target_raw - 1) % count + 1
+def _step_family(config, n, nets, state, ops, fns, caps):
+    """The family preset, and hyperimmune's even tasks: t2 on the decoded
+    base network, image-pattern discards on the target network."""
+    i = state.stream.task(n)
+    k = state.stream.subtask(n)
+    base_id, target_id, op_num = task_networks(config.preset, i, len(nets))
     tables = {net.network_id: DelayTable(n) for net in nets}
-    if base_id == target_id:
-        out = _zero_outcome(
-            n, base_id, i, k, tables[base_id], "base and target collide after wrapping"
-        )
-        return tables, {}, out
     acting = nets[base_id - 1]
-    target = nets[target_id - 1]
     ctx = StepContext(
         n=n, i=i, net=acting, state=state, k=k, rho_base=config.rho_base, caps=caps
     )
+    if base_id == target_id:
+        out = ctx.outcome(3, note="base and target collide after wrapping")
+        return tables, {}, out
+    target = nets[target_id - 1]
     w = state.w_session(i, n)
     op = ops.base_for(op_num)
     pred = TargetMassPredicate(ctx, op, target, w)
@@ -553,7 +539,7 @@ def _family_semantics(config, n, nets, state, ops, caps, i, k, triple_index):
                 network_id=target_id,
                 cubes=(cube,) if cube is not None else (),
                 edge=e,
-                bound=Rational(1, 1 << (index_of(e.source) + 3)),
+                bound=Rational(1, 1 << allowance_exponent(e.source)),
             )
         )
     if records:
@@ -561,28 +547,21 @@ def _family_semantics(config, n, nets, state, ops, caps, i, k, triple_index):
     return tables, {base_id: classes}, out
 
 
-def _step_family(config, n, nets, state, ops, fns, caps):
-    i = state.stream.task(n)
-    k = state.stream.subtask(n)
-    return _family_semantics(config, n, nets, state, ops, caps, i, k, i)
-
-
 def _step_hyperimmune(config, n, nets, state, ops, fns, caps):
+    """Even tasks run the family semantics, odd ones draw sparse edges."""
     i = state.stream.task(n)
-    k = state.stream.subtask(n)
-    tables = {net.network_id: DelayTable(n) for net in nets}
-    if i == 1:
-        out = _zero_outcome(n, 1, i, k, tables[1], "task 1 carries no decoded index")
-        return tables, {}, out
     if i % 2 == 0:
-        return _family_semantics(config, n, nets, state, ops, caps, i, k, i // 2)
-    j = (i - 1) // 2
-    net_id = (unpair_1(j) - 1) % len(nets) + 1
+        return _step_family(config, n, nets, state, ops, fns, caps)
+    k = state.stream.subtask(n)
+    net_id, _target, _op = task_networks(config.preset, i, len(nets))
+    tables = {net.network_id: DelayTable(n) for net in nets}
     acting = nets[net_id - 1]
     ctx = StepContext(
         n=n, i=i, net=acting, state=state, k=k, rho_base=config.rho_base, caps=caps
     )
-    pred = SparsityPredicate(ctx, fns, j)
+    if i == 1:
+        return tables, {}, ctx.outcome(3, note="task 1 carries no decoded index")
+    pred = SparsityPredicate(ctx, fns, (i - 1) // 2)
     table, classes, out = t2_step(ctx, pred)
     tables[net_id] = table
     return tables, {net_id: classes}, out
@@ -601,8 +580,7 @@ def build(config: RunConfig, caps: Optional[Caps] = None) -> ConstructionBundle:
     config.validate()
     ops, fns = config.resolved_rosters()
     caps = caps or Caps()
-    stream = PairedTaskStream() if config.preset == "divisible" else TaskStream()
-    state = ScheduleState(stream, config.depth)
+    state = ScheduleState(task_stream(config.preset), config.depth)
     count = config.networks
     nets = [ElementaryNetwork(m + 1) for m in range(count)]
     provenance: list[dict] = []

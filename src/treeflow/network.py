@@ -37,10 +37,6 @@ def rat_parse(s: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def uniform_interval_mass(x: BitString) -> Fraction:
-    return Fraction(1, 1 << len(x))
-
-
 def _check_delay_value(v: Fraction) -> Fraction:
     v = Fraction(v)
     if v == 0:
@@ -153,14 +149,6 @@ class DelayTable:
             parts = nxt
         self._partition = parts
         return parts
-
-    def is_zero(self) -> bool:
-        return (
-            self.default == 0
-            and not self.vertex
-            and not self.subtree
-            and all(v == 0 for _, v in self.suffix)
-        )
 
     def to_record(self) -> dict:
         return {

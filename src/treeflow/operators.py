@@ -15,12 +15,10 @@ scanning the input. Partial integer functions follow the same budget idiom
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from treeflow.bitseq import EMPTY, BitString, unpair_1
-
-_ENUM_BUDGET_LIMIT = 16
 
 
 class OperatorError(Exception):
@@ -40,11 +38,6 @@ class TableOperator:
             if cost < 1:
                 raise OperatorError("table entry cost must be >= 1")
             self.entries.append((x, y, cost))
-
-    def graph(self, budget: int) -> list[tuple[BitString, BitString, int]]:
-        out = [(EMPTY, EMPTY, 0)]
-        out.extend(e for e in self.entries if e[2] <= budget)
-        return out
 
     def image(self, x: BitString) -> BitString:
         budget = len(x)
@@ -104,18 +97,6 @@ class TransducerOperator:
                 out_len += 1
         return BitString(out_len, out_val)
 
-    def graph(self, budget: int) -> list[tuple[BitString, BitString, int]]:
-        if budget > _ENUM_BUDGET_LIMIT:
-            raise OperatorError(
-                f"refusing to materialize transducer graph past budget {_ENUM_BUDGET_LIMIT}"
-            )
-        out = [(EMPTY, EMPTY, 0)]
-        for n in range(1, budget + 1):
-            for v in range(1 << n):
-                x = BitString(n, v)
-                out.append((x, self.run(x), n))
-        return out
-
     def image(self, x: BitString) -> BitString:
         y = self.run(x)
         return y.truncate(min(len(y), len(x)))
@@ -166,10 +147,6 @@ class TransducerOperator:
 
 
 Operator = TableOperator | TransducerOperator
-
-
-def enumerate_graph(op: Operator, budget: int) -> list[tuple[BitString, BitString, int]]:
-    return op.graph(budget)
 
 
 def apply_modified(op: Operator, x: BitString) -> BitString:
@@ -223,19 +200,9 @@ class OperatorRoster:
     def operator_for(self, i: int) -> Operator:
         return self.bases[(unpair_1(i) - 1) % len(self.bases)]
 
-    def name_for(self, i: int) -> str:
-        return self.names[(unpair_1(i) - 1) % len(self.bases)]
-
     def base_for(self, number: int) -> Operator:
         """Direct lookup by operator number (no index decode), wrapped."""
         return self.bases[(number - 1) % len(self.bases)]
-
-    def base_name_for(self, number: int) -> str:
-        return self.names[(number - 1) % len(self.bases)]
-
-
-def roster_operator(roster: OperatorRoster, i: int) -> Operator:
-    return roster.operator_for(i)
 
 
 class TableFunction:
@@ -285,10 +252,6 @@ class FunctionRoster:
 
     def function_for(self, j: int) -> PartialFunction:
         return self.bases[(unpair_1(j) - 1) % len(self.bases)]
-
-    def name_for(self, j: int) -> str:
-        return self.names[(unpair_1(j) - 1) % len(self.bases)]
-
 
 def phi_bounded(roster: FunctionRoster, j: int, arg: int, steps: int) -> Optional[int]:
     return roster.function_for(j).bounded(arg, steps)

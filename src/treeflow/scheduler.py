@@ -5,15 +5,23 @@ task unpair_1(n), and a second unpairing layer inside unpair_2(n) yields the
 subtask index, so every (task, subtask) pair recurs infinitely often. A
 session of task i starts at the least i-typed step beyond every edge level
 drawn by tasks of higher priority (smaller index); subsessions additionally
-wait out their own earlier subtasks.
+wait out their own earlier subtasks. Each preset fixes which stream it
+runs on and which of several networks a task acts on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
-from treeflow.bitseq import BitString, index_of, string_of, unpair_1, unpair_2
+from treeflow.bitseq import (
+    BitString,
+    index_of,
+    restricted_triple,
+    string_of,
+    unpair_1,
+    unpair_2,
+)
 from treeflow.cubes import Cube
 from treeflow.network import ConstructionError, ElementaryNetwork
 
@@ -41,6 +49,34 @@ class PairedTaskStream:
 
     def designated(self, n: int) -> BitString:
         return string_of(unpair_2(unpair_1(n)))
+
+
+def task_stream(preset: str):
+    """The stream a preset runs on: `divisible` draws its designated
+    vertices from the paired stream, every other preset uses TaskStream."""
+    return PairedTaskStream() if preset == "divisible" else TaskStream()
+
+
+def task_networks(
+    preset: str, i: int, count: int
+) -> tuple[int, Optional[int], Optional[int]]:
+    """(acting network, target network, operator number) of task i when a
+    preset runs on `count` networks; network numbers wrap into 1..count.
+
+    `family` decodes i as a restricted triple (base, target, operator).
+    `hyperimmune` decodes i/2 the same way for even i, puts odd i > 1 on
+    network unpair_1((i-1)/2) and task 1 on network 1. Target and operator
+    are None outside that family decoding; single-network presets act on
+    network 1."""
+    if preset == "hyperimmune" and i % 2:
+        acting = 1 if i == 1 else unpair_1((i - 1) // 2)
+        return (acting - 1) % count + 1, None, None
+    if preset == "hyperimmune":
+        i //= 2
+    elif preset != "family":
+        return 1, None, None
+    base, target, op_num = restricted_triple(i)
+    return (base - 1) % count + 1, (target - 1) % count + 1, op_num
 
 
 class ScheduleState:

@@ -5,10 +5,10 @@ a fresh uniform delay 1/(n+3)^2 across level n (case 1, session start),
 processes candidate vertices by drawing edges and shifting their delayed
 share onto descendants (case 2), or writes an all-zero level (case 3).
 
-t1_step handles one vertex per edge. t1_discard_step restricts processing
-to a single designated vertex and additionally marks the operator image's
-region as dead (s = 1). t2_step runs inside leading subtrees and replicates
-every draw and every delay write across suffix-equivalence classes.
+t1_step handles one vertex per edge; given a designated vertex it processes
+only that one and additionally marks the operator image's region as dead
+(s = 1). t2_step runs inside leading subtrees and replicates every draw and
+every delay write across suffix-equivalence classes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class Caps:
 @dataclass(frozen=True)
 class DiscardRecord:
     """Region killed (s = 1) on `network_id` by `edge`, with the mass
-    allowance 2^-(index_of(source)+3) the drawing predicate guaranteed."""
+    allowance 2^-allowance_exponent(source) the drawing predicate
+    guaranteed."""
 
     network_id: int
     cubes: tuple[Cube, ...]
@@ -62,7 +63,6 @@ class StepOutcome:
     wk: Optional[int] = None
     edges: tuple[ExtraEdge, ...] = ()
     discards: tuple[DiscardRecord, ...] = ()
-    delay_assignments: Optional[dict] = None
     note: str = ""
 
 
@@ -78,6 +78,16 @@ class StepContext:
 
     def install_value(self) -> Rational:
         return Rational(1, (self.n + self.rho_base) ** 2)
+
+    def outcome(self, case: int, **kw) -> StepOutcome:
+        return StepOutcome(
+            step=self.n,
+            network_id=self.net.network_id,
+            task=self.i,
+            subtask=self.k,
+            case_taken=case,
+            **kw,
+        )
 
 
 class EdgePredicate:
@@ -113,22 +123,17 @@ class EdgePredicate:
         return None
 
 
-def _outcome(ctx: StepContext, case: int, table: DelayTable, **kw) -> StepOutcome:
-    return StepOutcome(
-        step=ctx.n,
-        network_id=ctx.net.network_id,
-        task=ctx.i,
-        subtask=ctx.k,
-        case_taken=case,
-        delay_assignments=table.to_record(),
-        **kw,
-    )
+def allowance_exponent(source: BitString) -> int:
+    """The e in the mass allowance 2^-e = 2^-(index_of(source)+3) that an
+    edge from `source` may discard. Kept as an exponent: for deep sources
+    the power itself is far too large to build."""
+    return index_of(source) + 3
 
 
 def designated_candidate(
     ctx: StepContext, predicate: EdgePredicate, x: BitString, w: int
 ) -> list[tuple[BitString, BitString]]:
-    """The single-vertex candidate check used by the discard engine."""
+    """The single-vertex candidate check of t1_step's designated mode."""
     if not (w <= len(x) < ctx.n):
         return []
     if len(x) not in ctx.state.candidate_levels(ctx.i, w, ctx.n):
@@ -154,18 +159,16 @@ def t1_step(
     n, i, net, state = ctx.n, ctx.i, ctx.net, ctx.state
     w = state.w_session(i, n)
     if w is None:
-        table = DelayTable(n)
-        return table, [], _outcome(ctx, 3, table, note="no session start yet")
+        return DelayTable(n), [], ctx.outcome(3, note="no session start yet")
     if w == n:
         table = DelayTable(n, default=ctx.install_value())
-        return table, [], _outcome(ctx, 1, table, w=w)
+        return table, [], ctx.outcome(1, w=w)
     if designated is not None:
         pairs = designated_candidate(ctx, predicate, designated, w)
     else:
         pairs = candidates(state, net, i, n, predicate, w, cap=ctx.caps.candidates)
     if not pairs:
-        table = DelayTable(n)
-        return table, [], _outcome(ctx, 3, table, w=w, note="no candidates")
+        return DelayTable(n), [], ctx.outcome(3, w=w, note="no candidates")
 
     table = DelayTable(n)
     classes: list[EdgeClass] = []
@@ -202,29 +205,11 @@ def t1_step(
                         network_id=net.network_id,
                         cubes=tuple(pieces),
                         edge=edge,
-                        bound=Rational(1, 2 ** (index_of(x) + 3)),
+                        bound=Rational(1, 1 << allowance_exponent(x)),
                     )
                 )
-    return table, classes, _outcome(
-        ctx, 2, table, w=w, edges=tuple(drawn), discards=tuple(discards)
-    )
-
-
-def t1_discard_step(
-    ctx: StepContext,
-    predicate: EdgePredicate,
-    designated: BitString,
-    image_of: Callable[[BitString], BitString],
-    discard_mode: str = "exclude",
-):
-    """Single-designated-vertex variant: at most one edge per step, and the
-    image region behind the edge goes dead."""
-    return t1_step(
-        ctx,
-        predicate,
-        designated=designated,
-        image_of=image_of,
-        discard_mode=discard_mode,
+    return table, classes, ctx.outcome(
+        2, w=w, edges=tuple(drawn), discards=tuple(discards)
     )
 
 
@@ -272,20 +257,17 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
         raise ConstructionError("t2_step needs a subtask index")
     w = state.w_session(i, n)
     if w is None:
-        table = DelayTable(n)
-        return table, [], _outcome(ctx, 3, table, note="no session start yet")
+        return DelayTable(n), [], ctx.outcome(3, note="no session start yet")
     if k > 2**w:
-        table = DelayTable(n)
-        return table, [], _outcome(
-            ctx, 3, table, w=w, note="subsession index beyond subtree count"
+        return DelayTable(n), [], ctx.outcome(
+            3, w=w, note="subsession index beyond subtree count"
         )
     wk = state.w_subsession(i, k, n)
     if wk is None:
-        table = DelayTable(n)
-        return table, [], _outcome(ctx, 3, table, w=w, note="no subsession start yet")
+        return DelayTable(n), [], ctx.outcome(3, w=w, note="no subsession start yet")
     if wk == n:
         table = DelayTable(n, default=ctx.install_value())
-        return table, [], _outcome(ctx, 1, table, w=w, wk=wk)
+        return table, [], ctx.outcome(1, w=w, wk=wk)
     leading_root = BitString(w, k - 1)
     pairs = candidates(
         state,
@@ -300,8 +282,7 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
         cap=ctx.caps.candidates,
     )
     if not pairs:
-        table = DelayTable(n)
-        return table, [], _outcome(ctx, 3, table, w=w, wk=wk, note="no candidates")
+        return DelayTable(n), [], ctx.outcome(3, w=w, wk=wk, note="no candidates")
 
     table = DelayTable(n)
     classes: list[EdgeClass] = []
@@ -337,6 +318,4 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
             desc = Cube.suffix_pattern(n, w, x.suffix_from(w))
             for piece in subtract_many(desc, target_cubes):
                 table.add_suffix(piece, value)
-    return table, classes, _outcome(
-        ctx, 2, table, w=w, wk=wk, edges=tuple(drawn)
-    )
+    return table, classes, ctx.outcome(2, w=w, wk=wk, edges=tuple(drawn))

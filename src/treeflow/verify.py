@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from treeflow.bitseq import BitString, index_of, restricted_triple, unpair_1
+from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube
 from treeflow.network import rat_str
 from treeflow.operators import apply_modified
-from treeflow.scheduler import ResourceLimit
+from treeflow.scheduler import ResourceLimit, task_networks
 
 Rational = Fraction
 ZERO = Fraction(0)
@@ -131,19 +131,10 @@ def _random_member(cube: Cube, rng: random.Random) -> BitString:
 
 
 def _acting_net(bundle, i: int) -> int:
-    preset = bundle.config.preset
-    count = bundle.config.networks
-    if preset == "family":
-        base, _target, _op = restricted_triple(i)
-        return (base - 1) % count + 1
-    if preset == "hyperimmune":
-        if i == 1:
-            return 1
-        if i % 2 == 0:
-            base, _target, _op = restricted_triple(i // 2)
-            return (base - 1) % count + 1
-        return (unpair_1((i - 1) // 2) - 1) % count + 1
-    return 1
+    acting, _target, _op = task_networks(
+        bundle.config.preset, i, bundle.config.networks
+    )
+    return acting
 
 
 # --- the checks ---------------------------------------------------------

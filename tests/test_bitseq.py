@@ -6,15 +6,10 @@ from hypothesis import given, strategies as st
 from treeflow.bitseq import (
     EMPTY,
     BitString,
-    SuffixClassKey,
-    class_members,
-    class_size,
-    equiv_w,
     index_of,
     pair,
     restricted_triple,
     string_of,
-    triple,
     unpair_1,
     unpair_2,
     untriple,
@@ -87,7 +82,7 @@ def test_pair_round_trip(i, j):
 
 def test_triple_round_trip():
     for i, j, k in itertools.product(range(1, 6), repeat=3):
-        assert untriple(triple(i, j, k)) == (i, j, k)
+        assert untriple(pair(pair(i, j), k)) == (i, j, k)
 
 
 def test_restricted_triples_against_scan():
@@ -110,8 +105,7 @@ def test_bitstring_basics():
     x = BitString.from_str("0110")
     assert len(x) == 4
     assert str(x) == "0110"
-    assert x.bits() == (0, 1, 1, 0)
-    assert x.bit(1) == 0 and x.bit(2) == 1
+    assert [x.bit(p) for p in range(1, 5)] == [0, 1, 1, 0]
     assert x.truncate(2) == BitString.from_str("01")
     assert x.child(1) == BitString.from_str("01101")
     assert EMPTY.is_prefix_of(x)
@@ -141,52 +135,3 @@ bits_st = st.integers(0, 8).flatmap(
 @given(bits_st, bits_st)
 def test_prefix_agrees_with_string_startswith(x, y):
     assert x.is_prefix_of(y) == str(y).startswith(str(x))
-
-
-def equiv_w_literal(x, y, w):
-    """Independent oracle: compare positions w..len one by one."""
-    if len(x) != len(y):
-        return False
-    return all(x.bit(p) == y.bit(p) for p in range(max(w, 1), len(x) + 1))
-
-
-@given(bits_st, bits_st, st.integers(1, 10))
-def test_equiv_w_against_literal(x, y, w):
-    assert equiv_w(x, y, w) == equiv_w_literal(x, y, w)
-
-
-@given(bits_st, st.integers(1, 10))
-def test_class_members_are_exactly_the_equivalent_strings(x, w):
-    members = list(class_members(x, w))
-    assert len(members) == class_size(len(x), w)
-    assert len(set(members)) == len(members)
-    assert x in members
-    universe = [BitString(len(x), v) for v in range(1 << len(x))]
-    assert set(members) == {u for u in universe if equiv_w(u, x, w)}
-
-
-def test_equiv_w_monotone_in_w():
-    # Fixing fewer positions can only coarsen the relation.
-    x = BitString.from_str("01101")
-    y = BitString.from_str("11101")
-    assert not equiv_w(x, y, 1)
-    assert equiv_w(x, y, 2)
-    assert equiv_w(x, y, 5)
-
-
-def test_suffix_class_key():
-    anchor = BitString.from_str("0110")
-    key = SuffixClassKey.from_anchor(anchor, 3, 6)
-    # Positions 3..4 fixed to "10", level 6.
-    assert key.member_count() == 16
-    assert key.matches(BitString.from_str("111001"))
-    assert not key.matches(BitString.from_str("110101"))
-    assert not key.matches(BitString.from_str("1110"))
-    whole = SuffixClassKey.from_anchor(BitString.from_str("01"), 5, 4)
-    assert whole.member_count() == 16
-    assert whole.matches(BitString.from_str("0000"))
-
-
-def test_equiv_w_rejects_bad_w():
-    with pytest.raises(ValueError):
-        equiv_w(EMPTY, EMPTY, 0)

@@ -64,6 +64,13 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert _read_report(out / "report.json")["depth"] == 6
 
 
+@pytest.mark.parametrize("preset", ["family", "hyperimmune"])
+def test_multi_network_presets_default_to_three_networks(tmp_path, preset):
+    out = _build(tmp_path, "--preset", preset, "--depth", "10")
+    assert _read_report(out / "config.json")["networks"] == 3
+    assert _read_report(out / "report.json")["networks"] == 3
+
+
 def test_two_builds_are_byte_identical(tmp_path):
     a = _build(tmp_path, "--preset", "family", "--depth", "8", "--networks", "3")
     b = _build(

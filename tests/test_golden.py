@@ -1,0 +1,113 @@
+"""Bundles stay byte for byte what the recorded digests say.
+
+Each digest is the sha256 of one bundle file written by `treeflow build`.
+A change to the engine that alters any stored table, edge, aggregate,
+provenance row or report shows up here as a mismatch. Depth 48 is where
+`hyperimmune` first draws discard records, so both depths are pinned.
+If a change is meant to alter bundles, record the new digests together
+with the reason.
+"""
+
+import hashlib
+
+import pytest
+
+from treeflow.cli import main
+
+MULTI_NETWORK = {"family", "hyperimmune"}
+
+DIGESTS = {
+    ("nonstochastic", 12): {
+        "config.json": "95ca5f0ab48d5c763294857bcc190a9760f38487fbe0be91c81d44cd2e26eca4",
+        "levels.jsonl": "9d35b23fc14853abf88d838bedc913842ff3ce883b058236ee3a3b77f97ec8a2",
+        "edges.jsonl": "ca7fbb13acd62591f034e7eb9be9cffb26889f7af893f9160531d4e1313a8a10",
+        "aggregates.jsonl": "bcf816bc2c6ace9916fc0b4b2e101a8d8b527dcf9697f25551bdd1707b21c069",
+        "provenance.jsonl": "cab7249f64b1300b3184f1fa76d208fc7fb165a408438a463a40fca2a239fd47",
+        "report.json": "7416b31310bc20aad4022c94af64eccc2ea319e8fb23d14ed5d782050c52e4ba",
+    },
+    ("nonstochastic", 48): {
+        "config.json": "38bc7a5ea9e9836319e5f5915e661df347df49ef1024d3f56c89dc6f8c508012",
+        "levels.jsonl": "e639c68096ddd510d2d4ad8ff24f14777d9054122eff648b1b0196cf5d79de68",
+        "edges.jsonl": "2a656195364bc814941568584b04569c71482b9dfe830543c8a7f3ad5c032e50",
+        "aggregates.jsonl": "87d5512006e13383f1e75defb987f23d2d8ec09a6812ad6797dc54cd440c30a4",
+        "provenance.jsonl": "e0d4b60fce492d40195fccaa79e25137addd4eded8a30beec7d6fe57017cfce1",
+        "report.json": "bf5918ebd413c58c3bc394516f656c3a6e42402adf66ec967cd500da337529f0",
+    },
+    ("divisible", 12): {
+        "config.json": "c9a63901199db27c66857e3cb2d8856025c6f13cc8a753a860c1a379907764de",
+        "levels.jsonl": "083e8d1b3bc43ea303a3c8eac79bb2ddc29f4a23dead40fad6d6f782082a6176",
+        "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "aggregates.jsonl": "f15b4b5fd2bf8adb83767932c4cbe8e299370ae1655eb6329b596cb119103fbd",
+        "provenance.jsonl": "a8db1c1e3e18703f2053e6d565cf23e5366bb8d1614b37640023fa249b0306ad",
+        "report.json": "0031ca841fc92f3fb973a546aaeea0c2ab42fbe01b75a7bb34343e8cf86d1115",
+    },
+    ("divisible", 48): {
+        "config.json": "1118d8a25400ac6686051b9861dc8f88d57e25bc3d06610ba4ef2a7f31c9a254",
+        "levels.jsonl": "c157c4b353f4232c60b6ba7dd816f30b83e1a91b112125e8d0e8dad0998ca695",
+        "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "aggregates.jsonl": "74a1b7767f5bfd9570766769a5f5ba93293357b1bc810660213ce5491b702c01",
+        "provenance.jsonl": "50d4b5c4f2570a02cff0423d4946f184a001d0c5f1ae3a14868cb82002c97d7c",
+        "report.json": "e55b395aaedc11db014ee41927757bb1beecfde83d2ad9d8ce6efb83b7b6ec61",
+    },
+    ("atom", 12): {
+        "config.json": "2c0ffab6d12fe2f98745f51fa995090c25233f0c1e708a8f4ff510804adb5cd1",
+        "levels.jsonl": "d38e7e8f6f7c1ce3127c9f101b672909c7d04f8b51c9a7a8cf4754455aa5d9c7",
+        "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
+        "aggregates.jsonl": "7051684c5e95f59fdd49a8070362d1115f00b8762853ad42e16308be83a5e74b",
+        "provenance.jsonl": "d0efc57e58f97a8dd6da81d0d23fb99a876c73f07cf400305bc120882115fb3a",
+        "report.json": "f18cd7e2801dfc3cf6ddb3c5e2bbdc13d7f82ef1c9b493fcbbcfc53396528afe",
+    },
+    ("atom", 48): {
+        "config.json": "1a1538d65ad720dc40a6be7e59f2118348b7169560bf15eeccd25cfb6e5fb145",
+        "levels.jsonl": "f5bec282b4e1d4fb67c08e1c3df41ce28c88564819aae239749c748e6f80767b",
+        "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
+        "aggregates.jsonl": "0f31cb3d6db3ce1450fdca92f16322f54ccda6e81de591faaf2bdd62c5039004",
+        "provenance.jsonl": "087291b659dc45d4b1b1dc58bfcdc68b5ca2d4265423ba5b2b6993758a5a21d0",
+        "report.json": "a3013e5d7ba5484a95b488d745829625f3f96ba86e4004c35e6f6e9b5d160e9e",
+    },
+    ("family", 12): {
+        "config.json": "a4d36d20e248e5e37d27835a4eb1932721a5802e9152f8e7de4a73572386fd8e",
+        "levels.jsonl": "a979a082de1479bad469a7681d0f49b03c3ef7f595b80d4e96fda16e13c2030b",
+        "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
+        "aggregates.jsonl": "6addb2c544910f3d8810a2ae58acf8713884954de65f48ee77346eed4f732d81",
+        "provenance.jsonl": "1d4c51fd8171c799e7ecdcab58c9749cee50dd09d11c46b1faaf068f3005f45d",
+        "report.json": "5574c65c33df724a57520a133da035f50f73fb441834f47a4655149b401c11fc",
+    },
+    ("family", 48): {
+        "config.json": "491925b4cc55fa83adf55b6626b62a1ef7c0e18aab7fd737b498a945fb65a512",
+        "levels.jsonl": "54fb58e1f7a0c453e0b1fef13e0ffe9e7fc494644c1dcf6ad22e0ea17b337739",
+        "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
+        "aggregates.jsonl": "61424e78f4da4c2ffa78efdd86b94252dd44dee4daaa2c4727c7f79f5a65e734",
+        "provenance.jsonl": "880a41ddc0ccd08b19313ef77f0a3b3348663da04da08a07b12865dcf9e6ff1c",
+        "report.json": "574aa414125a38331892e6296efae40bf0d4ea6fe7cc8d3f78cf7390659b354e",
+    },
+    ("hyperimmune", 12): {
+        "config.json": "f2d354c82ca5a68e1dca7814a8e3fdcb8f50f42f6d26ed08568e3fba7e4d9af6",
+        "levels.jsonl": "578bd13f804c5496742ff1042053830f0c864e5d4b1860787ce21a27b0b316c5",
+        "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "aggregates.jsonl": "3c578ace9493af7d1a75f77e41b7490cb6f4db29b26471da47653f7c3ebdf3d8",
+        "provenance.jsonl": "fc800d7ef346e824debd00e6605ee15b233cbc116de8378f811f67bbf1dc050c",
+        "report.json": "e2fb4cf5441c48fd26e22f29ae49e7f406bdad9571da8c0be4ee34b653b4ba21",
+    },
+    ("hyperimmune", 48): {
+        "config.json": "919250f57c97b241029b40c5017c9854d9e2d407c40f205d6e5b2c91a6f43b0d",
+        "levels.jsonl": "25b2195a92318b0abbcb773b2b29ce472f2c306e921bad7986aace403ca7e5f7",
+        "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
+        "aggregates.jsonl": "4b75cbd38d2fc5eb714c0bb148016931bd1c9474a4690d7e5644a46e076c1e75",
+        "provenance.jsonl": "db6f4a49d553fab256dd4985f2af3ae4afe77f1efc7b53e2f61909ac7e35c4dd",
+        "report.json": "579078dae612cb0aa670e3864191ff6a74203fc8a6f14fb85d7e9d08976f3e77",
+    },
+}
+
+
+@pytest.mark.parametrize("preset,depth", sorted(DIGESTS))
+def test_bundle_bytes_match_recorded_digests(tmp_path, preset, depth):
+    out = tmp_path / f"{preset}-d{depth}"
+    extra = ["--networks", "3"] if preset in MULTI_NETWORK else []
+    argv = ["build", "--preset", preset, "--depth", str(depth), *extra]
+    assert main([*argv, "--out", str(out)]) == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in DIGESTS[(preset, depth)]
+    }
+    assert got == DIGESTS[(preset, depth)]

@@ -13,7 +13,6 @@ from treeflow.network import (
     ExtraEdge,
     rat_parse,
     rat_str,
-    uniform_interval_mass,
 )
 
 B = BitString.from_str
@@ -122,16 +121,6 @@ def test_uniform_network_is_halving():
         assert net.frame_eval(BitString(n, 0)) == F(1, 1 << n)
         assert net.level_stats(n).s_n == 1
     assert net.pattern_mass(5, Cube.from_pattern("0****")) == F(1, 2)
-
-
-def test_uniform_interval_mass():
-    assert uniform_interval_mass(B("")) == 1
-    assert uniform_interval_mass(B("01")) == F(1, 4)
-    x = B("0110")
-    assert (
-        uniform_interval_mass(x.child(0)) + uniform_interval_mass(x.child(1))
-        == uniform_interval_mass(x)
-    )
 
 
 def test_delay_table_precedence():

@@ -15,11 +15,9 @@ from treeflow.operators import (
     const_operator,
     doubler_operator,
     echo_operator,
-    enumerate_graph,
     flip_operator,
     load_rosters,
     phi_bounded,
-    roster_operator,
     silent_operator,
 )
 
@@ -28,16 +26,6 @@ B = BitString.from_str
 bits_st = st.integers(0, 10).flatmap(
     lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(n, v))
 )
-
-
-def test_zero_budget_graph_is_only_the_empty_pair():
-    for op in (echo_operator(), TableOperator([(B("0"), B("11"), 2)])):
-        assert enumerate_graph(op, 0) == [(EMPTY, EMPTY, 0)]
-
-
-def test_transducer_graph_budget_guard():
-    with pytest.raises(OperatorError):
-        enumerate_graph(echo_operator(), 17)
 
 
 @given(bits_st)
@@ -156,12 +144,12 @@ def test_prefix_image_only_is_sound(x):
 def test_roster_wrap():
     roster = OperatorRoster((echo_operator(), silent_operator(), flip_operator()))
     # unpair_1 of 1..6 is 1,1,2,1,2,3: bases 0,0,1,0,1,2.
-    assert roster_operator(roster, 1) is roster.bases[0]
-    assert roster_operator(roster, 2) is roster.bases[0]
-    assert roster_operator(roster, 3) is roster.bases[1]
-    assert roster_operator(roster, 6) is roster.bases[2]
+    assert roster.operator_for(1) is roster.bases[0]
+    assert roster.operator_for(2) is roster.bases[0]
+    assert roster.operator_for(3) is roster.bases[1]
+    assert roster.operator_for(6) is roster.bases[2]
     # Index 7 unpairs to (1, 4): wraps back to base 0.
-    assert roster_operator(roster, 7) is roster.bases[0]
+    assert roster.operator_for(7) is roster.bases[0]
 
 
 def test_phi_bounded():
@@ -215,4 +203,3 @@ def test_base_for_direct_indexing():
     assert roster.base_for(1) is roster.bases[0]
     assert roster.base_for(3) is roster.bases[2]
     assert roster.base_for(4) is roster.bases[0]
-    assert roster.base_name_for(2) == roster.names[1]

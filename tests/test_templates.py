@@ -19,7 +19,6 @@ from treeflow.templates import (
     class_cube,
     discard_pieces,
     prefix_root,
-    t1_discard_step,
     t1_step,
     t2_step,
 )
@@ -180,13 +179,17 @@ def test_designated_processing():
 
     # A miss (level-2 vertex is not task-1 typed at its level, has s=0).
     ctx = ctx_for(net, state, 4, 1)
-    table, classes, out = t1_discard_step(ctx, AlwaysTrue(ctx), B("00"), img)
+    table, classes, out = t1_step(
+        ctx, AlwaysTrue(ctx), designated=B("00"), image_of=img
+    )
     assert out.case_taken == 3 and not out.edges
 
     # A hit processes only the designated vertex even though "1" is also
     # a candidate.
     ctx = ctx_for(net, state, 4, 1)
-    table, classes, out = t1_discard_step(ctx, AlwaysTrue(ctx), B("0"), img)
+    table, classes, out = t1_step(
+        ctx, AlwaysTrue(ctx), designated=B("0"), image_of=img
+    )
     assert out.case_taken == 2
     (edge,) = out.edges
     assert edge.source == B("0")
@@ -269,6 +272,20 @@ def test_t2_class_replication():
         assert net.delay(x) == net.delay(mate)
 
 
+def test_class_cube_is_the_literal_suffix_class():
+    # Oracle: the level strings agreeing with x at positions w..len(x).
+    for length in range(1, 6):
+        level = [BitString(length, v) for v in range(1 << length)]
+        for w in range(1, length + 1):
+            for x in level:
+                want = {
+                    u
+                    for u in level
+                    if all(u.bit(p) == x.bit(p) for p in range(w, length + 1))
+                }
+                assert set(class_cube(x, w).members()) == want
+
+
 def test_t2_subsession_overflow_and_misses():
     net = ElementaryNetwork()
     state = fresh_state()
@@ -278,7 +295,7 @@ def test_t2_subsession_overflow_and_misses():
     ctx = ctx_for(net, state, 8, 2, k=9)  # 9 > 2^w = 8
     table, classes, out = t2_step(ctx, AlwaysTrue(ctx))
     assert out.case_taken == 3 and "beyond subtree count" in out.note
-    assert table.is_zero() and not classes
+    assert all(s == 0 for _, s in table.s_partition()) and not classes
 
     ctx = ctx_for(net, state, 3, 2, k=1)
     table, classes, out = t2_step(ctx, AlwaysTrue(ctx))
