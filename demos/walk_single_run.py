@@ -29,10 +29,11 @@ def main() -> int:
     print(f"{args.preset} at depth {args.depth}, {cfg.networks} network(s)")
     print()
     print("schedule (step: task/subtask):")
+    has_sub = hasattr(stream, "subtask")
     row = []
     for n in range(1, args.depth + 1):
-        sub = stream.subtask(n)
-        row.append(f"{n}:{stream.task(n)}" + (f".{sub}" if sub is not None else ""))
+        sub = f".{stream.subtask(n)}" if has_sub else ""
+        row.append(f"{n}:{stream.task(n)}{sub}")
     print("  " + " ".join(row))
     print()
 

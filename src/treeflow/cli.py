@@ -13,10 +13,13 @@ strings):
     report.json        run summary (counts and final kept shares)
 
 Exit codes are a stable contract: 0 success, 1 check failure, 2 bad
-config or unreadable input, 3 construction invariant violation. Files
-that parse but describe an impossible construction (a malformed delay,
-an edge the conservation ledger rejects) surface as code 3; grammar
-problems surface as code 2.
+config or unreadable input, 3 construction invariant violation, 4 a
+resource cap was hit. Files that parse but describe an impossible
+construction (a malformed delay, an edge the conservation ledger
+rejects) surface as code 3; grammar problems surface as code 2. A cap
+(an enumeration limit, or a depth beyond what the dense oracle replays)
+says only that the work was cut off, not that the construction is
+impossible, so it gets its own code.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from treeflow.network import (
     rat_parse,
     rat_str,
 )
-from treeflow.scheduler import ScheduleState, task_stream
+from treeflow.scheduler import ResourceLimit, ScheduleState, task_stream
 from treeflow.templates import DiscardRecord
 from treeflow.verify import CHECKS, ORACLE_DEPTH_CAP, dense_oracle, run_checks
 
@@ -481,6 +484,9 @@ def main(argv=None) -> int:
     except (BundleError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimit as exc:
+        print(f"resource cap hit: {exc}", file=sys.stderr)
+        return 4
     except ConstructionError as exc:
         print(f"construction violation: {exc}", file=sys.stderr)
         return 3

@@ -280,12 +280,13 @@ class TargetMassPredicate(EdgePredicate):
         self.w = w
         self._pre = None
 
-    def _worst_member(self, x) -> BitString:
+    def _worst_mask(self, length: int) -> int:
         # Free positions 1..w-1 are the high bits of the code, so the
         # largest-index class member has them all set.
-        length = len(x)
-        mask = ((1 << (self.w - 1)) - 1) << (length - self.w + 1)
-        return BitString(length, x.value | mask)
+        return ((1 << (self.w - 1)) - 1) << (length - self.w + 1)
+
+    def _worst_member(self, x) -> BitString:
+        return BitString(len(x), x.value | self._worst_mask(len(x)))
 
     def _member_ok(self, member, tail, n) -> bool:
         img = apply_modified(self.operator, member.concat(tail))
@@ -319,29 +320,24 @@ class TargetMassPredicate(EdgePredicate):
         if n - level < 2:
             # No legal target that close to the level being built.
             return
-        w = self.w
-        mask = ((1 << (w - 1)) - 1) << (level - w + 1)
-        min_val = 0
-        for pos, bit in cube.fixed:
-            min_val |= bit << (level - pos)
+        mask = self._worst_mask(level)
+        worst = Cube(level, cube.care | mask, cube.value | mask)
         # Loosest bound any source in this piece can offer: the smallest
         # worst-member index. One region-wide mass floor against it can
         # rule out the whole piece without enumerating it.
-        e_min = allowance_exponent(BitString(level, min_val | mask))
+        e_min = allowance_exponent(worst.representative())
         if self.operator.length_determined():
             img = apply_modified(self.operator, BitString(n, 0))
-            pat = family_pattern(img, w, n)
+            pat = family_pattern(img, self.w, n)
             if pat is not None:
                 mass = self.target.pattern_mass(n, pat, pre=True)
                 if exceeds_dyadic(mass, e_min):
                     return
         elif self.operator.prefix_image_only():
-            keep = [(p, b) for p, b in cube.fixed if p >= w]
-            keep += [(p, 1) for p in range(1, w)]
-            floor = self._floor_over(Cube(n, keep))
+            floor = self._floor_over(worst.extend(n - level))
             if floor is not None and exceeds_dyadic(floor, e_min):
                 return
-        elif w >= 2:
+        elif self.w >= 2:
             for b in (0, 1):
                 floor = self._floor_over(Cube.subtree(BitString(1, b), n))
                 if floor is not None and exceeds_dyadic(floor, e_min):

@@ -1,37 +1,43 @@
 """Subcubes of one tree level: sets of equal-length strings with some
 positions pinned to fixed bits and the rest free.
 
-A cube is (length, ((pos, bit), ...)) with 1-based positions sorted
-ascending. Cubes support exact intersection, difference (as a disjoint
-cube list), membership, and counting, which is everything the sparse
-frame representation needs. A level with 2^n vertices costs nothing to
-describe as long as the number of distinct regions stays small.
+A cube is three integers (length, care, value) in the positional cube
+notation of Espresso (Brayton et al., Logic Minimization Algorithms for
+VLSI Synthesis, 1984). Bit length - pos of `care` is set when the 1-based
+position pos is pinned, and `value` holds the pinned bits in the same
+places, so a member x (a BitString of the same length) satisfies
+x.value & care == value. Intersection, difference (as a disjoint cube
+list), membership and counting are then a few integer operations, which
+is everything the sparse frame representation needs. A level with 2^n
+vertices costs nothing to describe as long as the number of distinct
+regions stays small.
+
+On disk a cube is its pattern: one character per position, "0" or "1"
+when pinned and "*" when free.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional
 
 from treeflow.bitseq import BitString
 
+_PATTERN = re.compile(r"[01*]*")
+
 
 class Cube:
-    __slots__ = ("length", "fixed", "_hash")
+    __slots__ = ("length", "care", "value", "_hash")
 
-    def __init__(self, length: int, fixed: tuple[tuple[int, int], ...] = ()):
-        fixed = tuple(sorted(fixed))
-        seen = set()
-        for pos, bit in fixed:
-            if not 1 <= pos <= length:
-                raise ValueError(f"position {pos} outside level {length}")
-            if bit not in (0, 1):
-                raise ValueError(f"bad bit {bit}")
-            if pos in seen:
-                raise ValueError(f"position {pos} pinned twice")
-            seen.add(pos)
+    def __init__(self, length: int, care: int = 0, value: int = 0):
+        if care < 0 or care >> length:
+            raise ValueError(f"care mask {care:b} outside level {length}")
+        if value & ~care:
+            raise ValueError(f"value {value:b} sets a free position")
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "_hash", hash((length, fixed)))
+        object.__setattr__(self, "care", care)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((length, care, value)))
 
     def __setattr__(self, name, val):
         raise AttributeError("Cube is immutable")
@@ -43,35 +49,39 @@ class Cube:
         return (
             isinstance(other, Cube)
             and self.length == other.length
-            and self.fixed == other.fixed
+            and self.care == other.care
+            and self.value == other.value
         )
 
     def pattern(self) -> str:
-        pat = ["*"] * self.length
-        for pos, bit in self.fixed:
-            pat[pos - 1] = str(bit)
-        return "".join(pat)
+        # The leading 1 keeps format() from dropping leading zeros.
+        top = 1 << self.length
+        care = format(self.care | top, "b")[1:]
+        value = format(self.value | top, "b")[1:]
+        return "".join(v if c == "1" else "*" for c, v in zip(care, value))
 
     def __repr__(self):
         return f"Cube({self.pattern()!r})"
 
     @classmethod
     def from_pattern(cls, pattern: str) -> "Cube":
-        fixed = tuple(
-            (i + 1, int(c)) for i, c in enumerate(pattern) if c in "01"
-        )
-        return cls(len(pattern), fixed)
+        if not _PATTERN.fullmatch(pattern):
+            raise ValueError(f"bad cube pattern {pattern!r}")
+        care = int("0" + pattern.replace("0", "1").replace("*", "0"), 2)
+        value = int("0" + pattern.replace("*", "0"), 2)
+        return cls(len(pattern), care, value)
 
     @classmethod
     def vertex(cls, x: BitString) -> "Cube":
-        return cls(len(x), tuple((p, x.bit(p)) for p in range(1, len(x) + 1)))
+        return cls(len(x), (1 << len(x)) - 1, x.value)
 
     @classmethod
     def subtree(cls, root: BitString, length: int) -> "Cube":
         """Level-`length` strings extending root."""
         if length < len(root):
             raise ValueError("subtree level above the root")
-        return cls(length, tuple((p, root.bit(p)) for p in range(1, len(root) + 1)))
+        shift = length - len(root)
+        return cls(length, ((1 << len(root)) - 1) << shift, root.value << shift)
 
     @classmethod
     def whole_level(cls, length: int) -> "Cube":
@@ -80,73 +90,68 @@ class Cube:
     @classmethod
     def suffix_pattern(cls, length: int, start: int, bits: BitString) -> "Cube":
         """Pins positions start .. start+len(bits)-1 to the given bits."""
-        return cls(
-            length,
-            tuple((start + t - 1, bits.bit(t)) for t in range(1, len(bits) + 1)),
-        )
+        shift = length - start - len(bits) + 1
+        return cls(length, ((1 << len(bits)) - 1) << shift, bits.value << shift)
 
     def count(self) -> int:
-        return 1 << (self.length - len(self.fixed))
+        return 1 << (self.length - self.care.bit_count())
 
     def contains(self, x: BitString) -> bool:
-        if len(x) != self.length:
-            return False
-        return all(x.bit(pos) == bit for pos, bit in self.fixed)
+        return len(x) == self.length and x.value & self.care == self.value
 
     def intersect(self, other: "Cube") -> Optional["Cube"]:
         if self.length != other.length:
             raise ValueError("cube lengths differ")
-        merged = dict(self.fixed)
-        for pos, bit in other.fixed:
-            if merged.setdefault(pos, bit) != bit:
-                return None
-        return Cube(self.length, tuple(merged.items()))
+        if (self.value ^ other.value) & self.care & other.care:
+            return None
+        return Cube(self.length, self.care | other.care, self.value | other.value)
 
     def subtract(self, other: "Cube") -> list["Cube"]:
         """self minus other, as disjoint cubes (standard peel, one cube per
-        position pinned by the other cube but free here)."""
+        position pinned by the other cube but free here, position 1 first)."""
         if self.intersect(other) is None:
             return [self]
-        mine = dict(self.fixed)
         pieces = []
-        acc = dict(mine)
-        for pos, bit in other.fixed:
-            if pos in mine:
-                continue
-            flipped = dict(acc)
-            flipped[pos] = 1 - bit
-            pieces.append(Cube(self.length, tuple(flipped.items())))
-            acc[pos] = bit
+        care, value = self.care, self.value
+        todo = other.care & ~care
+        while todo:
+            bit = 1 << (todo.bit_length() - 1)
+            pieces.append(Cube(self.length, care | bit, value | (bit & ~other.value)))
+            care |= bit
+            value |= bit & other.value
+            todo ^= bit
         return pieces
 
     def representative(self) -> BitString:
-        v = 0
-        for pos, bit in self.fixed:
-            v |= bit << (self.length - pos)
-        return BitString(self.length, v)
+        return BitString(self.length, self.value)
 
     def members(self, cap: int = 1 << 20) -> Iterator[BitString]:
-        free = [p for p in range(1, self.length + 1) if p not in dict(self.fixed)]
+        """All members; bit k of the counter sets the k-th free position,
+        counting from position 1."""
         if self.count() > cap:
             raise ValueError(f"cube too large to enumerate ({self.count()} members)")
-        base = self.representative().value
+        free = [
+            1 << s for s in range(self.length - 1, -1, -1) if not (self.care >> s) & 1
+        ]
         for mask in range(1 << len(free)):
-            v = base
-            for k, pos in enumerate(free):
+            v = self.value
+            for k, bit in enumerate(free):
                 if (mask >> k) & 1:
-                    v |= 1 << (self.length - pos)
+                    v |= bit
             yield BitString(self.length, v)
 
     def extend(self, extra: int) -> "Cube":
         """Same pins, `extra` more free low positions (the level below)."""
-        return Cube(self.length + extra, self.fixed)
+        return Cube(self.length + extra, self.care << extra, self.value << extra)
 
     def append_bits(self, bits: BitString) -> "Cube":
         """Pins positions length+1 .. length+len(bits) to the given bits."""
-        new = self.fixed + tuple(
-            (self.length + t, bits.bit(t)) for t in range(1, len(bits) + 1)
+        k = len(bits)
+        return Cube(
+            self.length + k,
+            (self.care << k) | ((1 << k) - 1),
+            (self.value << k) | bits.value,
         )
-        return Cube(self.length + len(bits), new)
 
 
 def subtract_many(base: Cube, holes: list[Cube]) -> list[Cube]:

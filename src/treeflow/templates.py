@@ -236,12 +236,11 @@ def discard_pieces(
 
 def prefix_root(piece: Cube) -> BitString:
     """The root vertex of a cube that pins exactly positions 1..k."""
-    value = 0
-    for count, (pos, bit) in enumerate(piece.fixed, start=1):
-        if pos != count:
-            raise ConstructionError("discard piece is not a subtree region")
-        value = value * 2 + bit
-    return BitString(len(piece.fixed), value)
+    k = piece.care.bit_count()
+    shift = piece.length - k
+    if piece.care != ((1 << k) - 1) << shift:
+        raise ConstructionError("discard piece is not a subtree region")
+    return BitString(k, piece.value >> shift)
 
 
 def class_cube(x: BitString, w: int) -> Cube:
@@ -291,14 +290,11 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
     # Every target class must be dug out of every descendant region before
     # any suffix write lands, else a later target would inherit a nonzero
     # delay from an earlier candidate's descendants.
-    target_cubes = [
-        Cube.suffix_pattern(n, w, y.suffix_from(w)) for (_x, y, _s) in draws
-    ]
+    target_cubes = [class_cube(y, w) for (_x, y, _s) in draws]
     for x, y, s in draws:
         tail = y.suffix_from(len(x) + 1)
-        members = sorted(
-            class_cube(x, w).members(cap=ctx.caps.class_members), key=index_of
-        )
+        klass = class_cube(x, w)
+        members = sorted(klass.members(cap=ctx.caps.class_members), key=index_of)
         edges = tuple(
             ExtraEdge(
                 source=m,
@@ -311,11 +307,11 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
             )
             for m in members
         )
-        classes.append(EdgeClass(class_cube(x, w), tail, s, edges))
+        classes.append(EdgeClass(klass, tail, s, edges))
         drawn.extend(edges)
         if s != ONE:
             value = s / (ONE - s)
-            desc = Cube.suffix_pattern(n, w, x.suffix_from(w))
+            desc = klass.extend(n - len(x))
             for piece in subtract_many(desc, target_cubes):
                 table.add_suffix(piece, value)
     return table, classes, ctx.outcome(2, w=w, wk=wk, edges=tuple(drawn))

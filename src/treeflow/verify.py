@@ -67,20 +67,6 @@ def _frame_total(net, n) -> Fraction:
     return sum((v * c.count() for c, v in net.frames[n]), ZERO)
 
 
-def _pushed_into(net, n) -> Fraction:
-    """Mass the level n-1 frame sends to level n through the tree edges."""
-    total = ZERO
-    parts = net.tables[n - 1].s_partition()
-    for c, v in net.frames[n - 1]:
-        if v == 0:
-            continue
-        for c2, s in parts:
-            inter = c.intersect(c2)
-            if inter is not None:
-                total += v * (1 - s) * inter.count()
-    return total
-
-
 def _pre_mass(net, level, cubes) -> Fraction:
     """Mass arriving at `cubes` (level `level`) before level edges land."""
     total = ZERO
@@ -123,10 +109,10 @@ def _stable_tasks(bundle) -> dict[int, int]:
 
 
 def _random_member(cube: Cube, rng: random.Random) -> BitString:
-    fixed = dict(cube.fixed)
-    value = 0
-    for pos in range(1, cube.length + 1):
-        value = (value << 1) | fixed.get(pos, rng.randrange(2))
+    value = cube.value
+    for shift in range(cube.length - 1, -1, -1):
+        if not (cube.care >> shift) & 1:
+            value |= rng.randrange(2) << shift
     return BitString(cube.length, value)
 
 
@@ -224,7 +210,7 @@ def check_conservation(bundle) -> CheckReport:
                 return fail(net, n, "stored total", total, agg.total_R)
             if n == 0:
                 continue
-            pushed = _pushed_into(net, n)
+            pushed = _pre_mass(net, n, [Cube.whole_level(n)])
             inflow = sum(
                 (
                     e.q * net.frame_eval(e.source)

@@ -151,7 +151,57 @@ def test_verify_oracle_depth(tmp_path):
     assert rc == 0
     names = [c["name"] for c in _read_report(report_path)["checks"]]
     assert names == ["delay_form", "dense_oracle"]
-    assert main(["verify", str(out), "--oracle-depth", "20"]) == 3
+    assert main(["verify", str(out), "--oracle-depth", "20"]) == 4
+
+
+def test_oracle_depth_over_the_cap_is_a_hit_cap(tmp_path, capsys):
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "16")
+    capsys.readouterr()
+    assert main(["verify", str(out), "--oracle-depth", "15"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap hit: ")
+    assert "construction violation" not in err
+
+
+def _corrupt_first_suffix(out):
+    path = out / "levels.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rec = next(r for r in rows if r["suffix"])
+    pat = rec["suffix"][0][0]
+    assert pat.endswith("*")
+    rec["suffix"][0][0] = pat[:-1] + "x"
+    return path, rows
+
+
+def _corrupt_first_discard(out):
+    path = out / "provenance.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rec = next(d for r in rows for d in r.get("discards", []))
+    rec["patterns"][0] = "x" + rec["patterns"][0][1:]
+    return path, rows
+
+
+@pytest.mark.parametrize(
+    "build_args,corrupt",
+    [
+        (("--preset", "atom", "--depth", "12"), _corrupt_first_suffix),
+        (
+            ("--preset", "family", "--depth", "8", "--networks", "3"),
+            _corrupt_first_discard,
+        ),
+    ],
+    ids=["suffix", "discard"],
+)
+def test_malformed_cube_pattern_is_bad_input(tmp_path, build_args, corrupt):
+    out = _build(tmp_path, *build_args)
+    path, rows = corrupt(out)
+    path.write_text(
+        "".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows
+        )
+    )
+    assert main(["verify", str(out)]) == 2
+    assert main(["export", str(out), "--out", str(tmp_path / "copy")]) == 2
 
 
 def test_corrupted_edge_file_fails_the_crossing_check(tmp_path):

@@ -1,21 +1,68 @@
+"""Every cube operation against brute force over whole levels of length
+at most 10. The references work on pattern strings ("0", "1", "*" per
+position) and share no code with treeflow.cubes."""
+
 import pytest
 from hypothesis import given, strategies as st
 
 from treeflow.bitseq import BitString
 from treeflow.cubes import Cube, subtract_many
+from treeflow.network import ConstructionError
+from treeflow.templates import prefix_root
 
 B = BitString.from_str
 
+MAX_LEN = 10
+
 
 def level(n):
-    return [BitString(n, v) for v in range(1 << n)]
+    return [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
 
 
-# Random cubes at a fixed small level, via patterns like "0**1*".
-def cube_st(n):
-    return st.lists(
-        st.sampled_from("01*"), min_size=n, max_size=n
-    ).map(lambda cs: Cube.from_pattern("".join(cs)))
+def matches(pat, s):
+    return len(pat) == len(s) and all(p in ("*", b) for p, b in zip(pat, s))
+
+
+def ref_members(pat):
+    """Today's member order: bit k of the counter sets the k-th free
+    position, counting from position 1."""
+    free = [i for i, c in enumerate(pat) if c == "*"]
+    out = []
+    for mask in range(1 << len(free)):
+        s = list(pat.replace("*", "0"))
+        for k, i in enumerate(free):
+            if (mask >> k) & 1:
+                s[i] = "1"
+        out.append("".join(s))
+    return out
+
+
+def ref_subtract(a, b):
+    """Today's peel order: one piece per position pinned in b but free in
+    a, position 1 first; each piece flips that pin and keeps the earlier
+    ones."""
+    if any(x != y and "*" not in (x, y) for x, y in zip(a, b)):
+        return [a]
+    acc = list(a)
+    pieces = []
+    for i, c in enumerate(b):
+        if c != "*" and a[i] == "*":
+            pieces.append("".join(acc[:i] + ["1" if c == "0" else "0"] + acc[i + 1 :]))
+            acc[i] = c
+    return pieces
+
+
+def pattern_st(n):
+    return st.text(alphabet="01*", min_size=n, max_size=n)
+
+
+def bits_st(n):
+    return st.text(alphabet="01", min_size=n, max_size=n)
+
+
+lengths = st.integers(0, MAX_LEN)
+patterns = lengths.flatmap(pattern_st)
+pattern_pairs = lengths.flatmap(lambda n: st.tuples(pattern_st(n), pattern_st(n)))
 
 
 def test_constructors():
@@ -26,68 +73,179 @@ def test_constructors():
     assert c.count() == 16
     assert c.contains(B("111001"))
     assert not c.contains(B("110101"))
-    assert Cube.from_pattern("0*1*").fixed == ((1, 0), (3, 1))
+    c = Cube.from_pattern("0*1*")
+    assert (c.length, c.care, c.value) == (4, 0b1010, 0b0010)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        Cube(3, ((4, 0),))
+        Cube(3, 0b1000)
     with pytest.raises(ValueError):
-        Cube(3, ((1, 0), (1, 1)))
+        Cube(3, -1)
     with pytest.raises(ValueError):
-        Cube(3, ((1, 2),))
+        Cube(3, 0b100, 0b010)
 
 
-@given(cube_st(6))
-def test_count_matches_membership(c):
-    assert c.count() == sum(1 for x in level(6) if c.contains(x))
-    assert sorted(c.members()) == sorted(x for x in level(6) if c.contains(x))
+@pytest.mark.parametrize("bad", ["01x*", "0 1", "2", "0_1", "+1", "-"])
+def test_malformed_pattern_rejected(bad):
+    with pytest.raises(ValueError):
+        Cube.from_pattern(bad)
 
 
-@given(cube_st(6), cube_st(6))
-def test_intersection_is_exact(a, b):
-    got = a.intersect(b)
-    want = {x for x in level(6) if a.contains(x) and b.contains(x)}
+@given(patterns)
+def test_pattern_round_trip(pat):
+    c = Cube.from_pattern(pat)
+    assert c.pattern() == pat
+    assert c.length == len(pat)
+    for pos, ch in enumerate(pat, start=1):
+        shift = len(pat) - pos
+        assert (c.care >> shift) & 1 == (ch != "*")
+        assert (c.value >> shift) & 1 == (ch == "1")
+    assert Cube(c.length, c.care, c.value) == c
+    assert hash(Cube.from_pattern(pat)) == hash(c)
+
+
+@given(patterns)
+def test_count_matches_membership(pat):
+    c = Cube.from_pattern(pat)
+    n = len(pat)
+    want = [s for s in level(n) if matches(pat, s)]
+    assert [c.contains(B(s)) for s in level(n)] == [matches(pat, s) for s in level(n)]
+    assert c.count() == len(want)
+    assert sorted(str(x) for x in c.members()) == want
+    assert not c.contains(B(pat.replace("*", "0") + "0"))
+
+
+@given(patterns)
+def test_members_order(pat):
+    assert [str(x) for x in Cube.from_pattern(pat).members()] == ref_members(pat)
+
+
+def test_members_order_literal():
+    got = [str(x) for x in Cube.from_pattern("*1*0").members()]
+    assert got == ["0100", "1100", "0110", "1110"]
+
+
+@given(pattern_pairs)
+def test_intersection_is_exact(ab):
+    a, b = ab
+    got = Cube.from_pattern(a).intersect(Cube.from_pattern(b))
+    want = [s for s in level(len(a)) if matches(a, s) and matches(b, s)]
     if got is None:
-        assert want == set()
+        assert want == []
     else:
-        assert set(got.members()) == want
+        assert sorted(str(x) for x in got.members()) == want
+        assert got.pattern() == "".join(y if x == "*" else x for x, y in zip(a, b))
 
 
-@given(cube_st(6), cube_st(6))
-def test_subtract_is_exact_and_disjoint(a, b):
-    pieces = a.subtract(b)
-    want = {x for x in level(6) if a.contains(x) and not b.contains(x)}
-    got = [x for p in pieces for x in p.members()]
+def test_lengths_must_agree():
+    with pytest.raises(ValueError):
+        Cube.whole_level(3).intersect(Cube.whole_level(4))
+    with pytest.raises(ValueError):
+        Cube.whole_level(3).subtract(Cube.whole_level(4))
+
+
+@given(pattern_pairs)
+def test_subtract_is_exact_and_disjoint(ab):
+    a, b = ab
+    pieces = Cube.from_pattern(a).subtract(Cube.from_pattern(b))
+    want = {s for s in level(len(a)) if matches(a, s) and not matches(b, s)}
+    got = [str(x) for p in pieces for x in p.members()]
     assert len(got) == len(set(got)), "pieces overlap"
     assert set(got) == want
+    assert [p.pattern() for p in pieces] == ref_subtract(a, b)
 
 
-@given(cube_st(5), st.lists(cube_st(5), max_size=4))
-def test_subtract_many(base, holes):
-    pieces = subtract_many(base, holes)
+def test_subtract_piece_order_literal():
+    pieces = Cube.from_pattern("*1**").subtract(Cube.from_pattern("0*10"))
+    assert [p.pattern() for p in pieces] == ["11**", "010*", "0111"]
+    assert Cube.from_pattern("1*").subtract(Cube.from_pattern("0*")) == [
+        Cube.from_pattern("1*")
+    ]
+
+
+@given(
+    lengths.flatmap(
+        lambda n: st.tuples(pattern_st(n), st.lists(pattern_st(n), max_size=4))
+    )
+)
+def test_subtract_many(case):
+    base, holes = case
+    pieces = subtract_many(Cube.from_pattern(base), [Cube.from_pattern(h) for h in holes])
     want = {
-        x
-        for x in level(5)
-        if base.contains(x) and not any(h.contains(x) for h in holes)
+        s
+        for s in level(len(base))
+        if matches(base, s) and not any(matches(h, s) for h in holes)
     }
-    got = [x for p in pieces for x in p.members()]
+    got = [str(x) for p in pieces for x in p.members()]
     assert len(got) == len(set(got))
     assert set(got) == want
+    ref = [base]
+    for h in holes:
+        ref = [piece for part in ref for piece in ref_subtract(part, h)]
+    assert [p.pattern() for p in pieces] == ref
 
 
-def test_extend_and_append():
-    c = Cube.vertex(B("01"))
-    assert c.extend(2).count() == 4
-    assert set(c.extend(1).members()) == {B("010"), B("011")}
-    d = c.append_bits(B("10"))
-    assert list(d.members()) == [B("0110")]
+@given(
+    lengths.flatmap(
+        lambda n: st.tuples(
+            pattern_st(n), st.integers(0, MAX_LEN - n), bits_st(MAX_LEN - n)
+        )
+    )
+)
+def test_extend_and_append(case):
+    pat, extra, tail = case
+    c = Cube.from_pattern(pat)
+    ext = c.extend(extra)
+    assert ext.pattern() == pat + "*" * extra
+    want = [s for s in level(len(pat) + extra) if matches(pat, s[: len(pat)])]
+    assert sorted(str(x) for x in ext.members()) == want
+    app = c.append_bits(B(tail))
+    assert app.pattern() == pat + tail
+    want = [s for s in level(len(pat) + len(tail)) if matches(pat + tail, s)]
+    assert sorted(str(x) for x in app.members()) == want
 
 
-def test_representative_is_member():
-    c = Cube.from_pattern("*1*0")
+@given(
+    lengths.flatmap(
+        lambda n: st.tuples(bits_st(n), st.integers(n, MAX_LEN), st.integers(1, n + 1))
+    )
+)
+def test_vertex_subtree_and_suffix_pattern(case):
+    s, length, start = case
+    n = len(s)
+    v = Cube.vertex(B(s))
+    assert v.pattern() == s
+    assert [str(x) for x in v.members()] == [s]
+    sub = Cube.subtree(B(s), length)
+    assert sub.pattern() == s + "*" * (length - n)
+    assert sorted(str(x) for x in sub.members()) == [
+        t for t in level(length) if t.startswith(s)
+    ]
+    if length > n:
+        with pytest.raises(ValueError):
+            Cube.subtree(B(s + "0"), n)
+    bits = s[start - 1 :]
+    suf = Cube.suffix_pattern(length, start, B(bits))
+    want = "*" * (start - 1) + bits + "*" * (length - start - len(bits) + 1)
+    assert suf.pattern() == want
+
+
+@given(patterns)
+def test_representative_is_member(pat):
+    c = Cube.from_pattern(pat)
     assert c.contains(c.representative())
-    assert c.representative() == B("0100")
+    assert str(c.representative()) == pat.replace("*", "0")
+
+
+@given(patterns)
+def test_prefix_root(pat):
+    k = len(pat.rstrip("*"))
+    if "*" in pat[:k]:
+        with pytest.raises(ConstructionError):
+            prefix_root(Cube.from_pattern(pat))
+    else:
+        assert str(prefix_root(Cube.from_pattern(pat))) == pat[:k]
 
 
 def test_members_cap():
