@@ -273,7 +273,7 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 raise BundleError(f"malformed discard record: {exc!r}")
             if edge_net not in known:
                 raise BundleError(f"discard references unknown network {edge_net}")
-            e = nets[edge_net - 1].edge_by_source.get(src)
+            e = nets[edge_net - 1].outgoing_edge(src)
             if e is None or str(e.target) != target or e.step_drawn != step:
                 raise BundleError(f"discard references unknown edge at {src}")
             discards.append(

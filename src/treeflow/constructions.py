@@ -36,7 +36,7 @@ from treeflow.operators import (
     load_rosters,
     phi_bounded,
 )
-from treeflow.scheduler import ResourceLimit, ScheduleState, task_networks, task_stream
+from treeflow.scheduler import ScheduleState, task_networks, task_stream
 from treeflow.templates import (
     Caps,
     DiscardRecord,
@@ -304,13 +304,7 @@ class TargetMassPredicate(EdgePredicate):
         worst = self._worst_member(x)
         if not self._member_ok(worst, tail, n):
             return False
-        klass = class_cube(x, self.w)
-        cap = self.ctx.caps.class_members
-        if klass.count() > cap:
-            raise ResourceLimit(
-                f"class of {x} has {klass.count()} members, cap is {cap}"
-            )
-        for member in klass.members(cap=cap):
+        for member in self.ctx.class_members(class_cube(x, self.w)):
             if member != worst and not self._member_ok(member, tail, n):
                 return False
         return True

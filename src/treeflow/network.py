@@ -270,7 +270,9 @@ class ElementaryNetwork:
         self.frames: list[Items] = [[(Cube.whole_level(0), ONE)]]
         self.aggregates: list[LevelAggregates] = [LevelAggregates(ONE, ZERO)]
         self.edges: list[ExtraEdge] = []
-        self.edge_by_source: dict[BitString, ExtraEdge] = {}
+        # Outgoing edges keyed by source length, then by source value: a
+        # flow query probes one dict per edge source level.
+        self._out_edges: dict[int, dict[int, ExtraEdge]] = {}
         self._pre: Optional[tuple[int, Items, Fraction]] = None
 
     # -- queries ---------------------------------------------------------
@@ -283,16 +285,26 @@ class ElementaryNetwork:
     def frame_eval(self, x: BitString) -> Fraction:
         if len(x) > self.depth:
             raise ConstructionError(f"level {len(x)} not constructed yet")
+        value = x.value
         for cube, v in self.frames[len(x)]:
-            if cube.contains(x):
+            if value & cube.care == cube.value:
                 return v
         return ZERO
 
     def flow_eval(self, x: BitString) -> Fraction:
+        """P(x): the frame value R(x) plus the mass in transit over x, that
+        is q * R(source) for every extra edge whose source is a proper
+        prefix of x and whose target lies strictly below x."""
         total = self.frame_eval(x)
-        for k in range(len(x)):
-            e = self.edge_by_source.get(x.truncate(k))
-            if e is not None and x.is_strict_prefix_of(e.target):
+        n, value = x.length, x.value
+        for k, by_value in self._out_edges.items():
+            if k >= n:
+                continue
+            e = by_value.get(value >> (n - k))
+            if e is None:
+                continue
+            t = e.target
+            if t.length > n and t.value >> (t.length - n) == value:
                 total += e.q * self.frame_eval(e.source)
         return total
 
@@ -361,9 +373,10 @@ class ElementaryNetwork:
                     raise ConstructionError(
                         f"edge weight {e.q} differs from source delay at {e.source}"
                     )
-                if e.source in self.edge_by_source:
+                by_value = self._out_edges.setdefault(len(e.source), {})
+                if e.source.value in by_value:
                     raise ConstructionError(f"second outgoing edge at {e.source}")
-                self.edge_by_source[e.source] = e
+                by_value[e.source.value] = e
                 self.edges.append(e)
             for c, v in self.frames[src_level]:
                 inter = c.intersect(ec.source_cube)
@@ -384,4 +397,5 @@ class ElementaryNetwork:
         self._pre = None
 
     def outgoing_edge(self, x: BitString) -> Optional[ExtraEdge]:
-        return self.edge_by_source.get(x)
+        by_value = self._out_edges.get(x.length)
+        return None if by_value is None else by_value.get(x.value)

@@ -187,7 +187,9 @@ def candidates(
                 seen += 1
                 if seen > cap:
                     raise ResourceLimit(
-                        f"candidate enumeration exceeded {cap} at step {n}, task {i}"
+                        f"Caps.candidates = {cap} exceeded at level {n}, "
+                        f"task {i}, network {net.network_id}: "
+                        f"candidate enumeration from level {m}"
                     )
                 if net.outgoing_edge(x) is not None:
                     continue

@@ -14,7 +14,7 @@ every delay write across suffix-equivalence classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube, subtract_many
@@ -79,6 +79,18 @@ class StepContext:
     def install_value(self) -> Rational:
         return Rational(1, (self.n + self.rho_base) ** 2)
 
+    def class_members(self, klass: Cube) -> Iterator[BitString]:
+        """The members of a suffix class; a class over Caps.class_members
+        raises instead of being enumerated."""
+        cap = self.caps.class_members
+        if klass.count() > cap:
+            raise ResourceLimit(
+                f"Caps.class_members = {cap} exceeded at level {self.n}, "
+                f"task {self.i}, network {self.net.network_id}: "
+                f"class {klass.pattern()} has {klass.count()} members"
+            )
+        return klass.members(cap=cap)
+
     def outcome(self, case: int, **kw) -> StepOutcome:
         return StepOutcome(
             step=self.n,
@@ -116,7 +128,9 @@ class EdgePredicate:
         for count, y in enumerate(x.extensions(n)):
             if count >= budget:
                 raise ResourceLimit(
-                    f"edge-target scan from {x} exceeded {budget} at level {n}"
+                    f"Caps.beta_scan = {budget} exceeded at level {n}, "
+                    f"task {self.ctx.i}, network {self.ctx.net.network_id}: "
+                    f"edge-target scan from {x}"
                 )
             if self.holds(x, y):
                 return y
@@ -294,7 +308,7 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
     for x, y, s in draws:
         tail = y.suffix_from(len(x) + 1)
         klass = class_cube(x, w)
-        members = sorted(klass.members(cap=ctx.caps.class_members), key=index_of)
+        members = sorted(ctx.class_members(klass), key=index_of)
         edges = tuple(
             ExtraEdge(
                 source=m,

@@ -446,6 +446,7 @@ def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
     depth = bundle.depth
     rng = random.Random(f"{bundle.config.seed}:separators")
     separators: dict[int, list[int]] = {}
+    coverage: dict[str, list[dict]] = {}
     for net in bundle.networks:
         levels = [
             n
@@ -455,16 +456,28 @@ def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
             )
         ]
         separators[net.network_id] = levels
+        walked = coverage[str(net.network_id)] = []
         for n in levels:
             if n == 0:
                 continue
             if (1 << n) <= 4096:
+                walk = "exhaustive"
                 values = range(1 << n)
             else:
+                walk = "sampled"
                 values = [rng.randrange(1 << n) for _ in range(sample_cap)]
+            walked.append({"level": n, "walk": walk, "vertices": len(set(values))})
+            # Siblings share a parent; its flow is evaluated once.
+            parent_flow: dict[int, Fraction] = {}
             for value in values:
                 x = BitString(n, value)
-                if net.flow_eval(x) > net.flow_eval(x.truncate(n - 1)) / 2:
+                p = net.flow_eval(x)
+                p_parent = parent_flow.get(value >> 1)
+                if p_parent is None:
+                    p_parent = parent_flow[value >> 1] = net.flow_eval(
+                        BitString(n - 1, value >> 1)
+                    )
+                if 2 * p > p_parent:
                     return _report(
                         "separators",
                         start,
@@ -473,8 +486,8 @@ def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
                             "network": net.network_id,
                             "level": n,
                             "vertex": str(x),
-                            "P": rat_str(net.flow_eval(x)),
-                            "P_parent": rat_str(net.flow_eval(x.truncate(n - 1))),
+                            "P": rat_str(p),
+                            "P_parent": rat_str(p_parent),
                         },
                     )
     stable = _stable_tasks(bundle)
@@ -499,6 +512,7 @@ def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
         True,
         details={
             "separators": {str(k): v for k, v in separators.items()},
+            "coverage": coverage,
             "session_starts": {str(i): w for i, w in sorted(stable.items())},
             "unsettled": sorted(set(_active_tasks(bundle)) - set(stable)),
         },
@@ -591,7 +605,12 @@ def check_extension_shadow(
     start = time.monotonic()
     depth = bundle.depth
     if depth > ORACLE_DEPTH_CAP:
-        raise ResourceLimit(f"path walk needs depth <= {ORACLE_DEPTH_CAP}")
+        tasks_named = "every task" if task is None else f"task {task}"
+        raise ResourceLimit(
+            f"verify.ORACLE_DEPTH_CAP = {ORACLE_DEPTH_CAP} exceeded at level "
+            f"{depth}, {tasks_named}, every network: the extension-shadow "
+            f"path walk visits every full path"
+        )
     if admits is None and bundle.config.preset not in LENGTH_PRESETS:
         return _report(
             "extension_shadow", start, True, details={"note": "not applicable"}
@@ -600,11 +619,13 @@ def check_extension_shadow(
     ops = bundle.operators
 
     memo: dict[tuple[int, BitString], bool] = {}
+    # The longest image reachable by the last level depends only on the task.
+    reach = {i: ops.operator_for(i).max_image_len(depth) for i in tasks}
 
     def default_admits(i: int, x: BitString) -> bool:
-        op = ops.operator_for(i)
-        if op.max_image_len(depth) <= index_of(x) + i:
+        if reach[i] <= index_of(x) + i:
             return False
+        op = ops.operator_for(i)
         for value in range(1 << (depth - len(x))):
             y = x.concat(BitString(depth - len(x), value))
             if len(apply_modified(op, y)) > index_of(x) + i:
@@ -666,7 +687,9 @@ def dense_oracle(config, rho_override: Optional[int] = None) -> CheckReport:
     start = time.monotonic()
     if config.depth > ORACLE_DEPTH_CAP:
         raise ResourceLimit(
-            f"oracle replay capped at depth {ORACLE_DEPTH_CAP}, got {config.depth}"
+            f"verify.ORACLE_DEPTH_CAP = {ORACLE_DEPTH_CAP} exceeded at level "
+            f"{config.depth}, every task, every network: the dense oracle "
+            f"replays every vertex"
         )
     bundle = build(config)
     mirror_config = (

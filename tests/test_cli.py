@@ -159,7 +159,9 @@ def test_oracle_depth_over_the_cap_is_a_hit_cap(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out), "--oracle-depth", "15"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("resource cap hit: ")
+    assert err.startswith(
+        "resource cap hit: verify.ORACLE_DEPTH_CAP = 14 exceeded at level 15, "
+    )
     assert "construction violation" not in err
 
 

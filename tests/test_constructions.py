@@ -16,6 +16,8 @@ from treeflow.constructions import (
     union_mass,
 )
 from treeflow.network import ONE, Rational
+from treeflow.scheduler import ResourceLimit
+from treeflow.templates import Caps
 
 B = BitString.from_str
 
@@ -261,3 +263,35 @@ def test_discard_allowance_accumulates():
     total = b.discard_allowance(2, 32)
     assert total == sum((d.bound for d in b.discards), Rational(0))
     assert total < Rational(1, 8)
+
+
+@pytest.mark.parametrize(
+    "preset, depth, caps, message",
+    [
+        (
+            "hyperimmune",
+            44,
+            Caps(beta_scan=4),
+            "Caps.beta_scan = 4 exceeded at level 44, task 8, network 1: "
+            "edge-target scan from " + "0" * 36,
+        ),
+        (
+            "nonstochastic",
+            12,
+            Caps(candidates=1),
+            "Caps.candidates = 1 exceeded at level 4, task 1, network 1: "
+            "candidate enumeration from level 1",
+        ),
+        (
+            "hyperimmune",
+            24,
+            Caps(class_members=1),
+            "Caps.class_members = 1 exceeded at level 18, task 3, network 1: "
+            "class *****0 has 32 members",
+        ),
+    ],
+)
+def test_cap_hits_name_the_cap_level_task_and_network(preset, depth, caps, message):
+    with pytest.raises(ResourceLimit) as hit:
+        build(RunConfig(preset=preset, depth=depth), caps=caps)
+    assert str(hit.value) == message

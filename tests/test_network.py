@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from treeflow.bitseq import BitString
+from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.cubes import Cube
 from treeflow.network import (
     ConstructionError,
@@ -284,6 +285,52 @@ def test_random_network_outflow_bound(seed):
             if e is not None:
                 out += e.q
             assert out <= 1
+
+
+def _longhand_flow(net, x):
+    """R(x) read off the stored frame, plus q * R(source) for every edge
+    whose source is a proper prefix of x and whose target lies below x."""
+
+    def frame(y):
+        return next((v for c, v in net.frames[len(y)] if c.contains(y)), F(0))
+
+    return frame(x) + sum(
+        (
+            e.q * frame(e.source)
+            for e in net.edges
+            if e.source.is_strict_prefix_of(x) and x.is_strict_prefix_of(e.target)
+        ),
+        F(0),
+    )
+
+
+@pytest.mark.parametrize("depth", [12, 24])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_edge_index_matches_longhand_edge_sums(preset, depth):
+    bundle = build(RunConfig(preset=preset, depth=depth))
+    rng = random.Random(f"{preset}:{depth}")
+    for net in bundle.networks:
+        if depth <= 12:
+            vertices = [
+                BitString(n, v) for n in range(depth + 1) for v in range(1 << n)
+            ]
+        else:
+            # Random vertices on every level, plus every vertex an edge
+            # passes over or lands on and its sibling, where transit mass
+            # starts and stops.
+            vertices = [
+                BitString(n, rng.randrange(1 << n))
+                for n in range(depth + 1)
+                for _ in range(64)
+            ]
+            for e in net.edges:
+                for n in range(len(e.source) + 1, len(e.target) + 1):
+                    on_path = e.target.truncate(n)
+                    vertices += [on_path, BitString(n, on_path.value ^ 1)]
+        for x in vertices:
+            assert net.flow_eval(x) == _longhand_flow(net, x), (net.network_id, x)
+            want = next((e for e in net.edges if e.source == x), None)
+            assert net.outgoing_edge(x) == want, (net.network_id, x)
 
 
 def test_pre_frame_excludes_step_edges():

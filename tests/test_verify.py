@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treeflow.bitseq import BitString
+from treeflow.cubes import Cube
 from treeflow.constructions import (
     RunConfig,
     build_atom,
@@ -15,11 +16,12 @@ from treeflow.constructions import (
     build_hyperimmune,
     build_nonstochastic,
 )
-from treeflow.network import ExtraEdge
+from treeflow.network import ExtraEdge, rat_str
 from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
     check_extension_shadow,
     check_ratio_identity,
+    check_separators,
     dense_oracle,
     run_checks,
 )
@@ -217,6 +219,55 @@ def test_edge_across_session_start_trips_only_separators():
     assert rep.witness["edge"] == ["11", "11000"]
 
 
+def test_raised_frame_value_trips_separators_at_that_vertex():
+    b = build_nonstochastic(12)
+    net = b.network(1)
+    clean = check_separators(b)
+    assert clean.passed
+    n = max(clean.details["separators"]["1"])
+    # The right child of its parent: its sibling is checked first and
+    # passes. No edge is in transit over a separator level or the level
+    # above it, so P is R on both.
+    x = BitString(n, 5)
+    parent = BitString(n - 1, 2)
+    r_x = net.frame_eval(x)
+    r_parent = net.frame_eval(parent)
+    point = Cube.vertex(x)
+    net.frames[n] = [(point, r_x + 1)] + [
+        (piece, v) for c, v in net.frames[n] for piece in c.subtract(point)
+    ]
+    rep = check_separators(b)
+    assert not rep.passed
+    assert rep.witness == {
+        "network": 1,
+        "level": n,
+        "vertex": str(x),
+        "P": rat_str(r_x + 1),
+        "P_parent": rat_str(r_parent),
+    }
+
+
+def test_separators_report_their_coverage_per_level():
+    b = build_atom_family(20)
+    rep = check_separators(b)
+    assert rep.passed, rep.witness
+    coverage = rep.details["coverage"]
+    assert sorted(coverage) == ["1", "2", "3"]
+    walks = set()
+    for net_id, rows in coverage.items():
+        levels = [n for n in rep.details["separators"][net_id] if n > 0]
+        assert [row["level"] for row in rows] == levels
+        for row in rows:
+            walks.add(row["walk"])
+            if row["level"] <= 12:
+                assert row["walk"] == "exhaustive"
+                assert row["vertices"] == 1 << row["level"]
+            else:
+                assert row["walk"] == "sampled"
+                assert 0 < row["vertices"] <= 512
+    assert walks == {"exhaustive", "sampled"}
+
+
 def test_inflated_discard_bound_trips_only_discards():
     b = build_atom_family(12)
     assert b.discards
@@ -236,8 +287,22 @@ def test_vertex_replay_agrees_and_catches_wrong_installs():
 
 
 def test_vertex_replay_refuses_deep_runs():
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as hit:
         dense_oracle(RunConfig(preset="nonstochastic", depth=20))
+    assert str(hit.value).startswith(
+        "verify.ORACLE_DEPTH_CAP = 14 exceeded at level 20, every task, "
+        "every network: "
+    )
+
+
+def test_shadow_walk_refuses_deep_runs():
+    b = build_nonstochastic(16)
+    with pytest.raises(ResourceLimit) as hit:
+        check_extension_shadow(b, task=2)
+    assert str(hit.value).startswith(
+        "verify.ORACLE_DEPTH_CAP = 14 exceeded at level 16, task 2, "
+        "every network: "
+    )
 
 
 def test_shadow_walk_violation_branch():
