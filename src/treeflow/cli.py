@@ -175,9 +175,13 @@ def _edge_from_record(rec: dict) -> ExtraEdge:
 def read_bundle(path: Path) -> ConstructionBundle:
     """Rebuild a run from its files.
 
-    Tables and edges are recommitted level by level, which re-runs the
-    conservation ledger; stored aggregates are kept as the independent
-    record the checks compare against."""
+    Each network is recommitted level by level through
+    `ElementaryNetwork.commit_level`, the one commit path, which re-runs
+    the conservation ledger. Every stored edge goes in as its own
+    one-vertex class, and the commit coalesces each level, so a reloaded
+    frame has the same value at every vertex as the built one and no more
+    items. Stored aggregates are kept as the independent record the checks
+    compare against."""
     path = Path(path)
     if not path.is_dir():
         raise BundleError(f"{path} is not a bundle directory")

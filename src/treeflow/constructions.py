@@ -28,6 +28,7 @@ from treeflow.network import (
     ElementaryNetwork,
     Rational,
     rat_str,
+    restrict,
 )
 from treeflow.operators import (
     FunctionRoster,
@@ -345,10 +346,7 @@ class TargetMassPredicate(EdgePredicate):
             self._pre = list(self.target.pre_frame(self.ctx.n))
         best = None
         covered = 0
-        for cube, v in self._pre:
-            inter = cube.intersect(region)
-            if inter is None:
-                continue
+        for inter, v in restrict(self._pre, region):
             if v == 0:
                 return None
             covered += inter.count()

@@ -106,6 +106,15 @@ class Cube:
             return None
         return Cube(self.length, self.care | other.care, self.value | other.value)
 
+    def overlap(self, other: "Cube") -> int:
+        """Number of members the two cubes share (intersect, then count,
+        without building the intersection)."""
+        if self.length != other.length:
+            raise ValueError("cube lengths differ")
+        if (self.value ^ other.value) & self.care & other.care:
+            return 0
+        return 1 << (self.length - (self.care | other.care).bit_count())
+
     def subtract(self, other: "Cube") -> list["Cube"]:
         """self minus other, as disjoint cubes (standard peel, one cube per
         position pinned by the other cube but free here, position 1 first)."""

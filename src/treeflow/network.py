@@ -4,17 +4,25 @@ and exact per-level aggregates.
 A network is built level by level. The delay table at level n fixes s(x)
 for every length-n vertex; pushing level n down gives each child the share
 (1 - s(x))/2 of R(x), and extra edges inject q * R(source) at their target
-vertex. Frames are held as disjoint (cube, value) lists per level, with
-zero-valued regions omitted, so levels with 2^n vertices cost only as many
-items as there are distinct regions. Everything is a Fraction; there is no
-floating point anywhere.
+vertex. Everything is a Fraction; there is no floating point anywhere.
+
+A frame, the values R(x) of one level, is a cube map (`Items`): a list of
+(cube, value) pairs whose cubes are pairwise disjoint, where a vertex in
+no cube holds 0. The engine builds and combines these maps only through
+the operations below: `items_total`, `mass_in`, `restrict`, `overlay`,
+`assign`, `push_down` and `coalesce`. Committed frames hold no zero
+values and are coalesced, so no two items of equal value differ in
+exactly one pinned bit, and a level with 2^n vertices costs only as many
+items as it has distinct regions. Item order carries no meaning: every
+reader sums, takes a minimum, or takes the first of the disjoint cubes
+that matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from treeflow.bitseq import BitString
 from treeflow.cubes import Cube, subtract_many
@@ -46,6 +54,124 @@ def _check_delay_value(v: Fraction) -> Fraction:
     return v
 
 
+Items = list[tuple[Cube, Fraction]]
+
+
+def items_total(items: Items) -> Fraction:
+    """Sum of the values over every vertex of the map."""
+    return sum((v * c.count() for c, v in items), ZERO)
+
+
+def mass_in(items: Items, cube: Cube) -> Fraction:
+    """Sum of the values over the vertices of cube."""
+    return sum((v * c.overlap(cube) for c, v in items), ZERO)
+
+
+def restrict(items: Items, cube: Cube) -> Iterator[tuple[Cube, Fraction]]:
+    """The map's pieces inside cube."""
+    for c, v in items:
+        inter = c.intersect(cube)
+        if inter is not None:
+            yield inter, v
+
+
+def overlay(items: Items, cube: Cube, delta: Fraction) -> Items:
+    """items + delta on every vertex of cube; vertices that reach 0 drop out."""
+    out: Items = []
+    holes: list[Cube] = []
+    for c, v in items:
+        inter = c.intersect(cube)
+        if inter is None:
+            out.append((c, v))
+            continue
+        holes.append(c)
+        out.extend((p, v) for p in c.subtract(cube))
+        if v + delta != 0:
+            out.append((inter, v + delta))
+    if delta != 0:
+        for rest in subtract_many(cube, holes):
+            out.append((rest, delta))
+    return out
+
+
+def assign(items: Items, cube: Cube, value: Fraction) -> Items:
+    """items set to value on every vertex of cube, for items that cover
+    cube (a delay partition covers its whole level). The cube keeps the
+    pieces the items cut it into."""
+    out: Items = []
+    for c, v in items:
+        inter = c.intersect(cube)
+        if inter is None:
+            out.append((c, v))
+            continue
+        out.extend((p, v) for p in c.subtract(cube))
+        out.append((inter, value))
+    return out
+
+
+def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
+    """The map one level down, and the mass it carries: under the delay
+    partition `parts`, a vertex x with delay s gives each child the share
+    (1 - s)/2 of its value."""
+    out: Items = []
+    pushed = ZERO
+    for part, s in parts:
+        if s == 1:
+            continue
+        for inter, v in restrict(items, part):
+            out.append((inter.extend(1), v * (1 - s) / 2))
+            pushed += v * (1 - s) * inter.count()
+    return out, pushed
+
+
+def coalesce(items: Items) -> Items:
+    """The same map in fewer items: two items of equal value whose cubes
+    differ in exactly one pinned bit merge into one, until no such pair is
+    left (the distance-1 merge of Quine-McCluskey).
+
+    Items are grouped by (care, value). A merge over a bit moves the pair
+    to the group with that bit free, so groups are settled in order of
+    falling pin count, each by dict lookups of cube.value ^ bit for the
+    bits that vary within it. The output order depends only on the input.
+    """
+    groups: dict[tuple[int, int, int], dict[int, tuple[Cube, Fraction]]] = {}
+    by_pins: dict[int, list[tuple[int, int, int]]] = {}
+    for item in items:
+        c, v = item
+        key = (c.care, v.numerator, v.denominator)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = {}
+            by_pins.setdefault(c.care.bit_count(), []).append(key)
+        group[c.value] = item
+    if len(groups) == len(items):
+        return list(items)  # no two items share a group, so none can merge
+    for pins in range(max(by_pins), 0, -1):
+        for key in by_pins.get(pins, ()):
+            group = groups[key]
+            if len(group) < 2:
+                continue
+            order = sorted(group)
+            varying = 0
+            for u in order:
+                varying |= u ^ order[0]
+            while varying:
+                bit = 1 << (varying.bit_length() - 1)
+                varying ^= bit
+                for u in order:
+                    if u & bit or u not in group or u | bit not in group:
+                        continue
+                    c, v = group.pop(u)
+                    del group[u | bit]
+                    up = (key[0] & ~bit, key[1], key[2])
+                    merged = groups.get(up)
+                    if merged is None:
+                        merged = groups[up] = {}
+                        by_pins.setdefault(pins - 1, []).append(up)
+                    merged[u] = (Cube(c.length, up[0], u), v)
+    return [item for group in groups.values() for item in group.values()]
+
+
 class DelayTable:
     """Delays for one level: a default plus exceptions in three tiers.
 
@@ -58,9 +184,9 @@ class DelayTable:
         self.level = level
         self.default = _check_delay_value(default)
         self.vertex: dict[BitString, Fraction] = {}
-        self.suffix: list[tuple[Cube, Fraction]] = []
+        self.suffix: Items = []
         self.subtree: dict[BitString, Fraction] = {}
-        self._partition: Optional[list[tuple[Cube, Fraction]]] = None
+        self._partition: Optional[Items] = None
 
     def set_vertex(self, x: BitString, v: Fraction) -> None:
         v = _check_delay_value(v)
@@ -124,13 +250,11 @@ class DelayTable:
                 return v
         return self.default
 
-    def s_partition(self) -> list[tuple[Cube, Fraction]]:
+    def s_partition(self) -> Items:
         """Disjoint (cube, s) cover of the whole level."""
         if self._partition is not None:
             return self._partition
-        parts: list[tuple[Cube, Fraction]] = [
-            (Cube.whole_level(self.level), self.default)
-        ]
+        parts: Items = [(Cube.whole_level(self.level), self.default)]
         overrides: list[tuple[Cube, Fraction]] = []
         for root, v in sorted(self.subtree.items()):
             overrides.append((Cube.subtree(root, self.level), v))
@@ -138,15 +262,7 @@ class DelayTable:
         for x, v in sorted(self.vertex.items()):
             overrides.append((Cube.vertex(x), v))
         for cube, v in overrides:
-            nxt: list[tuple[Cube, Fraction]] = []
-            for c, v0 in parts:
-                inter = c.intersect(cube)
-                if inter is None:
-                    nxt.append((c, v0))
-                    continue
-                nxt.extend((p, v0) for p in c.subtract(cube))
-                nxt.append((inter, v))
-            parts = nxt
+            parts = assign(parts, cube, v)
         self._partition = parts
         return parts
 
@@ -234,32 +350,6 @@ class LevelAggregates:
         }
 
 
-Items = list[tuple[Cube, Fraction]]
-
-
-def _items_total(items: Items) -> Fraction:
-    return sum((v * c.count() for c, v in items), ZERO)
-
-
-def _add_uniform(items: Items, cube: Cube, delta: Fraction) -> Items:
-    """items + delta on every vertex of cube, keeping the list disjoint."""
-    out: Items = []
-    holes: list[Cube] = []
-    for c, v in items:
-        inter = c.intersect(cube)
-        if inter is None:
-            out.append((c, v))
-            continue
-        holes.append(c)
-        out.extend((p, v) for p in c.subtract(cube))
-        if v + delta != 0:
-            out.append((inter, v + delta))
-    if delta != 0:
-        for rest in subtract_many(cube, holes):
-            out.append((rest, delta))
-    return out
-
-
 class ElementaryNetwork:
     """One network, built level by level by a construction driver."""
 
@@ -322,12 +412,7 @@ class ElementaryNetwork:
             if n > self.depth:
                 raise ConstructionError(f"level {n} not constructed yet")
             items = self.frames[n]
-        total = ZERO
-        for c, v in items:
-            inter = c.intersect(cube)
-            if inter is not None:
-                total += v * inter.count()
-        return total
+        return mass_in(items, cube)
 
     # -- construction ----------------------------------------------------
 
@@ -338,20 +423,9 @@ class ElementaryNetwork:
             )
         if self._pre is not None and self._pre[0] == n:
             return self._pre[1]
-        items: Items = []
-        pushed = ZERO
-        parts = self.tables[self.depth].s_partition()
-        for c, v in self.frames[self.depth]:
-            if v == 0:
-                continue
-            for pc, s in parts:
-                inter = c.intersect(pc)
-                if inter is None:
-                    continue
-                share = v * (1 - s) / 2
-                pushed += v * (1 - s) * inter.count()
-                if share != 0:
-                    items.append((inter.extend(1), share))
+        items, pushed = push_down(
+            self.frames[self.depth], self.tables[self.depth].s_partition()
+        )
         self._pre = (n, items, pushed)
         return items
 
@@ -361,7 +435,7 @@ class ElementaryNetwork:
         n = self.depth + 1
         if table.level != n:
             raise ConstructionError(f"expected a level-{n} table, got {table.level}")
-        items = list(self.pre_frame(n))
+        items = self.pre_frame(n)
         pushed = self._pre[2]
         inflow = ZERO
         for ec in classes:
@@ -378,20 +452,17 @@ class ElementaryNetwork:
                     raise ConstructionError(f"second outgoing edge at {e.source}")
                 by_value[e.source.value] = e
                 self.edges.append(e)
-            for c, v in self.frames[src_level]:
-                inter = c.intersect(ec.source_cube)
-                if inter is None:
-                    continue
-                items = _add_uniform(items, inter.append_bits(ec.tail), ec.q * v)
+            for inter, v in restrict(self.frames[src_level], ec.source_cube):
+                items = overlay(items, inter.append_bits(ec.tail), ec.q * v)
                 inflow += ec.q * v * inter.count()
-        total = _items_total(items)
+        total = items_total(items)
         if total != pushed + inflow:
             raise ConstructionError(
                 f"conservation ledger broken at level {n}: "
                 f"{total} != {pushed} + {inflow}"
             )
         self.tables.append(table)
-        self.frames.append(items)
+        self.frames.append(coalesce(items))
         self.aggregates.append(LevelAggregates(total, inflow))
         self.depth = n
         self._pre = None

@@ -80,8 +80,8 @@ class StepContext:
         return Rational(1, (self.n + self.rho_base) ** 2)
 
     def class_members(self, klass: Cube) -> Iterator[BitString]:
-        """The members of a suffix class; a class over Caps.class_members
-        raises instead of being enumerated."""
+        """The members of a suffix class or source cube; one over
+        Caps.class_members raises instead of being enumerated."""
         cap = self.caps.class_members
         if klass.count() > cap:
             raise ResourceLimit(
@@ -118,7 +118,7 @@ class EdgePredicate:
         raise NotImplementedError
 
     def iter_sources(self, cube: Cube, level: int):
-        yield from cube.members(cap=self.ctx.caps.class_members)
+        yield from self.ctx.class_members(cube)
 
     def beta(self, x: BitString) -> Optional[BitString]:
         n = self.ctx.n

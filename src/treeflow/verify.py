@@ -604,16 +604,16 @@ def check_extension_shadow(
     vertex. Needs full paths, so depths stay small."""
     start = time.monotonic()
     depth = bundle.depth
+    if admits is None and bundle.config.preset not in LENGTH_PRESETS:
+        return _report(
+            "extension_shadow", start, True, details={"note": "not applicable"}
+        )
     if depth > ORACLE_DEPTH_CAP:
         tasks_named = "every task" if task is None else f"task {task}"
         raise ResourceLimit(
             f"verify.ORACLE_DEPTH_CAP = {ORACLE_DEPTH_CAP} exceeded at level "
             f"{depth}, {tasks_named}, every network: the extension-shadow "
             f"path walk visits every full path"
-        )
-    if admits is None and bundle.config.preset not in LENGTH_PRESETS:
-        return _report(
-            "extension_shadow", start, True, details={"note": "not applicable"}
         )
     tasks = [task] if task is not None else _active_tasks(bundle)
     ops = bundle.operators

@@ -165,6 +165,33 @@ def test_oracle_depth_over_the_cap_is_a_hit_cap(tmp_path, capsys):
     assert "construction violation" not in err
 
 
+def test_extension_shadow_is_not_applicable_before_it_is_capped(tmp_path, capsys):
+    family = _build(tmp_path, "--preset", "family", "--depth", "16", name="f")
+    report_path = tmp_path / "report.json"
+    rc = main(
+        [
+            "verify",
+            str(family),
+            "--checks",
+            "extension-shadow",
+            "--out",
+            str(report_path),
+        ]
+    )
+    assert rc == 0
+    [check] = _read_report(report_path)["checks"]
+    assert check["details"] == {"note": "not applicable"}
+
+    nonstochastic = _build(
+        tmp_path, "--preset", "nonstochastic", "--depth", "16", name="n"
+    )
+    capsys.readouterr()
+    assert main(["verify", str(nonstochastic), "--checks", "extension-shadow"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "resource cap hit: verify.ORACLE_DEPTH_CAP = 14 exceeded at level 16, "
+    )
+
+
 def _corrupt_first_suffix(out):
     path = out / "levels.jsonl"
     rows = [json.loads(line) for line in path.read_text().splitlines()]

@@ -131,6 +131,7 @@ def test_intersection_is_exact(ab):
     a, b = ab
     got = Cube.from_pattern(a).intersect(Cube.from_pattern(b))
     want = [s for s in level(len(a)) if matches(a, s) and matches(b, s)]
+    assert Cube.from_pattern(a).overlap(Cube.from_pattern(b)) == len(want)
     if got is None:
         assert want == []
     else:
@@ -143,6 +144,8 @@ def test_lengths_must_agree():
         Cube.whole_level(3).intersect(Cube.whole_level(4))
     with pytest.raises(ValueError):
         Cube.whole_level(3).subtract(Cube.whole_level(4))
+    with pytest.raises(ValueError):
+        Cube.whole_level(3).overlap(Cube.whole_level(4))
 
 
 @given(pattern_pairs)

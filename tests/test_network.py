@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treeflow.bitseq import BitString
+from treeflow.cli import read_bundle, write_bundle
 from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.cubes import Cube
 from treeflow.network import (
@@ -12,6 +14,7 @@ from treeflow.network import (
     EdgeClass,
     ElementaryNetwork,
     ExtraEdge,
+    coalesce,
     rat_parse,
     rat_str,
 )
@@ -350,3 +353,79 @@ def test_rat_round_trip():
     assert rat_str(F(5, 6)) == "5/6"
     assert rat_parse("5/6") == F(5, 6)
     assert rat_parse(rat_str(F(0))) == 0
+
+
+def _split(rng, items, rounds):
+    """items with `rounds` random cubes cut in two along a free position."""
+    items = list(items)
+    for _ in range(rounds):
+        splittable = [k for k, (c, _) in enumerate(items) if c.count() > 1]
+        if not splittable:
+            break
+        c, v = items.pop(rng.choice(splittable))
+        free = [1 << s for s in range(c.length) if not (c.care >> s) & 1]
+        bit = rng.choice(free)
+        items.append((Cube(c.length, c.care | bit, c.value), v))
+        items.append((Cube(c.length, c.care | bit, c.value | bit), v))
+    rng.shuffle(items)
+    return items
+
+
+def _value_at(items, x):
+    hits = [v for c, v in items if c.contains(x)]
+    assert len(hits) <= 1
+    return hits[0] if hits else F(0)
+
+
+@given(st.integers(0, 10), st.randoms(use_true_random=False))
+def test_coalesce_keeps_the_map(length, rng):
+    # A random disjoint map with few distinct values, some cubes dropped
+    # (value 0 there), then fragmented further by random splits.
+    base = [
+        (c, rng.choice([F(1), F(1, 2), F(1, 3)]))
+        for c, _ in _split(rng, [(Cube.whole_level(length), None)], rng.randrange(12))
+        if rng.random() < 0.8
+    ]
+    for raw in (base, _split(rng, base, rng.randrange(40))):
+        out = coalesce(raw)
+        assert len(out) <= len(raw)
+        for k, (a, _) in enumerate(out):
+            for b, _ in out[k + 1:]:
+                assert a.intersect(b) is None
+        assert sum(v * c.count() for c, v in out) == sum(
+            v * c.count() for c, v in raw
+        )
+        for value in range(1 << length):
+            x = BitString(length, value)
+            assert _value_at(out, x) == _value_at(raw, x)
+        # No pair of equal value differing in exactly one pinned bit is left.
+        cubes = {(c.care, c.value, v) for c, v in out}
+        for c, v in out:
+            for s in range(length):
+                bit = 1 << s
+                if c.care & bit:
+                    assert (c.care, c.value ^ bit, v) not in cubes
+        assert coalesce(list(raw)) == out
+
+
+def _agrees_on(frame, other):
+    """Every vertex of every cube of `frame` holds the same value in `other`."""
+    for c, v in frame:
+        covered = 0
+        for d, w in other:
+            inter = c.intersect(d)
+            if inter is not None:
+                assert w == v, (c, d)
+                covered += inter.count()
+        assert covered == c.count(), c
+
+
+def test_reload_matches_the_build(tmp_path):
+    built = build(RunConfig(preset="hyperimmune", depth=48))
+    write_bundle(built, tmp_path / "b")
+    reloaded = read_bundle(tmp_path / "b")
+    for a, b in zip(built.networks, reloaded.networks, strict=True):
+        for n in range(built.depth + 1):
+            _agrees_on(a.frames[n], b.frames[n])
+            _agrees_on(b.frames[n], a.frames[n])
+            assert len(b.frames[n]) <= len(a.frames[n]), (a.network_id, n)

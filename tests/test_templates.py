@@ -12,8 +12,9 @@ from treeflow.network import (
     ElementaryNetwork,
     Rational,
 )
-from treeflow.scheduler import ScheduleState, TaskStream
+from treeflow.scheduler import ResourceLimit, ScheduleState, TaskStream
 from treeflow.templates import (
+    Caps,
     EdgePredicate,
     StepContext,
     class_cube,
@@ -69,6 +70,22 @@ def test_case1_installs_level_default():
     net.commit_level(table, classes)
     assert net.delay(B("0")) == F(1, 16)
     assert net.delay(B("1")) == F(1, 16)
+
+
+def test_source_enumeration_over_the_class_cap_is_a_hit_cap():
+    ctx = StepContext(
+        n=5, i=2, net=ElementaryNetwork(), state=fresh_state(),
+        caps=Caps(class_members=4),
+    )
+    sources = AlwaysTrue(ctx).iter_sources(Cube.from_pattern("***"), 3)
+    with pytest.raises(ResourceLimit) as hit:
+        next(sources)
+    assert str(hit.value) == (
+        "Caps.class_members = 4 exceeded at level 5, task 2, network 1: "
+        "class *** has 8 members"
+    )
+    small = AlwaysTrue(ctx).iter_sources(Cube.from_pattern("1*0"), 3)
+    assert [str(x) for x in small] == ["100", "110"]
 
 
 def test_beta_numeric_min_and_gap_guard():
