@@ -27,12 +27,14 @@ from treeflow.network import (
     DelayTable,
     ElementaryNetwork,
     Rational,
+    mass_in,
     rat_str,
     restrict,
 )
 from treeflow.operators import (
     FunctionRoster,
     OperatorRoster,
+    TransducerOperator,
     apply_modified,
     load_rosters,
     phi_bounded,
@@ -388,7 +390,124 @@ class TargetMassPredicate(EdgePredicate):
                 floor = self._floor_over(Cube.subtree(BitString(1, b), n))
                 if floor is not None and exceeds_dyadic(floor, e):
                     return None
+        if isinstance(self.operator, TransducerOperator):
+            return TargetSearch(self, x).target()
         return super().beta(x)
+
+
+class TargetSearch:
+    """beta of a TargetMassPredicate with a transducer operator, by a
+    depth-first search over the tail bits below x, 0-branch first, so the
+    first target found is the numerically least one the scan would find.
+
+    A node u (a partial tail) runs the transducer over member + u. Its
+    image so far is a prefix of the image at every leaf below, so the
+    pattern it pins only shrinks further down and every member's mass only
+    falls. A member that passes at u therefore passes below it; once all
+    do, u padded with zeros is the target. A failing member prunes u when
+    a floor on its mass at every leaf below still exceeds its bound (the
+    product construction of Mohri, Computational Linguistics 23(2), 1997).
+    Every visited node counts against Caps.beta_scan.
+    """
+
+    def __init__(self, pred: TargetMassPredicate, x: BitString):
+        self.ctx = pred.ctx
+        self.operator = pred.operator
+        self.x = x
+        self.n = pred.ctx.n
+        self.w = pred.w
+        self.rules = pred.operator.rules
+        self.start = (pred.operator.start, 0, 0)
+        self.items = pred.target.pre_frame(self.n)
+        self.gap = self.n - len(x)
+        self.worst = pred._worst_member(x)
+        # Positions 1..w-1: never pinned by a family pattern.
+        self.high = pred._worst_mask(self.n)
+        self.visited = 0
+
+    def advance(self, machine, value: int, count: int):
+        """The machine (state, image length, image value) after reading
+        the `count` bits of `value`, most significant first; the state is
+        None once a missing rule halted it. The image stops at n bits,
+        where apply_modified truncates it."""
+        state, length, img = machine
+        for p in range(count - 1, -1, -1):
+            rule = None if state is None else self.rules.get((state, (value >> p) & 1))
+            if rule is None:
+                return None, length, img
+            state, emit = rule
+            for bit in emit:
+                if length < self.n:
+                    img = (img << 1) | bit
+                    length += 1
+        return state, length, img
+
+    def floor(self, machine, pattern: Cube, mass: Rational, depth: int) -> Rational:
+        """A floor on the mass at every leaf below a node `depth` bits deep
+        whose pattern carries `mass`. Frame items that meet the pattern and
+        pin no position the image may still pin meet every later pattern,
+        each in at least its free positions among 1..w-1."""
+        n, w = self.n, self.w
+        state, length, _img = machine
+        lo = max(w, length + 1)
+        hi = min(n, length + self.operator.max_emission(state, self.gap - depth))
+        if lo > hi:
+            return mass  # the pattern is final
+        pinnable = ((1 << (hi - lo + 1)) - 1) << (n - hi)
+        floor = ZERO
+        for c, v in self.items:
+            if c.care & pinnable or (c.value ^ pattern.value) & c.care & pattern.care:
+                continue
+            floor += v * (1 << (w - 1 - (c.care & self.high).bit_count()))
+        return floor
+
+    def fails_below(self, member: BitString, machine, depth: int) -> Optional[bool]:
+        """None when the member passes at this node (so at every leaf
+        below), True when it fails at every leaf below, False otherwise."""
+        _state, length, img = machine
+        pattern = family_pattern(BitString(length, img), self.w, self.n)
+        mass = mass_in(self.items, pattern)
+        e = allowance_exponent(member)
+        if not exceeds_dyadic(mass, e):
+            return None
+        return exceeds_dyadic(self.floor(machine, pattern, mass, depth), e)
+
+    def target(self) -> Optional[BitString]:
+        if self.gap < 2:
+            return None  # a pair at distance 1 is never an edge
+        worst = self.worst
+        found = self.visit(self.advance(self.start, worst.value, len(worst)), 0, 0)
+        if found is None:
+            return None
+        return BitString(self.n, (self.x.value << self.gap) | found)
+
+    def visit(self, machine, depth: int, tail: int) -> Optional[int]:
+        """The least accepted tail below the node `tail` (depth bits),
+        padded to the full gap, or None; `machine` is the worst member's.
+        At a leaf every floor is exact, so a failing member prunes there."""
+        if self.visited >= self.ctx.caps.beta_scan:
+            raise self.ctx.cap_hit("beta_scan", f"edge-target search from {self.x}")
+        self.visited += 1
+        verdict = self.fails_below(self.worst, machine, depth)
+        if verdict is None:
+            for member in self.ctx.class_members(class_cube(self.x, self.w)):
+                if member == self.worst:
+                    continue
+                seq = (member.value << depth) | tail
+                verdict = self.fails_below(
+                    member, self.advance(self.start, seq, len(member) + depth), depth
+                )
+                if verdict is not None:
+                    break
+            else:
+                return tail << (self.gap - depth)
+        if verdict:
+            return None
+        for b in (0, 1):
+            found = self.visit(self.advance(machine, b, 1), depth + 1, (tail << 1) | b)
+            if found is not None:
+                return found
+        return None
 
 
 class SparsityPredicate(EdgePredicate):

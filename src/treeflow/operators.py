@@ -79,6 +79,7 @@ class TransducerOperator:
                  start: str):
         self.rules = dict(rules)
         self.start = start
+        self._gain: list[dict[str, int]] = [{}]
         for (state, b), (nxt, emit) in self.rules.items():
             if b not in (0, 1) or any(e not in (0, 1) for e in emit):
                 raise OperatorError(f"bad rule ({state}, {b}) -> ({nxt}, {emit})")
@@ -102,26 +103,20 @@ class TransducerOperator:
         return y.truncate(min(len(y), len(x)))
 
     def max_image_len(self, budget: int) -> int:
-        # Longest possible emission over inputs of length <= budget, by a
-        # forward pass over reachable states.
-        best = {self.start: 0}
-        overall = 0
-        for _ in range(budget):
-            nxt: dict[str, int] = {}
-            for state, tot in best.items():
-                for b in (0, 1):
-                    rule = self.rules.get((state, b))
-                    if rule is None:
-                        continue
-                    tgt, emit = rule
-                    cand = tot + len(emit)
-                    if cand > nxt.get(tgt, -1):
-                        nxt[tgt] = cand
-            if not nxt:
-                break
-            best = nxt
-            overall = max(overall, max(best.values()))
-        return min(overall, budget)
+        return min(self.max_emission(self.start, budget), budget)
+
+    def max_emission(self, state: Optional[str], steps: int) -> int:
+        """Most bits the machine can emit from `state` within `steps` more
+        input bits; 0 for a halted machine (state None). Emissions never
+        shrink, so the table of step r holds, per state, the best rule's
+        emission plus the best of step r-1 from its target."""
+        while len(self._gain) <= steps:
+            last = self._gain[-1]
+            step: dict[str, int] = {}
+            for (s, _b), (tgt, emit) in self.rules.items():
+                step[s] = max(step.get(s, 0), len(emit) + last.get(tgt, 0))
+            self._gain.append(step)
+        return self._gain[steps].get(state, 0)
 
     def prefix_image_only(self) -> bool:
         # Sound, incomplete test that every image is a prefix of its input:

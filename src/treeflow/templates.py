@@ -33,7 +33,12 @@ from treeflow.scheduler import ResourceLimit, ScheduleState, candidates
 
 @dataclass
 class Caps:
-    """Hard enumeration limits. Hitting one raises, never degrades."""
+    """Hard enumeration limits. Hitting one raises, never degrades.
+
+    beta_scan bounds one edge-target lookup: the holds probes of a scan,
+    or the nodes of a search. class_members bounds the members enumerated
+    from one suffix class or source region.
+    """
 
     candidates: int = 4096
     beta_scan: int = 8192
@@ -80,16 +85,29 @@ class StepContext:
         return Rational(1, (self.n + self.rho_base) ** 2)
 
     def class_members(self, klass: Cube) -> Iterator[BitString]:
-        """The members of a suffix class or source cube; one over
-        Caps.class_members raises instead of being enumerated."""
+        """The members of a suffix class; one over Caps.class_members
+        raises instead of being enumerated."""
+        return self._members(klass, "class")
+
+    def source_members(self, region: Cube) -> Iterator[BitString]:
+        """The members of a source region, under the same cap."""
+        return self._members(region, "source region")
+
+    def _members(self, cube: Cube, what: str) -> Iterator[BitString]:
         cap = self.caps.class_members
-        if klass.count() > cap:
-            raise ResourceLimit(
-                f"Caps.class_members = {cap} exceeded at level {self.n}, "
-                f"task {self.i}, network {self.net.network_id}: "
-                f"class {klass.pattern()} has {klass.count()} members"
+        if cube.count() > cap:
+            raise self.cap_hit(
+                "class_members", f"{what} {cube.pattern()} has {cube.count()} members"
             )
-        return klass.members(cap=cap)
+        return cube.members(cap=cap)
+
+    def cap_hit(self, name: str, what: str) -> ResourceLimit:
+        """The error for passing Caps.<name>, naming the level, task and
+        network of this step."""
+        return ResourceLimit(
+            f"Caps.{name} = {getattr(self.caps, name)} exceeded at level {self.n}, "
+            f"task {self.i}, network {self.net.network_id}: {what}"
+        )
 
     def outcome(self, case: int, **kw) -> StepOutcome:
         return StepOutcome(
@@ -107,8 +125,12 @@ class EdgePredicate:
 
     Subclasses override holds(x, y). beta returns the numerically least
     length-n extension of x satisfying it, or None; a pair at distance 1
-    is never a legal extra edge, so such x have no target at all. The
-    source enumeration may be overridden to prune by viability bounds.
+    is never a legal extra edge, so such x have no target at all. This
+    beta scans the extensions in order, one holds probe each, and raises
+    after Caps.beta_scan probes. A subclass may override it with a search
+    that returns the same target; the search's nodes count against the
+    same cap. The source enumeration may be overridden to prune by
+    viability bounds.
     """
 
     def __init__(self, ctx: StepContext):
@@ -118,7 +140,7 @@ class EdgePredicate:
         raise NotImplementedError
 
     def iter_sources(self, cube: Cube, level: int):
-        yield from self.ctx.class_members(cube)
+        yield from self.ctx.source_members(cube)
 
     def beta(self, x: BitString) -> Optional[BitString]:
         n = self.ctx.n
@@ -127,11 +149,7 @@ class EdgePredicate:
         budget = self.ctx.caps.beta_scan
         for count, y in enumerate(x.extensions(n)):
             if count >= budget:
-                raise ResourceLimit(
-                    f"Caps.beta_scan = {budget} exceeded at level {n}, "
-                    f"task {self.ctx.i}, network {self.ctx.net.network_id}: "
-                    f"edge-target scan from {x}"
-                )
+                raise self.ctx.cap_hit("beta_scan", f"edge-target scan from {x}")
             if self.holds(x, y):
                 return y
         return None

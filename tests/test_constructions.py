@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.constructions import (
     ConfigError,
     RunConfig,
+    TargetMassPredicate,
+    TargetSearch,
     build,
     build_atom,
     build_atom_family,
@@ -15,9 +20,12 @@ from treeflow.constructions import (
     reference_roster_descriptors,
     union_mass,
 )
-from treeflow.network import ONE, Rational
-from treeflow.scheduler import ResourceLimit
-from treeflow.templates import Caps
+from treeflow.cubes import Cube
+from treeflow.network import ONE, ElementaryNetwork, Rational, mass_in
+from treeflow.operators import TransducerOperator
+from treeflow.scheduler import ResourceLimit, ScheduleState, TaskStream
+from treeflow.templates import Caps, EdgePredicate, StepContext
+from treeflow.verify import run_checks
 
 B = BitString.from_str
 
@@ -272,8 +280,8 @@ def test_discard_allowance_accumulates():
             "hyperimmune",
             44,
             Caps(beta_scan=4),
-            "Caps.beta_scan = 4 exceeded at level 44, task 8, network 1: "
-            "edge-target scan from " + "0" * 36,
+            "Caps.beta_scan = 4 exceeded at level 30, task 2, network 1: "
+            "edge-target search from 000",
         ),
         (
             "nonstochastic",
@@ -295,3 +303,76 @@ def test_cap_hits_name_the_cap_level_task_and_network(preset, depth, caps, messa
     with pytest.raises(ResourceLimit) as hit:
         build(RunConfig(preset=preset, depth=depth), caps=caps)
     assert str(hit.value) == message
+
+
+def test_hyperimmune_builds_to_depth_64_under_default_caps():
+    bundle = build(RunConfig(preset="hyperimmune", depth=64))
+    reports = run_checks(bundle)
+    assert len(reports) == 8
+    assert [(r.name, r.witness) for r in reports if not r.passed] == []
+
+
+class PendingFrame:
+    """A target network reduced to the pending frame the predicate reads."""
+
+    network_id = 2
+
+    def __init__(self, items):
+        self.items = items
+
+    def pre_frame(self, n):
+        return self.items
+
+    def pattern_mass(self, n, cube, pre=False):
+        return mass_in(self.items, cube)
+
+
+@st.composite
+def search_scenes(draw):
+    """A level n <= 12, a source x with a gap of at least 2, a session
+    start w, a transducer of 1-3 states with emissions of 0-2 bits and
+    missing rules, and a disjoint pending frame with dead regions and
+    values on both sides of the member bounds."""
+    n = draw(st.integers(3, 12))
+    length = draw(st.integers(1, n - 2))
+    x = BitString(length, draw(st.integers(0, (1 << length) - 1)))
+    w = draw(st.integers(1, length))
+    states = "abc"[: draw(st.integers(1, 3))]
+    rules = {}
+    for state in states:
+        for b in (0, 1):
+            if draw(st.integers(0, 4)) == 0:
+                continue
+            emit = draw(st.lists(st.integers(0, 1), max_size=2))
+            rules[(state, b)] = (draw(st.sampled_from(states)), tuple(emit))
+    cubes = [Cube.whole_level(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, len(cubes) - 1))
+        c = cubes[k]
+        free = [p for p in range(n) if not (c.care >> p) & 1]
+        if free:
+            bit = 1 << draw(st.sampled_from(free))
+            cubes[k : k + 1] = [
+                Cube(n, c.care | bit, c.value),
+                Cube(n, c.care | bit, c.value | bit),
+            ]
+    # Member bounds run from 2^-3 down to 2^-(2^(length+1)+1). Values above
+    # a bound leave only zero-mass patterns passing, values below pass.
+    items = []
+    for c in cubes:
+        e = draw(st.integers(-1, (1 << (length + 2)) + 8))
+        if e >= 0:
+            items.append((c, Fraction(draw(st.integers(1, 3)), 1 << e)))
+    return n, x, w, TransducerOperator(rules, "a"), items
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_scenes())
+def test_target_search_finds_the_target_the_scan_finds(scene):
+    n, x, w, op, items = scene
+    ctx = StepContext(
+        n=n, i=2, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n),
+        caps=Caps(beta_scan=1 << 13),
+    )
+    pred = TargetMassPredicate(ctx, op, PendingFrame(items), w)
+    assert TargetSearch(pred, x).target() == EdgePredicate.beta(pred, x)

@@ -82,7 +82,7 @@ def test_source_enumeration_over_the_class_cap_is_a_hit_cap():
         next(sources)
     assert str(hit.value) == (
         "Caps.class_members = 4 exceeded at level 5, task 2, network 1: "
-        "class *** has 8 members"
+        "source region *** has 8 members"
     )
     small = AlwaysTrue(ctx).iter_sources(Cube.from_pattern("1*0"), 3)
     assert [str(x) for x in small] == ["100", "110"]
