@@ -281,7 +281,6 @@ class TargetMassPredicate(EdgePredicate):
         self.operator = operator
         self.target = target
         self.w = w
-        self._pre = None
 
     def _worst_mask(self, length: int) -> int:
         # Free positions 1..w-1 are the high bits of the code, so the
@@ -312,43 +311,52 @@ class TargetMassPredicate(EdgePredicate):
                 return False
         return True
 
-    def iter_sources(self, cube, level):
+    def _ruled_out(self, worst: Cube, e: int) -> bool:
+        """True when no source whose worst class member lies in `worst` can
+        have a target, because even the loosest of their member bounds,
+        2^-e, sits below any reachable mass. Closed-form tests only: they
+        keep deep sources from being enumerated or searched at all."""
         n = self.ctx.n
-        if n - level < 2:
+        if self.operator.length_determined():
+            # Same image for every member and every target.
+            img = apply_modified(self.operator, BitString(n, 0))
+            pat = family_pattern(img, self.w, n)
+            return pat is not None and exceeds_dyadic(
+                self.target.pattern_mass(n, pat, pre=True), e
+            )
+        if self.operator.prefix_image_only():
+            # The image is a prefix of the target, so the pattern region
+            # always contains the target itself; the value pushed anywhere
+            # below the worst members alone exceeds the bound.
+            floor = self._floor_over(worst.extend(n - worst.length))
+            return floor is not None and exceeds_dyadic(floor, e)
+        if self.w >= 2:
+            # Patterns leave positions 1..w-1 free, so every region meets
+            # both halves of the level; a fully-live half already carries
+            # more than the bound per vertex.
+            for b in (0, 1):
+                floor = self._floor_over(Cube.subtree(BitString(1, b), n))
+                if floor is not None and exceeds_dyadic(floor, e):
+                    return True
+        return False
+
+    def iter_sources(self, cube, level):
+        if self.ctx.n - level < 2:
             # No legal target that close to the level being built.
             return
         mask = self._worst_mask(level)
         worst = Cube(level, cube.care | mask, cube.value | mask)
-        # Loosest bound any source in this piece can offer: the smallest
-        # worst-member index. One region-wide mass floor against it can
-        # rule out the whole piece without enumerating it.
-        e_min = allowance_exponent(worst.representative())
-        if self.operator.length_determined():
-            img = apply_modified(self.operator, BitString(n, 0))
-            pat = family_pattern(img, self.w, n)
-            if pat is not None:
-                mass = self.target.pattern_mass(n, pat, pre=True)
-                if exceeds_dyadic(mass, e_min):
-                    return
-        elif self.operator.prefix_image_only():
-            floor = self._floor_over(worst.extend(n - level))
-            if floor is not None and exceeds_dyadic(floor, e_min):
-                return
-        elif self.w >= 2:
-            for b in (0, 1):
-                floor = self._floor_over(Cube.subtree(BitString(1, b), n))
-                if floor is not None and exceeds_dyadic(floor, e_min):
-                    return
-        yield from super().iter_sources(cube, level)
+        # The smallest worst-member index offers the loosest bound in this
+        # piece; ruling it out rules out the piece without enumerating it.
+        if not self._ruled_out(worst, allowance_exponent(worst.representative())):
+            yield from super().iter_sources(cube, level)
 
     def _floor_over(self, region: Cube) -> Optional[Rational]:
         """Least value the pending frame pushes anywhere into `region`,
         or None when part of it is dead (so zero-mass hits are possible)."""
-        if self._pre is None:
-            self._pre = list(self.target.pre_frame(self.ctx.n))
         best = None
         covered = 0
-        for inter, v in restrict(self._pre, region):
+        for inter, v in restrict(self.target.pre_frame(self.ctx.n), region):
             if v == 0:
                 return None
             covered += inter.count()
@@ -359,37 +367,13 @@ class TargetMassPredicate(EdgePredicate):
 
     def beta(self, x):
         n = self.ctx.n
-        if self.operator.length_determined() and n - len(x) >= 2:
-            # Same image for every member and every target: test the mass
-            # once against the tightest (largest-index) member bound.
-            probe = next(x.extensions(n))
-            img = apply_modified(self.operator, probe)
-            cube = family_pattern(img, self.w, n)
-            if cube is not None:
-                mass = self.target.pattern_mass(n, cube, pre=True)
-                if exceeds_dyadic(mass, allowance_exponent(self._worst_member(x))):
-                    return None
-            return probe
-        # Two closed-form impossibility tests keep deep sources from
-        # scanning their whole subtree when the member bound sits below
-        # any reachable mass.
         worst = self._worst_member(x)
-        e = allowance_exponent(worst)
-        if self.operator.prefix_image_only():
-            # The image is a prefix of the probed extension, so the
-            # pattern region always contains that extension itself; its
-            # pushed value alone exceeds the bound.
-            floor = self._floor_over(Cube.subtree(worst, n))
-            if floor is not None and exceeds_dyadic(floor, e):
-                return None
-        elif self.w >= 2:
-            # Patterns leave positions 1..w-1 free, so every region meets
-            # both halves of the level; a fully-live half already carries
-            # more than the bound per vertex.
-            for b in (0, 1):
-                floor = self._floor_over(Cube.subtree(BitString(1, b), n))
-                if floor is not None and exceeds_dyadic(floor, e):
-                    return None
+        if n - len(x) < 2 or self._ruled_out(
+            Cube.vertex(worst), allowance_exponent(worst)
+        ):
+            return None
+        if self.operator.length_determined():
+            return next(x.extensions(n))
         if isinstance(self.operator, TransducerOperator):
             return TargetSearch(self, x).target()
         return super().beta(x)
@@ -622,7 +606,7 @@ def _step_family(config, n, nets, state, ops, fns, caps):
         out = ctx.outcome(3, note="base and target collide after wrapping")
         return tables, {}, out
     target = nets[target_id - 1]
-    w = state.w_session(i, n)
+    w = state.start((i,), n)
     op = ops.base_for(op_num)
     pred = TargetMassPredicate(ctx, op, target, w)
     table, classes, out = t2_step(ctx, pred)

@@ -199,23 +199,38 @@ class DelayTable:
         self._partition = None
 
     def add_suffix(self, cube: Cube, v: Fraction) -> None:
+        self.add_suffix_pieces(cube, [cube], v)
+
+    def add_suffix_pieces(self, region: Cube, pieces: list[Cube], v: Fraction) -> None:
+        """Add pairwise disjoint cubes inside `region`, each with delay v.
+
+        A piece keeps only what no stored entry covers yet. Only the
+        entries that meet `region` can meet a piece, and the pieces cannot
+        meet each other, so each is checked against those entries alone.
+        """
         v = _check_delay_value(v)
-        if cube.length != self.level:
+        if region.length != self.level:
             raise ConstructionError("suffix cube at wrong level")
-        parts = [cube]
-        for have, v0 in self.suffix:
-            nxt = []
-            for p in parts:
-                if p.intersect(have) is None:
-                    nxt.append(p)
-                    continue
-                if v0 != v:
-                    raise ConstructionError(
-                        f"conflicting suffix delays on {p} ∩ {have}: {v0} vs {v}"
-                    )
-                nxt.extend(p.subtract(have))
-            parts = nxt
-        self.suffix.extend((p, v) for p in parts)
+        near = [
+            (have, v0)
+            for have, v0 in self.suffix
+            if not (have.value ^ region.value) & have.care & region.care
+        ]
+        for cube in pieces:
+            parts = [cube]
+            for have, v0 in near:
+                nxt = []
+                for p in parts:
+                    if p.intersect(have) is None:
+                        nxt.append(p)
+                        continue
+                    if v0 != v:
+                        raise ConstructionError(
+                            f"conflicting suffix delays on {p} ∩ {have}: {v0} vs {v}"
+                        )
+                    nxt.extend(p.subtract(have))
+                parts = nxt
+            self.suffix.extend((p, v) for p in parts)
         self._partition = None
 
     def add_subtree(self, root: BitString, v: Fraction) -> None:

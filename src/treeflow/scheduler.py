@@ -1,12 +1,17 @@
-"""Task streams and the session-start machinery.
+"""Task streams, keyed sessions, and candidate enumeration.
 
 Steps are handed to tasks through the diagonal pairing: step n belongs to
 task unpair_1(n), and a second unpairing layer inside unpair_2(n) yields the
-subtask index, so every (task, subtask) pair recurs infinitely often. A
-session of task i starts at the least i-typed step beyond every edge level
-drawn by tasks of higher priority (smaller index); subsessions additionally
-wait out their own earlier subtasks. Each preset fixes which stream it
-runs on and which of several networks a task acts on.
+subtask index, so every (task, subtask) pair recurs infinitely often.
+
+A session of task i has the key (i,), and subsession k inside it the key
+(i, k); the steps of a key are the steps the stream types with it. Keys
+sort as tuples, so (j, ...) < (i,) < (i, 1) < (i, 2) for j < i. A key's
+session starts at its first step beyond every edge level recorded under a
+key that sorts before it: a session waits out every task of higher
+priority (smaller index), and a subsession also its own task's earlier
+subtasks. Each preset fixes which stream it runs on and which of several
+networks a task acts on.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from treeflow.bitseq import (
     unpair_2,
 )
 from treeflow.cubes import Cube
-from treeflow.network import ConstructionError, ElementaryNetwork
+from treeflow.network import ConstructionError
 
 
 class ResourceLimit(ConstructionError):
@@ -80,120 +85,96 @@ def task_networks(
 
 
 class ScheduleState:
-    """Edge history plus step typing for one run (all networks together)."""
+    """Edge history plus step typing for one run (all networks together).
+
+    Sessions are keyed by tuples: (i,) is a session of task i and (i, k)
+    its subsession k. The steps of a key are the steps the stream types
+    with it; an edge is recorded under (task,) or (task, subtask).
+    """
 
     def __init__(self, stream, depth: int):
         self.stream = stream
         self.depth = depth
-        self._task_steps: dict[int, list[int]] = {}
-        self._sub_steps: dict[tuple[int, int], list[int]] = {}
+        self._steps: dict[tuple[int, ...], list[int]] = {}
         has_sub = hasattr(stream, "subtask")
         for n in range(1, depth + 1):
             i = stream.task(n)
-            self._task_steps.setdefault(i, []).append(n)
+            self._steps.setdefault((i,), []).append(n)
             if has_sub:
-                k = stream.subtask(n)
-                self._sub_steps.setdefault((i, k), []).append(n)
-        # Edge levels by task and by (task, subtask), across all networks.
-        self._edge_levels: dict[int, list[int]] = {}
-        self._sub_edge_levels: dict[tuple[int, int], list[int]] = {}
+                self._steps.setdefault((i, stream.subtask(n)), []).append(n)
+        # Highest edge level per key, across all networks.
+        self._edge_levels: dict[tuple[int, ...], int] = {}
 
-    def task_steps(self, i: int) -> list[int]:
-        return self._task_steps.get(i, [])
-
-    def sub_steps(self, i: int, k: int) -> list[int]:
-        return self._sub_steps.get((i, k), [])
+    def steps(self, key: tuple[int, ...]) -> list[int]:
+        return self._steps.get(key, [])
 
     def record_edge(self, task: int, subtask: Optional[int], level: int) -> None:
-        self._edge_levels.setdefault(task, []).append(level)
-        if subtask is not None:
-            self._sub_edge_levels.setdefault((task, subtask), []).append(level)
+        key = (task,) if subtask is None else (task, subtask)
+        self._edge_levels[key] = max(self._edge_levels.get(key, 0), level)
 
-    def barrier(self, i: int) -> int:
-        """Highest edge level drawn by any task j < i (0 when none)."""
-        best = 0
-        for j, levels in self._edge_levels.items():
-            if j < i and levels:
-                best = max(best, max(levels))
-        return best
+    def barrier(self, key: tuple[int, ...]) -> int:
+        """Highest edge level recorded under a key that sorts before `key`
+        (0 when none): every task j < i for (i,), and also the subtasks
+        t < k of task i for (i, k). An edge of task i with no subtask sorts
+        before (i, k) but moves no subsession of its own task."""
+        own = key[:1]
+        return max(
+            (lvl for r, lvl in self._edge_levels.items() if r < key and r != own),
+            default=0,
+        )
 
-    def sub_barrier(self, i: int, k: int) -> int:
-        best = self.barrier(i)
-        for (j, t), levels in self._sub_edge_levels.items():
-            if j == i and t < k and levels:
-                best = max(best, max(levels))
-        return best
-
-    def _first_after(self, steps: list[int], barrier: int, n: int) -> Optional[int]:
-        pos = bisect_right(steps, barrier)
+    def start(self, key: tuple[int, ...], n: int) -> Optional[int]:
+        """The first step of `key` past its barrier, if it is at most n."""
+        steps = self.steps(key)
+        pos = bisect_right(steps, self.barrier(key))
         if pos < len(steps) and steps[pos] <= n:
             return steps[pos]
         return None
 
-    def w_session(self, i: int, n: int) -> Optional[int]:
-        return self._first_after(self.task_steps(i), self.barrier(i), n)
-
-    def w_subsession(self, i: int, k: int, n: int) -> Optional[int]:
-        return self._first_after(self.sub_steps(i, k), self.sub_barrier(i, k), n)
-
-    def candidate_levels(self, i: int, w: int, n: int) -> list[int]:
-        steps = self.task_steps(i)
-        return steps[bisect_right(steps, w - 1) : bisect_right(steps, n - 1)]
-
-    def sub_candidate_levels(self, i: int, k: int, wk: int, n: int) -> list[int]:
-        steps = self.sub_steps(i, k)
-        return steps[bisect_right(steps, wk - 1) : bisect_right(steps, n - 1)]
+    def candidate_levels(self, key: tuple[int, ...], start: int, n: int) -> list[int]:
+        """The steps of `key` in [start, n)."""
+        steps = self.steps(key)
+        return steps[bisect_right(steps, start - 1) : bisect_right(steps, n - 1)]
 
 
 def candidates(
-    state: ScheduleState,
-    net: ElementaryNetwork,
-    i: int,
-    n: int,
-    oracle,
-    w: int,
-    subtask: Optional[int] = None,
-    wk: Optional[int] = None,
-    subtree_root: Optional[BitString] = None,
-    cap: int = 4096,
+    ctx, predicate, levels: list[int], root: Optional[BitString] = None
 ) -> list[tuple[BitString, BitString]]:
-    """Vertices requiring processing at step n, with their edge targets.
+    """Vertices requiring processing at step ctx.n on ctx.net, with their
+    edge targets.
 
-    A candidate x sits at a task-typed level in [w, n) (subtask-typed in
-    [wk, n) for the subtree variant), has s(x) > 0, no outgoing extra edge,
-    and a defined edge target beta(x). The oracle supplies both the source
-    enumeration (it may prune by its own viability bounds) and beta.
-    Returned in increasing index_of order.
+    A candidate x sits at one of `levels` (the candidate levels of a
+    session or subsession), inside the subtree of `root` when one is
+    given, has s(x) > 0, no outgoing extra edge, and a defined edge target
+    beta(x). The predicate supplies both the source enumeration (it may
+    prune by its own viability bounds) and beta. More than
+    Caps.candidates sources raise through ctx.cap_hit. Returned in
+    increasing index_of order.
     """
-    if subtask is None:
-        levels = state.candidate_levels(i, w, n)
-    else:
-        levels = state.sub_candidate_levels(i, subtask, wk if wk is not None else w, n)
+    net, cap = ctx.net, ctx.caps.candidates
     found: list[tuple[BitString, BitString]] = []
     seen = 0
     for m in levels:
         region_filter = None
-        if subtree_root is not None:
-            if len(subtree_root) > m:
+        if root is not None:
+            if len(root) > m:
                 continue
-            region_filter = Cube.subtree(subtree_root, m)
+            region_filter = Cube.subtree(root, m)
         for cube, s in net.tables[m].s_partition():
             if s == 0:
                 continue
             region = cube if region_filter is None else cube.intersect(region_filter)
             if region is None:
                 continue
-            for x in oracle.iter_sources(region, m):
+            for x in predicate.iter_sources(region, m):
                 seen += 1
                 if seen > cap:
-                    raise ResourceLimit(
-                        f"Caps.candidates = {cap} exceeded at level {n}, "
-                        f"task {i}, network {net.network_id}: "
-                        f"candidate enumeration from level {m}"
+                    raise ctx.cap_hit(
+                        "candidates", f"candidate enumeration from level {m}"
                     )
                 if net.outgoing_edge(x) is not None:
                     continue
-                y = oracle.beta(x)
+                y = predicate.beta(x)
                 if y is not None:
                     found.append((x, y))
     found.sort(key=lambda pair: index_of(pair[0]))

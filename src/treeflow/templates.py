@@ -162,20 +162,6 @@ def allowance_exponent(source: BitString) -> int:
     return index_of(source) + 3
 
 
-def designated_candidate(
-    ctx: StepContext, predicate: EdgePredicate, x: BitString, w: int
-) -> list[tuple[BitString, BitString]]:
-    """The single-vertex candidate check of t1_step's designated mode."""
-    if not (w <= len(x) < ctx.n):
-        return []
-    if len(x) not in ctx.state.candidate_levels(ctx.i, w, ctx.n):
-        return []
-    if ctx.net.delay(x) == 0 or ctx.net.outgoing_edge(x) is not None:
-        return []
-    y = predicate.beta(x)
-    return [] if y is None else [(x, y)]
-
-
 def t1_step(
     ctx: StepContext,
     predicate: EdgePredicate,
@@ -189,16 +175,16 @@ def t1_step(
     supplies the region discarded behind the drawn edge.
     """
     n, i, net, state = ctx.n, ctx.i, ctx.net, ctx.state
-    w = state.w_session(i, n)
+    w = state.start((i,), n)
     if w is None:
         return DelayTable(n), [], ctx.outcome(3, note="no session start yet")
     if w == n:
         table = DelayTable(n, default=ctx.install_value())
         return table, [], ctx.outcome(1, w=w)
+    levels = state.candidate_levels((i,), w, n)
     if designated is not None:
-        pairs = designated_candidate(ctx, predicate, designated, w)
-    else:
-        pairs = candidates(state, net, i, n, predicate, w, cap=ctx.caps.candidates)
+        levels = [m for m in levels if m == len(designated)]
+    pairs = candidates(ctx, predicate, levels, root=designated)
     if not pairs:
         return DelayTable(n), [], ctx.outcome(3, w=w, note="no candidates")
 
@@ -286,32 +272,21 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
     n, i, k, net, state = ctx.n, ctx.i, ctx.k, ctx.net, ctx.state
     if k is None:
         raise ConstructionError("t2_step needs a subtask index")
-    w = state.w_session(i, n)
+    w = state.start((i,), n)
     if w is None:
         return DelayTable(n), [], ctx.outcome(3, note="no session start yet")
     if k > 2**w:
         return DelayTable(n), [], ctx.outcome(
             3, w=w, note="subsession index beyond subtree count"
         )
-    wk = state.w_subsession(i, k, n)
+    wk = state.start((i, k), n)
     if wk is None:
         return DelayTable(n), [], ctx.outcome(3, w=w, note="no subsession start yet")
     if wk == n:
         table = DelayTable(n, default=ctx.install_value())
         return table, [], ctx.outcome(1, w=w, wk=wk)
-    leading_root = BitString(w, k - 1)
-    pairs = candidates(
-        state,
-        net,
-        i,
-        n,
-        predicate,
-        w,
-        subtask=k,
-        wk=wk,
-        subtree_root=leading_root,
-        cap=ctx.caps.candidates,
-    )
+    levels = state.candidate_levels((i, k), wk, n)
+    pairs = candidates(ctx, predicate, levels, root=BitString(w, k - 1))
     if not pairs:
         return DelayTable(n), [], ctx.outcome(3, w=w, wk=wk, note="no candidates")
 
@@ -344,6 +319,5 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
         if s != ONE:
             value = s / (ONE - s)
             desc = klass.extend(n - len(x))
-            for piece in subtract_many(desc, target_cubes):
-                table.add_suffix(piece, value)
+            table.add_suffix_pieces(desc, subtract_many(desc, target_cubes), value)
     return table, classes, ctx.outcome(2, w=w, wk=wk, edges=tuple(drawn))

@@ -102,8 +102,8 @@ def _stable_tasks(bundle) -> dict[int, int]:
     cutoff = (3 * depth) // 4
     out = {}
     for i in _active_tasks(bundle):
-        w = bundle.state.w_session(i, depth)
-        if w is not None and bundle.state.barrier(i) <= cutoff:
+        w = bundle.state.start((i,), depth)
+        if w is not None and bundle.state.barrier((i,)) <= cutoff:
             out[i] = w
     return out
 

@@ -14,6 +14,7 @@ from treeflow.scheduler import (
     TaskStream,
     candidates,
 )
+from treeflow.templates import Caps, StepContext
 
 
 def literal_w(stream, edges, i, n):
@@ -72,7 +73,7 @@ def test_task_step_tables():
     stream = TaskStream()
     state = make_state([], depth=60)
     for i, expected in TASK_STEPS.items():
-        got = [m for m in state.task_steps(i) if m <= 50]
+        got = [m for m in state.steps((i,)) if m <= 50]
         assert got == [m for m in expected if m <= 50]
         for m in expected:
             assert stream.task(m) == i
@@ -82,7 +83,7 @@ def test_subtask_step_tables():
     stream = TaskStream()
     state = make_state([], depth=60)
     for (i, k), expected in SUBTASK_STEPS.items():
-        got = [m for m in state.sub_steps(i, k) if m <= 60]
+        got = [m for m in state.steps((i, k)) if m <= 60]
         assert got == [m for m in expected if m <= 60]
         for m in expected:
             assert stream.task(m) == i and stream.subtask(m) == unpair_1(unpair_2(m))
@@ -121,18 +122,18 @@ def test_w_session_empty_history():
     state = make_state([])
     for i in range(1, 8):
         first = i * (i + 1) // 2
-        assert state.w_session(i, first) == first
-        assert state.w_session(i, first - 1) is None
+        assert state.start((i,), first) == first
+        assert state.start((i,), first - 1) is None
 
 
 def test_w_session_barrier_example():
     # One lower-task edge reaching level 9 pushes task 3 to its first step
     # past 9, which is 13, and task 4 to 10.
     state = make_state([(1, None, 9)])
-    assert state.w_session(3, 40) == 13
-    assert state.w_session(4, 40) == 10
+    assert state.start((3,), 40) == 13
+    assert state.start((4,), 40) == 10
     # The drawing task itself is not hindered by its own edge.
-    assert state.w_session(1, 40) == 1
+    assert state.start((1,), 40) == 1
 
 
 @given(
@@ -147,12 +148,16 @@ def test_w_session_barrier_example():
 def test_w_session_matches_literal(edges, i, n):
     stream = TaskStream()
     state = make_state(edges, depth=120)
-    assert state.w_session(i, n) == literal_w(stream, edges, i, n)
+    assert state.start((i,), n) == literal_w(stream, edges, i, n)
 
 
 @given(
     st.lists(
-        st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 50)),
+        st.tuples(
+            st.integers(1, 5),
+            st.none() | st.integers(1, 3),
+            st.integers(1, 50),
+        ),
         max_size=8,
     ),
     st.integers(1, 5),
@@ -161,11 +166,13 @@ def test_w_session_matches_literal(edges, i, n):
 )
 @settings(max_examples=200)
 def test_w_subsession_matches_literal(edges, i, k, n):
+    # Edges with no subtask sort before every subsession key of their own
+    # task, yet move none of them; the literal oracle ignores them there.
     stream = TaskStream()
     state = make_state(edges, depth=150)
-    got = state.w_subsession(i, k, n)
+    got = state.start((i, k), n)
     assert got == literal_wk(stream, edges, i, k, n)
-    w = state.w_session(i, n)
+    w = state.start((i,), n)
     if got is not None:
         assert w is not None and got >= w
 
@@ -173,20 +180,20 @@ def test_w_subsession_matches_literal(edges, i, k, n):
 def test_w_subsession_ignores_own_and_later_subtasks():
     # An edge by subtask (2, 2) moves (2, 3) but not (2, 2) or (2, 1).
     state = make_state([(2, 2, 20)])
-    assert state.w_subsession(2, 1, 100) == 3
-    assert state.w_subsession(2, 2, 100) == 8
-    assert state.w_subsession(2, 3, 100) == 23  # pair(2, 6), first past 20
+    assert state.start((2, 1), 100) == 3
+    assert state.start((2, 2), 100) == 8
+    assert state.start((2, 3), 100) == 23  # pair(2, 6), first past 20
 
 
 def test_w_nondecreasing_as_history_grows():
     stream = TaskStream()
     state = make_state([], depth=300)
-    prev = {i: state.w_session(i, 300) for i in range(1, 7)}
+    prev = {i: state.start((i,), 300) for i in range(1, 7)}
     history = [(1, 1, 12), (2, 1, 25), (1, 2, 40), (3, 1, 61), (2, 2, 80)]
     for (j, t, lvl) in history:
         state.record_edge(j, t, lvl)
         for i in range(1, 7):
-            cur = state.w_session(i, 300)
+            cur = state.start((i,), 300)
             if prev[i] is not None and cur is not None:
                 assert cur >= prev[i]
             prev[i] = cur
@@ -198,10 +205,10 @@ def test_candidate_levels_literal():
     for i in (1, 2, 3):
         for w in (1, 5, 9):
             for n in (10, 30):
-                got = state.candidate_levels(i, w, n)
+                got = state.candidate_levels((i,), w, n)
                 want = [m for m in range(w, n) if stream.task(m) == i]
                 assert got == want
-    got = state.sub_candidate_levels(2, 1, 3, 31)
+    got = state.candidate_levels((2, 1), 3, 31)
     want = [
         m
         for m in range(3, 31)
@@ -249,14 +256,16 @@ def test_candidates_filters_and_order():
         BitString.from_str("10"): None,
     }
     oracle = ScriptedOracle(b)
-    got = candidates(state, net, 1, 4, oracle, w=1)
+    ctx = StepContext(n=4, i=1, net=net, state=state)
+    levels = state.candidate_levels((1,), 1, 4)
+    got = candidates(ctx, oracle, levels)
     assert got == [
         (BitString.from_str("0"), BitString.from_str("0000")),
         (BitString.from_str("00"), BitString.from_str("0011")),
     ]
     # Restricting to the subtree of "0" drops nothing here; restricting to
     # "1" leaves only vertices below it, whose beta is undefined.
-    got = candidates(state, net, 1, 4, oracle, w=1, subtree_root=BitString.from_str("1"))
+    got = candidates(ctx, oracle, levels, root=BitString.from_str("1"))
     assert got == []
 
 
@@ -273,7 +282,8 @@ def test_candidates_skips_sources_with_edges():
     state = make_state([], depth=20)
     oracle = ScriptedOracle({x: BitString.from_str("0000"),
                              BitString.from_str("00"): BitString.from_str("0000")})
-    got = candidates(state, net, 1, 4, oracle, w=1)
+    ctx = StepContext(n=4, i=1, net=net, state=state)
+    got = candidates(ctx, oracle, state.candidate_levels((1,), 1, 4))
     assert got == [(BitString.from_str("00"), BitString.from_str("0000"))]
 
 
@@ -281,5 +291,6 @@ def test_candidates_cap_trips():
     net = build_candidate_net()
     state = make_state([], depth=20)
     oracle = ScriptedOracle({})
+    ctx = StepContext(n=4, i=1, net=net, state=state, caps=Caps(candidates=1))
     with pytest.raises(ResourceLimit):
-        candidates(state, net, 1, 4, oracle, w=1, cap=1)
+        candidates(ctx, oracle, state.candidate_levels((1,), 1, 4))

@@ -201,6 +201,12 @@ def test_designated_processing():
     )
     assert out.case_taken == 3 and not out.edges
 
+    # A designated vertex at or below the level being built is a miss.
+    for x in (B("0000"), B("00000")):
+        ctx = ctx_for(net, state, 4, 1)
+        table, classes, out = t1_step(ctx, AlwaysTrue(ctx), designated=x, image_of=img)
+        assert out.case_taken == 3 and not out.edges
+
     # A hit processes only the designated vertex even though "1" is also
     # a candidate.
     ctx = ctx_for(net, state, 4, 1)
@@ -227,6 +233,15 @@ def test_designated_processing():
         x = BitString(5, v)
         if x.bit(1) == 1:
             assert net.flow_eval(x) == 0
+
+    # "0" is still typed at level 1 with s > 0, but it has its edge now;
+    # "1" next to it is still processed.
+    ctx = ctx_for(net, state, 6, 1)
+    table, classes, out = t1_step(ctx, AlwaysTrue(ctx), designated=B("0"), image_of=img)
+    assert out.case_taken == 3 and not out.edges
+    ctx = ctx_for(net, state, 6, 1)
+    table, classes, out = t1_step(ctx, AlwaysTrue(ctx), designated=B("1"), image_of=img)
+    assert out.case_taken == 2 and [e.source for e in out.edges] == [B("1")]
 
 
 def test_discard_pieces_modes():
