@@ -16,6 +16,16 @@ exactly one pinned bit, and a level with 2^n vertices costs only as many
 items as it has distinct regions. Item order carries no meaning: every
 reader sums, takes a minimum, or takes the first of the disjoint cubes
 that matches.
+
+Every sum of value times vertex count goes through value groups. The
+integer counts of the items that share a value are added up first, and
+each distinct value then costs one Fraction product. A frame holds few
+distinct values in many pieces (`nonstochastic` at depth 128: 563 values
+in 11,484 items), and a Fraction operation on denominators of a few
+hundred bits costs a gcd, so grouping is where the exact arithmetic
+saves its time. Groups are keyed by the integers (numerator, denominator)
+and not by the Fraction: hashing a Fraction computes a modular inverse on
+every call.
 """
 
 from __future__ import annotations
@@ -57,14 +67,26 @@ def _check_delay_value(v: Fraction) -> Fraction:
 Items = list[tuple[Cube, Fraction]]
 
 
+def _grouped_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
+    """Sum of v * k over (v, k) terms with integer k, in one Fraction
+    product per distinct v."""
+    counts: dict[tuple[int, int], int] = {}
+    for v, k in terms:
+        key = (v.numerator, v.denominator)
+        counts[key] = counts.get(key, 0) + k
+    return sum(
+        (Fraction(num * k, den) for (num, den), k in counts.items() if k), ZERO
+    )
+
+
 def items_total(items: Items) -> Fraction:
     """Sum of the values over every vertex of the map."""
-    return sum((v * c.count() for c, v in items), ZERO)
+    return _grouped_sum((v, c.count()) for c, v in items)
 
 
 def mass_in(items: Items, cube: Cube) -> Fraction:
     """Sum of the values over the vertices of cube."""
-    return sum((v * c.overlap(cube) for c, v in items), ZERO)
+    return _grouped_sum((v, c.overlap(cube)) for c, v in items)
 
 
 def restrict(items: Items, cube: Cube) -> Iterator[tuple[Cube, Fraction]]:
@@ -112,15 +134,36 @@ def assign(items: Items, cube: Cube, value: Fraction) -> Items:
 def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
     """The map one level down, and the mass it carries: under the delay
     partition `parts`, a vertex x with delay s gives each child the share
-    (1 - s)/2 of its value."""
+    (1 - s)/2 of its value.
+
+    The share is computed once per distinct (v, s) pair. The carried mass
+    is summed on the input side, v * (1 - s) times the parent vertices of
+    each pair, never from the shares written out, so the ledger in
+    commit_level still catches a wrong share."""
     out: Items = []
-    pushed = ZERO
+    # (v, s) as integers -> [child share, parent vertices]
+    groups: dict[tuple[int, int, int, int], list] = {}
     for part, s in parts:
         if s == 1:
             continue
-        for inter, v in restrict(items, part):
-            out.append((inter.extend(1), v * (1 - s) / 2))
-            pushed += v * (1 - s) * inter.count()
+        n, pc, pv = part.length, part.care, part.value
+        for c, v in items:
+            if (c.value ^ pv) & c.care & pc:
+                continue
+            care = c.care | pc
+            key = (v.numerator, v.denominator, s.numerator, s.denominator)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [v * (1 - s) / 2, 0]
+            out.append((Cube(n + 1, care << 1, (c.value | pv) << 1), group[0]))
+            group[1] += 1 << (n - care.bit_count())
+    pushed = sum(
+        (
+            Fraction(vn * (sd - sn) * k, vd * sd)  # v * (1 - s) * k
+            for (vn, vd, sn, sd), (_, k) in groups.items()
+        ),
+        ZERO,
+    )
     return out, pushed
 
 

@@ -15,6 +15,9 @@ from treeflow.network import (
     ElementaryNetwork,
     ExtraEdge,
     coalesce,
+    items_total,
+    mass_in,
+    push_down,
     rat_parse,
     rat_str,
 )
@@ -406,6 +409,39 @@ def test_coalesce_keeps_the_map(length, rng):
                 if c.care & bit:
                     assert (c.care, c.value ^ bit, v) not in cubes
         assert coalesce(list(raw)) == out
+
+
+@given(st.integers(0, 10), st.randoms(use_true_random=False))
+def test_grouped_sums_match_brute_force(length, rng):
+    # A disjoint map that reuses a few values (some cubes dropped, value 0
+    # there) and a delay partition of the same level with s in {0, 1/M, 1},
+    # each cut into random pieces.
+    def pieces(rounds):
+        return [c for c, _ in _split(rng, [(Cube.whole_level(length), None)], rounds)]
+
+    items = [
+        (c, rng.choice([F(1), F(1, 2), F(1, 3), F(5, 12)]))
+        for c in pieces(rng.randrange(24))
+        if rng.random() < 0.8
+    ]
+    parts = [
+        (c, rng.choice([F(0), F(1, rng.randrange(2, 6)), F(1)]))
+        for c in pieces(rng.randrange(12))
+    ]
+    level = [BitString(length, value) for value in range(1 << length)]
+    R = {x: _value_at(items, x) for x in level}
+    s = {x: _value_at(parts, x) for x in level}
+
+    out, pushed = push_down(items, parts)
+    for x in level:
+        for b in (0, 1):
+            assert _value_at(out, x.child(b)) == R[x] * (1 - s[x]) / 2
+    assert pushed == sum((R[x] * (1 - s[x]) for x in level), F(0))
+    assert items_total(items) == sum(R.values(), F(0))
+    for cube in (rng.choice(pieces(rng.randrange(8))), Cube.whole_level(length)):
+        assert mass_in(items, cube) == sum(
+            (R[x] for x in level if cube.contains(x)), F(0)
+        )
 
 
 def _agrees_on(frame, other):

@@ -19,6 +19,7 @@ from treeflow.constructions import (
 from treeflow.network import ExtraEdge, rat_str
 from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
+    check_conservation,
     check_extension_shadow,
     check_ratio_identity,
     check_separators,
@@ -266,6 +267,15 @@ def test_separators_report_their_coverage_per_level():
                 assert row["walk"] == "sampled"
                 assert 0 < row["vertices"] <= 512
     assert walks == {"exhaustive", "sampled"}
+
+
+def test_conservation_reports_exhaustive_coverage_per_network():
+    b = build_atom_family(16)
+    rep = check_conservation(b)
+    assert rep.passed, rep.witness
+    assert rep.details["coverage"] == {
+        str(k): {"walk": "exhaustive", "levels": 17} for k in (1, 2, 3)
+    }
 
 
 def test_inflated_discard_bound_trips_only_discards():
