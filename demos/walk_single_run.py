@@ -12,7 +12,7 @@ check. Everything is exact rational arithmetic, printed as n/d.
 import argparse
 import sys
 
-from treeflow import PRESETS, RunConfig, build, rat_str, run_checks
+from treeflow import PRESETS, RunConfig, build, index_of, rat_str, run_checks
 
 
 def main() -> int:
@@ -37,7 +37,10 @@ def main() -> int:
     print("  " + " ".join(row))
     print()
 
-    edges = bundle.all_edges()
+    edges = sorted(
+        (e for net in bundle.networks for e in net.edges),
+        key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)),
+    )
     print(f"edges drawn: {len(edges)}")
     for e in edges:
         sub = f".{e.subtask}" if e.subtask is not None else ""

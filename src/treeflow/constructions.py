@@ -163,13 +163,6 @@ class ConstructionBundle:
     def network(self, net_id: int) -> ElementaryNetwork:
         return self.networks[net_id - 1]
 
-    def all_edges(self):
-        out = []
-        for net in self.networks:
-            out.extend(net.edges)
-        out.sort(key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)))
-        return out
-
     def discard_allowance(self, net_id: int, level: int) -> Rational:
         """Total mass allowance claimed by discards on a network up to a level."""
         total = ZERO
@@ -224,7 +217,7 @@ class ImageMassPredicate(EdgePredicate):
     def _pieces_mass(self, pieces) -> Rational:
         total = ZERO
         for piece in pieces:
-            total += self.ctx.net.pattern_mass(self.ctx.n, piece, pre=True)
+            total += self.ctx.net.pattern_mass(self.ctx.n, piece)
         return total
 
     def holds(self, x, y):
@@ -295,7 +288,7 @@ class TargetMassPredicate(EdgePredicate):
         cube = family_pattern(img, self.w, n)
         if cube is None:
             return True
-        mass = self.target.pattern_mass(n, cube, pre=True)
+        mass = self.target.pattern_mass(n, cube)
         return not exceeds_dyadic(mass, allowance_exponent(member))
 
     def holds(self, x, y):
@@ -322,7 +315,7 @@ class TargetMassPredicate(EdgePredicate):
             img = apply_modified(self.operator, BitString(n, 0))
             pat = family_pattern(img, self.w, n)
             return pat is not None and exceeds_dyadic(
-                self.target.pattern_mass(n, pat, pre=True), e
+                self.target.pattern_mass(n, pat), e
             )
         if self.operator.prefix_image_only():
             # The image is a prefix of the target, so the pattern region

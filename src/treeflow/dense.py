@@ -520,7 +520,7 @@ def compare_runs(bundle, run: DenseRun) -> list[str]:
         sparse = bundle.network(net_id)
         dense = run.nets[net_id]
         for n in range(config.depth + 1):
-            stats = sparse.level_stats(n)
+            stats = sparse.aggregates[n]
             if stats.total_R != dense.total_R(n):
                 problems.append(
                     f"net {net_id} level {n}: total R "
@@ -550,7 +550,10 @@ def compare_runs(bundle, run: DenseRun) -> list[str]:
             e.subtask,
             e.step_drawn,
         )
-        for e in bundle.all_edges()
+        for e in sorted(
+            (e for net in bundle.networks for e in net.edges),
+            key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)),
+        )
     ]
     dense_edges = [
         (

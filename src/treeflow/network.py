@@ -456,21 +456,11 @@ class ElementaryNetwork:
                 total += e.q * self.frame_eval(e.source)
         return total
 
-    def level_stats(self, n: int) -> LevelAggregates:
-        if n > self.depth:
-            raise ConstructionError(f"level {n} not constructed yet")
-        return self.aggregates[n]
-
-    def pattern_mass(self, n: int, cube: Cube, pre: bool = False) -> Fraction:
-        """Sum of R over the cube's vertices, against the committed frame at
-        level n, or against the pending pre-commit frame (pre=True, n must be
-        depth+1: the frame pushed from below with no level-n edges yet)."""
-        items = self.pre_frame(n) if pre else None
-        if items is None:
-            if n > self.depth:
-                raise ConstructionError(f"level {n} not constructed yet")
-            items = self.frames[n]
-        return mass_in(items, cube)
+    def pattern_mass(self, n: int, cube: Cube) -> Fraction:
+        """Sum of R over the cube's vertices in the pending pre-commit frame
+        (n must be depth+1: the frame pushed from below with no level-n
+        edges yet)."""
+        return mass_in(self.pre_frame(n), cube)
 
     # -- construction ----------------------------------------------------
 

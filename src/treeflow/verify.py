@@ -2,8 +2,9 @@
 
 Each check reads a finished bundle and re-derives one structural fact from
 the stored tables, frames, and edge lists, reporting an exact witness when
-the fact fails. Sampled checks draw from a seeded generator recorded in
-the report, so reruns see the same samples.
+the fact fails. The one sampled check, ratio_identity, draws from a
+generator seeded by the run config, so reruns see the same samples; every
+other check walks its whole region.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from treeflow.bitseq import BitString, index_of
-from treeflow.cubes import Cube
+from treeflow.cubes import Cube, subtract_many
 from treeflow.network import rat_str
 from treeflow.operators import apply_modified
 from treeflow.scheduler import ResourceLimit, task_networks
@@ -122,14 +123,6 @@ def _stable_tasks(bundle) -> dict[int, int]:
         if w is not None and bundle.state.barrier((i,)) <= cutoff:
             out[i] = w
     return out
-
-
-def _random_member(cube: Cube, rng: random.Random) -> BitString:
-    value = cube.value
-    for shift in range(cube.length - 1, -1, -1):
-        if not (cube.care >> shift) & 1:
-            value |= rng.randrange(2) << shift
-    return BitString(cube.length, value)
 
 
 def _acting_net(bundle, i: int) -> int:
@@ -465,13 +458,31 @@ def check_ratio_identity(
     )
 
 
-def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
+def _unhalved(children, parents):
+    """(piece, R(x), R(parent of x)) for the child-level pieces on which
+    2 R(x) > R(parent of x), over two frames one level apart. A child item
+    and a parent item that meet share one pair of values; a child vertex
+    under no parent item has R(parent) = 0."""
+    below = [(p.extend(1), u) for p, u in parents]
+    for c, v in children:
+        under = []
+        for b, u in below:
+            inter = c.intersect(b)
+            if inter is not None:
+                under.append(b)
+                if 2 * v > u:
+                    yield inter, v, u
+        if v > 0:
+            for rest in subtract_many(c, under):
+                yield rest, v, ZERO
+
+
+def check_separators(bundle) -> CheckReport:
     """Levels no edge crosses: flow halves from parent to child there.
     Each settled task's session start must itself be such a level on the
     network the task acts on."""
     start = time.monotonic()
     depth = bundle.depth
-    rng = random.Random(f"{bundle.config.seed}:separators")
     separators: dict[int, list[int]] = {}
     coverage: dict[str, list[dict]] = {}
     for net in bundle.networks:
@@ -487,36 +498,28 @@ def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
         for n in levels:
             if n == 0:
                 continue
-            if (1 << n) <= 4096:
-                walk = "exhaustive"
-                values = range(1 << n)
-            else:
-                walk = "sampled"
-                values = [rng.randrange(1 << n) for _ in range(sample_cap)]
-            walked.append({"level": n, "walk": walk, "vertices": len(set(values))})
-            # Siblings share a parent; its flow is evaluated once.
-            parent_flow: dict[int, Fraction] = {}
-            for value in values:
-                x = BitString(n, value)
-                p = net.flow_eval(x)
-                p_parent = parent_flow.get(value >> 1)
-                if p_parent is None:
-                    p_parent = parent_flow[value >> 1] = net.flow_eval(
-                        BitString(n - 1, value >> 1)
-                    )
-                if 2 * p > p_parent:
-                    return _report(
-                        "separators",
-                        start,
-                        False,
-                        witness={
-                            "network": net.network_id,
-                            "level": n,
-                            "vertex": str(x),
-                            "P": rat_str(p),
-                            "P_parent": rat_str(p_parent),
-                        },
-                    )
+            walked.append({"level": n, "walk": "exhaustive", "vertices": 1 << n})
+            # No edge is in transit over level n or level n - 1, so P is R
+            # on both and the frames decide every vertex.
+            bad = min(
+                _unhalved(net.frames[n], net.frames[n - 1]),
+                key=lambda piece: piece[0].value,
+                default=None,
+            )
+            if bad is not None:
+                piece, p, p_parent = bad
+                return _report(
+                    "separators",
+                    start,
+                    False,
+                    witness={
+                        "network": net.network_id,
+                        "level": n,
+                        "vertex": str(piece.representative()),
+                        "P": rat_str(p),
+                        "P_parent": rat_str(p_parent),
+                    },
+                )
     stable = _stable_tasks(bundle)
     for i, w in sorted(stable.items()):
         net = bundle.network(_acting_net(bundle, i))
@@ -547,13 +550,11 @@ def check_separators(bundle, sample_cap: int = 512) -> CheckReport:
     )
 
 
-def check_discards(bundle, member_cap: int = 4096) -> CheckReport:
+def check_discards(bundle) -> CheckReport:
     """Recorded discards respect the draw-time mass bound, and silenced
     vertices pass nothing on: both children carry zero flow."""
     start = time.monotonic()
     checked = 0
-    sampled = False
-    rng = random.Random(f"{bundle.config.seed}:discards")
     for d in bundle.discards:
         net = bundle.network(d.network_id)
         level = d.edge.step_drawn
@@ -587,35 +588,44 @@ def check_discards(bundle, member_cap: int = 4096) -> CheckReport:
         if level + 1 > bundle.depth:
             continue
         for cube in d.cubes:
-            if cube.count() <= member_cap:
-                members = list(cube.members(cap=member_cap))
-            else:
-                sampled = True
-                members = [_random_member(cube, rng) for _ in range(64)]
-            for v in members:
-                for b in (0, 1):
-                    child = v.child(b)
-                    if net.flow_eval(child) != 0:
-                        return _report(
-                            "discards",
-                            start,
-                            False,
-                            witness={
-                                "network": d.network_id,
-                                "vertex": str(v),
-                                "child": str(child),
-                                "P": rat_str(net.flow_eval(child)),
-                            },
-                        )
-                checked += 1
+            below = cube.extend(1)
+            m = below.length
+            # A child carries flow only under a frame item of its level or
+            # below an edge in transit over it. Frame values and q * R are
+            # nonnegative, so one child per such piece or edge decides it.
+            heads = [
+                c.intersect(below).representative()
+                for c, _ in net.frames[m]
+                if c.overlap(below)
+            ]
+            heads += [
+                e.target.truncate(m)
+                for e in net.edges
+                if len(e.source) < m < len(e.target)
+                and below.contains(e.target.truncate(m))
+            ]
+            for child in sorted(heads):
+                p = net.flow_eval(child)
+                if p != 0:
+                    return _report(
+                        "discards",
+                        start,
+                        False,
+                        witness={
+                            "network": d.network_id,
+                            "vertex": str(child.truncate(m - 1)),
+                            "child": str(child),
+                            "P": rat_str(p),
+                        },
+                    )
+            checked += cube.count()
     return _report(
         "discards",
         start,
         True,
         details={
             "records": len(bundle.discards),
-            "vertices_checked": checked,
-            "sampled": sampled,
+            "coverage": {"walk": "exhaustive", "vertices": checked},
         },
         levels=(0, bundle.depth),
     )

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeflow.bitseq import BitString
+from treeflow.bitseq import BitString, index_of
 from treeflow.cli import read_bundle, write_bundle
 from treeflow.constructions import (
     build_atom,
@@ -240,7 +240,7 @@ def test_c6_discard_bounds_exhaustive(bundles12):
         if not rep.passed:
             problems.append((name, rep.witness))
             continue
-        if rep.details["sampled"]:
+        if rep.details["coverage"]["walk"] != "exhaustive":
             problems.append((name, "fell back to sampling"))
         records += rep.details["records"]
     if records == 0:
@@ -252,7 +252,11 @@ def test_c6_discard_bounds_exhaustive(bundles12):
 
 def test_c7_forced_shape_and_function_gate():
     b = build_hyperimmune(32)
-    odd = [e for e in b.all_edges() if e.task > 1 and e.task % 2 == 1]
+    edges = sorted(
+        (e for net in b.networks for e in net.edges),
+        key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)),
+    )
+    odd = [e for e in edges if e.task > 1 and e.task % 2 == 1]
     problems = []
     if not odd:
         problems.append("no odd-task edges drawn by depth 32")

@@ -29,6 +29,13 @@ from treeflow.verify import run_checks
 
 B = BitString.from_str
 
+
+def _all_edges(b):
+    return sorted(
+        (e for net in b.networks for e in net.edges),
+        key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)),
+    )
+
 FLIP_FIRST = [
     {"kind": "flip", "name": "flip"},
     {"kind": "silent", "name": "silent"},
@@ -76,7 +83,7 @@ def test_nonstochastic_reference_run():
     assert [p["case"] for p in b.provenance] == [
         1, 3, 1, 2, 1, 1, 3, 3, 3, 1, 3, 3, 3, 3, 1, 3, 3, 3, 3, 3,
     ]
-    edges = b.all_edges()
+    edges = _all_edges(b)
     assert [(str(e.source), str(e.target)) for e in edges] == [
         ("0", "0000"),
         ("1", "1000"),
@@ -91,7 +98,7 @@ def test_nonstochastic_reference_run():
 
 def test_atom_reference_run():
     b = build_atom(20)
-    edges = b.all_edges()
+    edges = _all_edges(b)
     assert [(str(e.source), str(e.target), e.task, e.subtask, e.step_drawn) for e in edges] == [
         ("0", "0000000", 1, 1, 7)
     ]
@@ -105,7 +112,7 @@ def test_atom_reference_run():
 
 def test_family_reference_run():
     b = build_atom_family(20)
-    edges = b.all_edges()
+    edges = _all_edges(b)
     assert [(e.network_id, str(e.source), str(e.target)) for e in edges] == [
         (1, "0", "0000000")
     ]
@@ -138,7 +145,7 @@ def test_family_wrap_collision_goes_inert():
     assert step21["task"] == 6
     assert step21["case"] == 3
     assert step21["note"] == "base and target collide after wrapping"
-    assert [(e.network_id, str(e.source)) for e in b.all_edges()] == [(1, "0")]
+    assert [(e.network_id, str(e.source)) for e in _all_edges(b)] == [(1, "0")]
 
 
 def test_hyperimmune_task_one_is_inert():
@@ -146,12 +153,12 @@ def test_hyperimmune_task_one_is_inert():
     notes = [p["note"] for p in b.provenance if p["task"] == 1]
     assert notes
     assert all(n == "task 1 carries no decoded index" for n in notes)
-    assert not [e for e in b.all_edges() if e.task == 1]
+    assert not [e for e in _all_edges(b) if e.task == 1]
 
 
 def test_hyperimmune_sparse_draw_shape():
     b = build_hyperimmune(32)
-    sparse = [e for e in b.all_edges() if e.task % 2 == 1]
+    sparse = [e for e in _all_edges(b) if e.task % 2 == 1]
     assert len(sparse) == 32
     assert {e.step_drawn for e in sparse} == {18}
     assert all(e.network_id == 1 and e.q == Rational(1, 81) for e in sparse)
@@ -165,7 +172,7 @@ def test_hyperimmune_sparse_draw_shape():
 
 def test_hyperimmune_even_task_discards_on_target():
     b = build_hyperimmune(32)
-    family_edges = [e for e in b.all_edges() if e.task == 2]
+    family_edges = [e for e in _all_edges(b) if e.task == 2]
     assert len(family_edges) == 4
     assert {str(e.source) for e in family_edges} == {"000", "010", "100", "110"}
     recs = [d for d in b.discards if d.edge.task == 2]
@@ -183,14 +190,14 @@ def test_hyperimmune_even_task_discards_on_target():
 
 def test_divisible_reference_run_draws_nothing():
     b = build_divisible(20)
-    assert not b.all_edges()
+    assert not _all_edges(b)
     assert not b.discards
     assert {p["case"] for p in b.provenance} <= {1, 3}
 
 
 def test_divisible_flip_roster_draws_with_discards():
     b = build_divisible(6, operator_roster=FLIP_FIRST)
-    edges = b.all_edges()
+    edges = _all_edges(b)
     assert [(str(e.source), str(e.target), e.step_drawn) for e in edges] == [
         ("0", "0000", 4),
         ("1", "10000", 5),
@@ -260,8 +267,8 @@ def test_builds_are_deterministic():
     first = build_hyperimmune(24)
     second = build_hyperimmune(24)
     assert first.provenance == second.provenance
-    assert [e.to_record() for e in first.all_edges()] == [
-        e.to_record() for e in second.all_edges()
+    assert [e.to_record() for e in _all_edges(first)] == [
+        e.to_record() for e in _all_edges(second)
     ]
 
 
@@ -333,7 +340,7 @@ class PendingFrame:
     def pre_frame(self, n):
         return self.items
 
-    def pattern_mass(self, n, cube, pre=False):
+    def pattern_mass(self, n, cube):
         return mass_in(self.items, cube)
 
 

@@ -91,13 +91,13 @@ def test_e1_golden_values():
     assert net.flow_eval(B("000")) == F(1, 4)
     assert net.flow_eval(B("001")) == F(1, 12)
     assert net.flow_eval(B("000")) + net.flow_eval(B("001")) == net.flow_eval(B("00"))
-    stats = net.level_stats(3)
+    stats = net.aggregates[3]
     assert stats.total_R == 1
     assert stats.extra_inflow == F(1, 6)
     assert stats.s_n == F(5, 6)
-    assert net.level_stats(0).s_n == 1
-    assert net.pattern_mass(3, Cube.from_pattern("000")) == F(1, 4)
-    assert net.pattern_mass(3, Cube.whole_level(3)) == 1
+    assert net.aggregates[0].s_n == 1
+    assert mass_in(net.frames[3], Cube.from_pattern("000")) == F(1, 4)
+    assert mass_in(net.frames[3], Cube.whole_level(3)) == 1
 
 
 def test_e1_flow_dominates_frame_everywhere():
@@ -116,8 +116,8 @@ def test_e1_matches_brute_force():
             x = BitString(n, v)
             assert net.frame_eval(x) == oracle.R[x], x
             assert net.flow_eval(x) == oracle.P(x), x
-        assert net.level_stats(n).total_R == oracle.total_R(n)
-        assert net.level_stats(n).extra_inflow == oracle.inflow(n)
+        assert net.aggregates[n].total_R == oracle.total_R(n)
+        assert net.aggregates[n].extra_inflow == oracle.inflow(n)
 
 
 def test_uniform_network_is_halving():
@@ -126,8 +126,8 @@ def test_uniform_network_is_halving():
         net.commit_level(DelayTable(n))
     for n in range(7):
         assert net.frame_eval(BitString(n, 0)) == F(1, 1 << n)
-        assert net.level_stats(n).s_n == 1
-    assert net.pattern_mass(5, Cube.from_pattern("0****")) == F(1, 2)
+        assert net.aggregates[n].s_n == 1
+    assert mass_in(net.frames[5], Cube.from_pattern("0****")) == F(1, 2)
 
 
 def test_delay_table_precedence():
@@ -250,7 +250,7 @@ def test_random_networks_match_brute_force(seed):
     net = random_network(seed)
     oracle = DenseEval(net.tables, net.edges, net.depth)
     for n in range(net.depth + 1):
-        stats = net.level_stats(n)
+        stats = net.aggregates[n]
         assert stats.total_R == oracle.total_R(n)
         assert stats.extra_inflow == oracle.inflow(n)
         for v in range(1 << n):
@@ -346,10 +346,10 @@ def test_pre_frame_excludes_step_edges():
     net.commit_level(t1)
     net.commit_level(DelayTable(2))
     # Pre-commit view of level 3: pure push, no inflow.
-    assert net.pattern_mass(3, Cube.from_pattern("000"), pre=True) == F(1, 12)
+    assert net.pattern_mass(3, Cube.from_pattern("000")) == F(1, 12)
     e = ExtraEdge(B("0"), B("000"), F(1, 3), 1, None, 1, 3)
     net.commit_level(DelayTable(3), [EdgeClass(Cube.vertex(B("0")), B("00"), F(1, 3), (e,))])
-    assert net.pattern_mass(3, Cube.from_pattern("000")) == F(1, 4)
+    assert mass_in(net.frames[3], Cube.from_pattern("000")) == F(1, 4)
 
 
 def test_rat_round_trip():

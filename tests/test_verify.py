@@ -20,6 +20,7 @@ from treeflow.network import ExtraEdge, rat_str
 from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
     check_conservation,
+    check_discards,
     check_extension_shadow,
     check_ratio_identity,
     check_separators,
@@ -254,19 +255,85 @@ def test_separators_report_their_coverage_per_level():
     assert rep.passed, rep.witness
     coverage = rep.details["coverage"]
     assert sorted(coverage) == ["1", "2", "3"]
-    walks = set()
     for net_id, rows in coverage.items():
         levels = [n for n in rep.details["separators"][net_id] if n > 0]
         assert [row["level"] for row in rows] == levels
         for row in rows:
-            walks.add(row["walk"])
-            if row["level"] <= 12:
-                assert row["walk"] == "exhaustive"
-                assert row["vertices"] == 1 << row["level"]
-            else:
-                assert row["walk"] == "sampled"
-                assert 0 < row["vertices"] <= 512
-    assert walks == {"exhaustive", "sampled"}
+            assert row["walk"] == "exhaustive"
+            assert row["vertices"] == 1 << row["level"]
+
+
+def _set_frame_value(net, x, value):
+    """R(x) = value; a zero leaves x under no frame item."""
+    point = Cube.vertex(x)
+    n = len(x)
+    rest = [(p, v) for c, v in net.frames[n] for p in c.subtract(point)]
+    net.frames[n] = [(point, value)] + rest if value else rest
+
+
+@pytest.mark.parametrize("corruption", ["raised child", "emptied parent"])
+def test_deep_frame_corruption_trips_separators(corruption):
+    # 0^24 is one vertex of 2^24 on separator level 24: a per-level
+    # sample of a few hundred vertices misses it, the exact walk does not.
+    b = build_nonstochastic(24)
+    net = b.network(1)
+    assert check_separators(b).details["separators"]["1"][-2:] == [23, 24]
+    x = BitString(24, 0)
+    r_x = net.frame_eval(x)
+    r_parent = net.frame_eval(x.truncate(23))
+    if corruption == "raised child":
+        r_x += 1
+        _set_frame_value(net, x, r_x)
+    else:
+        r_parent = Fraction(0)
+        _set_frame_value(net, x.truncate(23), r_parent)
+    rep = check_separators(b)
+    assert not rep.passed
+    assert rep.witness == {
+        "network": 1,
+        "level": 24,
+        "vertex": str(x),
+        "P": rat_str(r_x),
+        "P_parent": rat_str(r_parent),
+    }
+
+
+@pytest.mark.parametrize("via", ["frame item", "edge in transit"])
+def test_flow_under_a_discarded_child_trips_discards(via):
+    b = build_hyperimmune(32)
+    d = b.discards[0]
+    net = b.network(d.network_id)
+    assert check_discards(b).passed
+    (cube,) = d.cubes
+    # A member other than the cube's least one: position 1 is free.
+    vertex = BitString(cube.length, cube.value | 1 << cube.length - 1)
+    assert cube.contains(vertex)
+    child = vertex.child(1)
+    if via == "frame item":
+        _set_frame_value(net, child, Fraction(1, 1 << 40))
+        flow = Fraction(1, 1 << 40)
+    else:
+        source = vertex.truncate(cube.length - 2)
+        e = ExtraEdge(
+            source=source,
+            target=child.child(0),
+            q=Fraction(1, 2),
+            task=1,
+            subtask=None,
+            network_id=net.network_id,
+            step_drawn=b.depth,
+        )
+        net.edges.append(e)
+        net._out_edges.setdefault(len(source), {})[source.value] = e
+        flow = e.q * net.frame_eval(source)
+    rep = check_discards(b)
+    assert not rep.passed
+    assert rep.witness == {
+        "network": net.network_id,
+        "vertex": str(vertex),
+        "child": str(child),
+        "P": rat_str(flow),
+    }
 
 
 def test_conservation_reports_exhaustive_coverage_per_network():
