@@ -486,7 +486,13 @@ class ElementaryNetwork:
         items = self.pre_frame(n)
         pushed = self._pre[2]
         inflow = ZERO
+        # A level is clean when its parent has one delay part and no class
+        # lands on it. The parent frame is coalesced; one part scales every
+        # value by the same injective factor (1 - s)/2 and every cube gains
+        # the same free bit, so the child has no mergeable pair either.
+        clean = len(self.tables[self.depth].s_partition()) == 1
         for ec in classes:
+            clean = False
             src_level = ec.source_cube.length
             if src_level + len(ec.tail) != n:
                 raise ConstructionError("edge class does not land on the new level")
@@ -510,7 +516,7 @@ class ElementaryNetwork:
                 f"{total} != {pushed} + {inflow}"
             )
         self.tables.append(table)
-        self.frames.append(coalesce(items))
+        self.frames.append(items if clean else coalesce(items))
         self.aggregates.append(LevelAggregates(total, inflow))
         self.depth = n
         self._pre = None

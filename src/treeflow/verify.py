@@ -2,24 +2,26 @@
 
 Each check reads a finished bundle and re-derives one structural fact from
 the stored tables, frames, and edge lists, reporting an exact witness when
-the fact fails. The one sampled check, ratio_identity, draws from a
-generator seeded by the run config, so reruns see the same samples; every
-other check walks its whole region.
+the fact fails. No check samples: each one walks its whole region, over
+the cube structure of frames and delay tables where a vertex-by-vertex
+walk would not finish, so the run config's seed drives none of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube, subtract_many
 from treeflow.network import rat_str
-from treeflow.operators import apply_modified
+# apply_modified is not called here any more; bench/tracer.py counts the
+# calls made through this module's name for it.
+from treeflow.operators import TransducerOperator, apply_modified  # noqa: F401
 from treeflow.scheduler import ResourceLimit, task_networks
 
 Rational = Fraction
@@ -361,12 +363,134 @@ def check_duplication(bundle) -> CheckReport:
     )
 
 
+def _flow_pieces(net, n) -> list[tuple[int, int, int]]:
+    """P at level n as (care, value, P * D) pieces, for one common
+    denominator D of the level's values, so that sums and cross products
+    are integer operations. The pieces are every frame item, plus one point
+    q * R(source) at target[:n] per edge in transit over level n. A point
+    may sit on a frame item; P at a vertex is the sum of the pieces that
+    hold it."""
+    pieces = [(c.care, c.value, v) for c, v in net.frames[n] if v]
+    for e in net.edges:
+        if len(e.source) < n < len(e.target):
+            p = e.q * net.frame_eval(e.source)
+            if p:
+                t = e.target
+                pieces.append(((1 << n) - 1, t.value >> (t.length - n), p))
+    scale = lcm(*(p.denominator for _, _, p in pieces))
+    return [
+        (care, value, p.numerator * (scale // p.denominator))
+        for care, value, p in pieces
+    ]
+
+
+def _uncut_regions(pieces):
+    """(value, covering pieces) for the regions of a recursive split of
+    the whole space, over pieces whose first two entries are the care and
+    value of a cube. A region splits on a bit that some piece meeting it
+    pins and it leaves free, until every piece that meets a region covers
+    it. A region's value has its free bits 0."""
+    whole = tuple(p for p in pieces if not p[0])
+    stack = [(0, 0, [p for p in pieces if p[0]], whole)]
+    while stack:
+        care, value, cutting, covering = stack.pop()
+        if not cutting:
+            yield value, covering
+            continue
+        bit = 1 << ((cutting[0][0] & ~care).bit_length() - 1)
+        care |= bit
+        for side in (bit, 0):  # the 0 side pops first
+            cut, cover = [], covering
+            for p in cutting:
+                if p[0] & bit and p[1] & bit != side:
+                    continue
+                if p[0] & ~care:
+                    cut.append(p)
+                else:
+                    cover += (p,)
+            stack.append((care, value | side, cut, cover))
+
+
+def _head_regions(m_pieces, w_pieces, shift):
+    """(head, P_w(H b), tail pieces of P_m on H b for b = 0, 1) for the
+    head regions H that no piece cuts, with P scaled as _flow_pieces gives
+    it. Pieces come from levels w and m = w + shift; a head is positions
+    1..w-1, b is position w and a tail positions w+1..m.
+
+    Pieces are bucketed by their head projection and the split runs over
+    the buckets, so P at both levels is the same at every head of a
+    region."""
+    tail_mask = (1 << shift) - 1
+    # head projection (care, value) -> [P_w part at b = 0, 1, tail pieces
+    # of P_m at b = 0, 1]
+    buckets: dict[tuple[int, int], list] = {}
+
+    def bucket(care, value, low):
+        key = (care >> low, value >> low)
+        found = buckets.get(key)
+        if found is None:
+            found = buckets[key] = [0, 0, [], []]
+        return found
+
+    def sides(care, value, pos):
+        return (value >> pos & 1,) if care >> pos & 1 else (0, 1)
+
+    for care, value, p in m_pieces:
+        into = bucket(care, value, shift + 1)
+        for b in sides(care, value, shift):
+            into[2 + b].append((care & tail_mask, value & tail_mask, p))
+    for care, value, p in w_pieces:
+        into = bucket(care, value, 1)
+        for b in sides(care, value, 0):
+            into[b] += p
+    regions = _uncut_regions([(*key, found) for key, found in buckets.items()])
+    for head, covering in regions:
+        yield (
+            head,
+            [sum(k[2][b] for k in covering) for b in (0, 1)],
+            [[t for k in covering for t in k[2][2 + b]] for b in (0, 1)],
+        )
+
+
+def _level_mismatch(m_pieces, w_pieces, shift, walk):
+    """(b, head of the first region, head, tail) for a region whose tail
+    map differs from that of the first region with the same b, or None.
+    Counts the regions in `walk`."""
+    refs = [None, None]
+    for head, prefixes, tails in _head_regions(m_pieces, w_pieces, shift):
+        for b in (0, 1):
+            prefix = prefixes[b]
+            if prefix == 0:
+                walk["zero_prefix_regions"] += 1
+                continue
+            walk["regions"] += 1
+            if refs[b] is None:
+                refs[b] = head, prefix, tails[b]
+                continue
+            ref_head, ref_prefix, ref_tails = refs[b]
+            # P(H b t) / P(H b) differs from the first region's map where
+            # ref_tails * prefix - tails * ref_prefix is not 0
+            signed = [(c, v, p * prefix) for c, v, p in ref_tails]
+            signed += [(c, v, -p * ref_prefix) for c, v, p in tails[b]]
+            for tail, covering in _uncut_regions(signed):
+                if sum(p for _, _, p in covering):
+                    return b, ref_head, head, tail
+    return None
+
+
 def check_ratio_identity(
-    bundle, samples: int = 1000, min_coverage: Optional[Fraction] = None
+    bundle, min_coverage: Optional[Fraction] = None
 ) -> CheckReport:
-    """Flows inside suffix-equivalent subtrees stay proportional: for a
-    class pair y, z the conditional flows against their width-w prefixes
-    agree exactly. Pairs straddling an unsettled task level are skipped."""
+    """Flows inside suffix-equivalent subtrees stay proportional: for y, z
+    at a level m of a settled task's session that share positions w..m,
+    P(y) P(z[:w]) = P(z) P(y[:w]).
+
+    Every pair is decided. Within a head region from _head_regions, P at
+    levels m and w does not depend on the head, so the identity holds for
+    all pairs exactly when each region's tail map t -> P(H b t) / P(H b)
+    is the same as that of the first region, for b = 0 and b = 1. Regions
+    with zero prefix flow are left out, and so are levels m with an
+    unsettled task in (w, m]."""
     start = time.monotonic()
     if bundle.config.preset not in T2_PRESETS:
         return _report(
@@ -382,35 +506,42 @@ def check_ratio_identity(
         ]
         if levels:
             usable[i] = levels
-    rng = random.Random(f"{bundle.config.seed}:ratio")
-    order = sorted(usable)
-    included = 0
-    skipped = {"straddle": 0, "zero_prefix_flow": 0}
+    walk = {
+        "walk": "exhaustive",
+        "levels": 0,
+        "regions": 0,
+        "straddling_levels": 0,
+        "zero_prefix_regions": 0,
+    }
     covered = set()
-    for t in range(samples):
-        if not order:
-            break
-        i = order[t % len(order)]
+    for i in sorted(usable):
         w = stable[i]
-        m = rng.choice(usable[i])
-        if any(
-            _stream_task(bundle, lev) not in stable
-            for lev in range(w + 1, m + 1)
-        ):
-            skipped["straddle"] += 1
-            continue
         net = bundle.network(_acting_net(bundle, i))
-        y = BitString(m, rng.randrange(1 << m))
-        low = m - w + 1
-        z = BitString(
-            m, (rng.randrange(1 << (w - 1)) << low) | (y.value & ((1 << low) - 1))
+        w_pieces = _flow_pieces(net, w)
+        # the first level above w that an unsettled task owns
+        unsettled = next(
+            (
+                n
+                for n in range(w + 1, depth + 1)
+                if _stream_task(bundle, n) not in stable
+            ),
+            depth + 1,
         )
-        py_root = net.flow_eval(y.truncate(w))
-        pz_root = net.flow_eval(z.truncate(w))
-        if py_root == 0 or pz_root == 0:
-            skipped["zero_prefix_flow"] += 1
-            continue
-        if net.flow_eval(y) * pz_root != net.flow_eval(z) * py_root:
+        for m in usable[i]:
+            if m >= unsettled:
+                walk["straddling_levels"] += 1
+                continue
+            walk["levels"] += 1
+            regions = walk["regions"]
+            bad = _level_mismatch(_flow_pieces(net, m), w_pieces, m - w, walk)
+            if walk["regions"] > regions:
+                covered.add(i)
+            if bad is None:
+                continue
+            b, ref_head, head, tail = bad
+            low = (b << (m - w)) | tail
+            y = BitString(m, (ref_head << (m - w + 1)) | low)
+            z = BitString(m, (head << (m - w + 1)) | low)
             return _report(
                 "ratio_identity",
                 start,
@@ -423,25 +554,21 @@ def check_ratio_identity(
                     "z": str(z),
                     "P_y": rat_str(net.flow_eval(y)),
                     "P_z": rat_str(net.flow_eval(z)),
-                    "P_y_root": rat_str(py_root),
-                    "P_z_root": rat_str(pz_root),
+                    "P_y_root": rat_str(net.flow_eval(y.truncate(w))),
+                    "P_z_root": rat_str(net.flow_eval(z.truncate(w))),
                 },
             )
-        included += 1
-        covered.add(i)
     coverage = Fraction(len(covered), len(tasks)) if tasks else ONE
     details = {
-        "samples": samples,
-        "included": included,
-        "skipped": skipped,
+        "coverage": walk,
         "tasks": len(tasks),
         "covered": sorted(covered),
-        "coverage": rat_str(coverage),
+        "task_coverage": rat_str(coverage),
         "stable": {str(i): w for i, w in sorted(stable.items())},
     }
-    # Every settled task with levels to draw from must contribute at
-    # least one compared pair; a stricter coverage bar over all active
-    # tasks applies when the caller sets one.
+    # Every settled task with levels to compare must have a region with
+    # nonzero prefix flow on one of them; a stricter coverage bar over all
+    # active tasks applies when the caller sets one.
     missing = sorted(set(usable) - covered)
     passed = not missing
     witness = {"uncovered_settled_tasks": missing} if missing else None
@@ -631,6 +758,49 @@ def check_discards(bundle) -> CheckReport:
     )
 
 
+def _longest_image(op, x: BitString, depth: int) -> int:
+    """The longest image apply_modified(op, y) over the length-`depth`
+    extensions y of x.
+
+    A transducer runs x and then takes a forward pass over the states it
+    can reach with the bits left, keeping the most bits any run into each
+    state has emitted. A run that halts keeps its output and emission never
+    shrinks, so the best count seen at any step is the answer. Under a
+    table, some extension of x reaches every entry whose input is
+    comparable with x and fits in `depth` bits, and an image is the longest
+    output its input reaches."""
+    if isinstance(op, TransducerOperator):
+        state, best = op.start, 0
+        for shift in range(len(x) - 1, -1, -1):
+            rule = op.rules.get((state, x.value >> shift & 1))
+            if rule is None:
+                return min(best, depth)
+            state, emit = rule
+            best += len(emit)
+        runs = {state: best}
+        for _ in range(depth - len(x)):
+            after: dict[str, int] = {}
+            for s, k in runs.items():
+                for b in (0, 1):
+                    rule = op.rules.get((s, b))
+                    if rule is not None:
+                        t, emit = rule
+                        after[t] = max(after.get(t, 0), k + len(emit))
+            runs = after
+            best = max([best, *runs.values()])
+        return min(best, depth)
+    return max(
+        (
+            min(len(dst), depth)
+            for src, dst, cost in op.entries
+            if cost <= depth
+            and len(src) <= depth
+            and (src.is_prefix_of(x) or x.is_prefix_of(src))
+        ),
+        default=0,
+    )
+
+
 def check_extension_shadow(
     bundle,
     task: Optional[int] = None,
@@ -656,18 +826,11 @@ def check_extension_shadow(
     ops = bundle.operators
 
     memo: dict[tuple[int, BitString], bool] = {}
-    # The longest image reachable by the last level depends only on the task.
-    reach = {i: ops.operator_for(i).max_image_len(depth) for i in tasks}
 
     def default_admits(i: int, x: BitString) -> bool:
-        if reach[i] <= index_of(x) + i:
-            return False
-        op = ops.operator_for(i)
-        for value in range(1 << (depth - len(x))):
-            y = x.concat(BitString(depth - len(x), value))
-            if len(apply_modified(op, y)) > index_of(x) + i:
-                return True
-        return False
+        bound = index_of(x) + i
+        # no image is longer than the depth
+        return bound < depth and _longest_image(ops.operator_for(i), x, depth) > bound
 
     test = admits or default_admits
 
@@ -679,27 +842,30 @@ def check_extension_shadow(
 
     counts = {"paths": 0, "qualifying": 0, "via_edge": 0, "via_discard": 0}
     for net in bundle.networks:
-        stack = [BitString(0, 0)]
+        ends: dict[BitString, set[int]] = {}
+        for e in net.edges:
+            ends.setdefault(e.target, set()).add(e.task)
+        # A node carries the tasks that admit every prefix so far, the
+        # tasks with an edge ending on the path so far, and whether the
+        # path has crossed an s = 1 vertex.
+        stack = [(BitString(0, 0), tuple(tasks), frozenset(), False)]
         while stack:
-            x = stack.pop()
+            x, alive, via, dead = stack.pop()
             if len(x) < depth:
                 for b in (0, 1):
                     child = x.child(b)
                     if net.flow_eval(child) > 0:
-                        stack.append(child)
+                        stack.append((
+                            child,
+                            tuple(i for i in alive if admits_at(i, child)),
+                            via.union(ends.get(child, ())),
+                            dead or net.delay(child) == 1,
+                        ))
                 continue
             counts["paths"] += 1
-            prefixes = [x.truncate(m) for m in range(1, depth + 1)]
-            for i in tasks:
-                if not all(admits_at(i, p) for p in reversed(prefixes)):
-                    continue
+            for i in alive:
                 counts["qualifying"] += 1
-                through = any(
-                    e.task == i and e.target.is_prefix_of(x)
-                    for e in net.edges
-                )
-                dead = any(net.delay(p) == 1 for p in prefixes)
-                if through:
+                if i in via:
                     counts["via_edge"] += 1
                 elif dead:
                     counts["via_discard"] += 1

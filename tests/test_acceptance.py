@@ -9,8 +9,8 @@ so `pytest tests/test_acceptance.py -s` reads as a checklist:
    depth 48 on every network
 3. the delay-shape and nesting checks pass clean at both depths, and a
    bundle corrupted in one place trips exactly the targeted check
-4. edge classes are equal-weight and a thousand seeded suffix pairs
-   show exactly proportional flows at depth 20, covering every task
+4. edge classes are equal-weight and every suffix pair of every compared
+   level shows exactly proportional flows at depth 20, covering every task
 5. per-task interval masses stay under their allowance sums and 2^-i,
    tails included
 6. discard records carry the draw-time bound and silence both children,
@@ -178,7 +178,12 @@ def test_c3_shape_checks_and_targeted_corruptions(bundles12, bundles48):
     assert not problems, problems
 
 
-def test_c4_class_weights_and_ratio_sampling():
+def test_c4_class_weights_and_ratio_identity():
+    # Every pair of every compared level is decided: the counts are the
+    # levels compared, the head regions (one per first tail bit) with
+    # nonzero prefix flow, the levels skipped as straddling an unsettled
+    # task, and the regions with zero prefix flow.
+    want = {"atom": (17, 188, 0, 0), "family": (17, 178, 0, 10)}
     problems = []
     detail = []
     for name, fn in (("atom", build_atom), ("family", build_atom_family)):
@@ -186,18 +191,25 @@ def test_c4_class_weights_and_ratio_sampling():
         dup = check_duplication(b)
         if not dup.passed:
             problems.append((name, "duplication", dup.witness))
-        rep = check_ratio_identity(b, samples=1000, min_coverage=Fraction(4, 5))
+        rep = check_ratio_identity(b, min_coverage=Fraction(4, 5))
         if not rep.passed:
             problems.append((name, "ratio_identity", rep.witness))
             continue
-        d = rep.details
-        if d["samples"] != 1000:
-            problems.append((name, "sample count", d["samples"]))
-        if d["included"] + sum(d["skipped"].values()) != 1000:
-            problems.append((name, "pair accounting", d))
+        walk = rep.details["coverage"]
+        if walk["walk"] != "exhaustive":
+            problems.append((name, "walk", walk))
+        counts = (
+            walk["levels"],
+            walk["regions"],
+            walk["straddling_levels"],
+            walk["zero_prefix_regions"],
+        )
+        if counts != want[name]:
+            problems.append((name, "counts", counts))
         detail.append(
-            f"{name}: included={d['included']} "
-            f"skipped={sum(d['skipped'].values())} coverage={d['coverage']}"
+            f"{name}: levels={walk['levels']} regions={walk['regions']} "
+            f"zero_prefix={walk['zero_prefix_regions']} "
+            f"coverage={rep.details['task_coverage']}"
         )
     ok = not problems
     _result(4, ok, "; ".join(detail))

@@ -444,6 +444,27 @@ def test_grouped_sums_match_brute_force(length, rng):
         )
 
 
+@pytest.mark.parametrize(
+    "preset, depth", [("nonstochastic", 128), ("family", 64), ("hyperimmune", 48)]
+)
+def test_coalesce_leaves_a_clean_level_unchanged(preset, depth):
+    # A level is clean when its parent has one delay part and no edge
+    # lands on it; commit_level keeps its pushed frame as it is.
+    b = build(RunConfig(preset=preset, depth=depth))
+    clean = 0
+    for net in b.networks:
+        landing = {len(e.target) for e in net.edges}
+        for n in range(1, depth + 1):
+            parts = net.tables[n - 1].s_partition()
+            if len(parts) != 1 or n in landing:
+                continue
+            items, _ = push_down(net.frames[n - 1], parts)
+            assert coalesce(items) == items, (net.network_id, n)
+            assert net.frames[n] == items
+            clean += 1
+    assert clean > depth // 2
+
+
 def _agrees_on(frame, other):
     """Every vertex of every cube of `frame` holds the same value in `other`."""
     for c, v in frame:

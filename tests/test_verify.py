@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from treeflow.bitseq import BitString
+from hypothesis import example, given, settings, strategies as st
+
+from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube
 from treeflow.constructions import (
     RunConfig,
@@ -16,9 +18,19 @@ from treeflow.constructions import (
     build_hyperimmune,
     build_nonstochastic,
 )
-from treeflow.network import ExtraEdge, rat_str
+from treeflow.network import EdgeClass, ElementaryNetwork, ExtraEdge, rat_str
+from treeflow.operators import (
+    TableOperator,
+    TransducerOperator,
+    apply_modified,
+    const_operator,
+)
 from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
+    _acting_net,
+    _longest_image,
+    _stable_tasks,
+    _stream_task,
     check_conservation,
     check_discards,
     check_extension_shadow,
@@ -129,6 +141,183 @@ def test_ratio_identity_coverage_bar_can_trip(hyper32):
     rep = check_ratio_identity(hyper32, min_coverage=Fraction(4, 5))
     assert not rep.passed
     assert "coverage" in rep.witness
+    assert rep.details["covered"] == [1, 2]
+    assert rep.details["task_coverage"] == "2/7"
+    assert rep.details["coverage"]["walk"] == "exhaustive"
+
+
+def _compared_levels(bundle):
+    """task -> (w, the levels m >= w of the task with no unsettled task in
+    (w, m]) for the settled tasks: the levels the ratio check compares."""
+    stable = _stable_tasks(bundle)
+    out = {}
+    for i, w in sorted(stable.items()):
+        out[i] = w, [
+            m
+            for m in range(w, bundle.depth + 1)
+            if _stream_task(bundle, m) == i
+            and all(_stream_task(bundle, n) in stable for n in range(w + 1, m + 1))
+        ]
+    return out
+
+
+def _ratio_pairs_brute_force(bundle):
+    """((task, level) of the first failing pair or None, covered tasks),
+    over every pair y, z of every level the ratio check compares.
+
+    All pairs of a tail satisfy P(y) P(z[:w]) = P(z) P(y[:w]) exactly
+    when P(y) / P(y[:w]) takes one value over the heads whose prefix
+    flow is not zero, so each tail collects that set of ratios."""
+    covered = set()
+    for i, (w, levels) in _compared_levels(bundle).items():
+        net = bundle.network(_acting_net(bundle, i))
+        roots = [net.flow_eval(BitString(w, v)) for v in range(1 << w)]
+        for m in levels:
+            low = m - w + 1
+            for tail in range(1 << low):
+                ratios = set()
+                for head in range(1 << (w - 1)):
+                    root = roots[(head << 1) | (tail >> (low - 1))]
+                    if root:
+                        y = BitString(m, (head << low) | tail)
+                        ratios.add(net.flow_eval(y) / root)
+                if ratios:
+                    covered.add(i)
+                if len(ratios) > 1:
+                    return (i, m), covered
+    return None, covered
+
+
+def _assert_genuine_ratio_witness(bundle, witness):
+    net = bundle.network(witness["network"])
+    y = BitString.from_str(witness["y"])
+    z = BitString.from_str(witness["z"])
+    w = witness["w"]
+    assert y.suffix_from(w) == z.suffix_from(w)
+    py, pz = net.flow_eval(y), net.flow_eval(z)
+    ry, rz = net.flow_eval(y.truncate(w)), net.flow_eval(z.truncate(w))
+    assert [rat_str(v) for v in (py, pz, ry, rz)] == [
+        witness["P_y"], witness["P_z"], witness["P_y_root"], witness["P_z_root"]
+    ]
+    assert ry and rz
+    assert py * rz != pz * ry
+
+
+def _below_session_starts(bundle):
+    """(m, acting network, w) for the compared levels below a session
+    start with a head, deepest first."""
+    return sorted(
+        (
+            (m, bundle.network(_acting_net(bundle, i)), w)
+            for i, (w, levels) in _compared_levels(bundle).items()
+            for m in levels
+            if m > w > 1
+        ),
+        key=lambda hit: hit[0],
+        reverse=True,
+    )
+
+
+def _triple_half_an_item(bundle) -> bool:
+    """Cut the first frame item that leaves a head bit free, on the deepest
+    compared level below a session start, and triple one half."""
+    hits = _below_session_starts(bundle)
+    if not hits:
+        return False
+    m, net, w = hits[0]
+    frame = net.frames[m]
+    heads = ((1 << (w - 1)) - 1) << (m - w + 1)
+    k, (c, v) = next(
+        (k, item) for k, item in enumerate(frame) if heads & ~item[0].care
+    )
+    bit = 1 << ((heads & ~c.care).bit_length() - 1)
+    frame[k : k + 1] = [
+        (Cube(m, c.care | bit, c.value), v),
+        (Cube(m, c.care | bit, c.value | bit), 3 * v),
+    ]
+    return True
+
+
+def _triple_an_edge_in_transit(bundle) -> bool:
+    """Triple the weight of the first edge in transit over a compared level
+    below a session start. flow_eval reads the network's lookup table and
+    the check its edge list, so both get the new edge."""
+    for m, net, w in _below_session_starts(bundle):
+        for k, e in enumerate(net.edges):
+            if len(e.source) < m < len(e.target):
+                net.edges[k] = dataclasses.replace(e, q=3 * e.q)
+                net._out_edges[len(e.source)][e.source.value] = net.edges[k]
+                return True
+    return False
+
+
+@pytest.mark.parametrize("preset", ["atom", "family", "hyperimmune"])
+def test_ratio_identity_matches_all_pairs_brute_force(preset):
+    failing = 0
+    for depth in range(1, 13):
+        for corrupt in (None, _triple_half_an_item):
+            b = BUILDERS[preset](depth)
+            if corrupt is not None and not corrupt(b):
+                continue
+            rep = check_ratio_identity(b)
+            first, covered = _ratio_pairs_brute_force(b)
+            if first is None:
+                assert rep.passed or "y" not in (rep.witness or {}), rep.witness
+                assert rep.details["covered"] == sorted(covered)
+            else:
+                failing += 1
+                assert not rep.passed
+                assert (rep.witness["task"], len(rep.witness["y"])) == first
+                _assert_genuine_ratio_witness(b, rep.witness)
+    assert failing > 0
+
+
+def test_tripled_edge_in_transit_trips_ratio_identity():
+    # Part of P is mass in transit: at depth 20, 32 edges drawn at step 18
+    # pass over level 8, where task 2 (w = 3) compares flows, one under
+    # each head. Tripling one of them breaks the proportionality there.
+    b = build_hyperimmune(20)
+    assert check_ratio_identity(b).passed
+    assert _triple_an_edge_in_transit(b)
+    rep = check_ratio_identity(b)
+    assert not rep.passed
+    _assert_genuine_ratio_witness(b, rep.witness)
+
+
+def _halve_head_region(bundle, net_id, head, level):
+    """Delay 1/2 on the level-`level` vertices under `head`, with every
+    level below recommitted, so frames and aggregates stay consistent."""
+    net = bundle.network(net_id)
+    net.tables[level].add_suffix(Cube.subtree(head, level), Fraction(1, 2))
+    fresh = ElementaryNetwork(net_id)
+    fresh.tables[0] = net.tables[0]
+    landing = {}
+    for e in net.edges:
+        tail = e.target.suffix_from(len(e.source) + 1)
+        landing.setdefault(len(e.target), []).append(
+            EdgeClass(Cube.vertex(e.source), tail, e.q, (e,))
+        )
+    for n in range(1, bundle.depth + 1):
+        fresh.commit_level(net.tables[n], landing.get(n, []))
+    net.frames = fresh.frames
+    net.aggregates = fresh.aggregates
+
+
+def test_scaled_deep_head_region_trips_only_ratio_identity():
+    # Task 5 of atom-24 starts its session at w = 15. Halving the flow
+    # below one of its 2^14 heads from level 16 on keeps every level
+    # balanced, so only the proportionality of flows to their width-w
+    # prefixes is broken; a 1,000-pair sample almost never draws a pair
+    # with that head (the seeded one did not).
+    b = build_atom(24)
+    w = 15
+    head = BitString(w - 1, 0b1011 << (w - 5))
+    assert check_ratio_identity(b).passed
+    _halve_head_region(b, 1, head, w)
+    rep = _assert_only_fails(run_checks(b), "ratio_identity")
+    _assert_genuine_ratio_witness(b, rep.witness)
+    y, z = rep.witness["y"], rep.witness["z"]
+    assert str(head) in (y[: w - 1], z[: w - 1])
 
 
 def test_poked_delay_value_trips_only_delay_form():
@@ -395,3 +584,65 @@ def test_shadow_walk_violation_branch():
     path = rep.witness["path"]
     assert not path.startswith("0000")
     assert not path.startswith("1000")
+
+
+def _scan_admits(bundle):
+    """The extension scan the shadow walk's default test was: x admits
+    task i when some length-depth extension y of x has an image longer
+    than index_of(x) + i."""
+    def admits(i, x):
+        op = bundle.operators.operator_for(i)
+        gap = bundle.depth - len(x)
+        return any(
+            len(apply_modified(op, x.concat(BitString(gap, v)))) > index_of(x) + i
+            for v in range(1 << gap)
+        )
+
+    return admits
+
+
+@pytest.mark.parametrize("preset", ["nonstochastic", "atom"])
+def test_shadow_walk_matches_the_extension_scan(preset):
+    for depth in (4, 7, 10):
+        b = BUILDERS[preset](depth)
+        fast = check_extension_shadow(b)
+        scan = check_extension_shadow(b, admits=_scan_admits(b))
+        assert fast.passed == scan.passed
+        assert fast.witness == scan.witness
+        assert fast.details == scan.details
+
+
+_TRANSDUCERS = st.builds(
+    TransducerOperator,
+    st.dictionaries(
+        st.tuples(st.sampled_from("abc"), st.integers(0, 1)),
+        st.tuples(
+            st.sampled_from("abc"),
+            st.lists(st.integers(0, 1), max_size=3).map(tuple),
+        ),
+    ),
+    st.sampled_from("abc"),
+)
+_BITS = st.text("01", max_size=6).map(BitString.from_str)
+# Outputs are prefixes of one another, so no input sees incomparable ones.
+_OUTPUTS = [BitString.from_str(s) for s in ("", "1", "11", "1110")]
+_TABLES = st.lists(
+    st.tuples(_BITS, st.sampled_from(_OUTPUTS), st.integers(1, 7)), max_size=4
+).map(TableOperator)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_TRANSDUCERS, _TABLES), st.integers(0, 7))
+@example(TableOperator([(BitString.from_str("01"), _OUTPUTS[3], 2)]), 3)
+@example(const_operator("110010011"), 5)
+def test_longest_image_matches_the_extension_scan(op, depth):
+    for length in range(depth + 1):
+        for value in range(1 << length):
+            x = BitString(length, value)
+            gap = depth - length
+            longest = max(
+                len(apply_modified(op, x.concat(BitString(gap, v))))
+                for v in range(1 << gap)
+            )
+            assert _longest_image(op, x, depth) == longest
+
