@@ -50,6 +50,7 @@ from treeflow.network import (
     ElementaryNetwork,
     ExtraEdge,
     LevelAggregates,
+    meets,
     rat_parse,
     rat_str,
 )
@@ -153,8 +154,13 @@ def _table_from_record(rec: dict) -> DelayTable:
     table = DelayTable(rec["level"], rat_parse(rec["default"]))
     for s, v in rec["vertex"]:
         table.set_vertex(BitString.from_str(s), rat_parse(v))
-    for pat, v in rec["suffix"]:
-        table.add_suffix(Cube.from_pattern(pat), rat_parse(v))
+    suffix = [(Cube.from_pattern(pat), rat_parse(v)) for pat, v in rec["suffix"]]
+    table.add_suffix(suffix)  # checks delays and lengths, not disjointness
+    cubes = [c for c, _ in suffix]
+    for i, j in meets(cubes, cubes):
+        if i != j:
+            where = f"network {rec['network']}, level {table.level}"
+            raise ConstructionError(f"{where}: suffix entries {i} and {j} overlap")
     for s, v in rec["subtree"]:
         table.add_subtree(BitString.from_str(s), rat_parse(v))
     return table

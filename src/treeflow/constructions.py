@@ -617,7 +617,7 @@ def _step_family(config, n, nets, state, ops, fns, caps):
             key = cube.pattern()
             if key not in written:
                 written.add(key)
-                tables[target_id].add_suffix(cube, ONE)
+                tables[target_id].add_suffix([(cube, ONE)])
         records.append(
             DiscardRecord(
                 network_id=target_id,

@@ -10,12 +10,13 @@ A frame, the values R(x) of one level, is a cube map (`Items`): a list of
 (cube, value) pairs whose cubes are pairwise disjoint, where a vertex in
 no cube holds 0. The engine builds and combines these maps only through
 the operations below: `items_total`, `mass_in`, `restrict`, `overlay`,
-`assign`, `push_down` and `coalesce`. Committed frames hold no zero
-values and are coalesced, so no two items of equal value differ in
-exactly one pinned bit, and a level with 2^n vertices costs only as many
-items as it has distinct regions. Item order carries no meaning: every
-reader sums, takes a minimum, or takes the first of the disjoint cubes
-that matches.
+`push_down` and `coalesce`; which cubes of two lists meet is answered by
+one join, `meets`, for push-downs, delay partitions and suffix writes.
+Committed frames hold no zero values and are coalesced, so no two items
+of equal value differ in exactly one pinned bit, and a level with 2^n
+vertices costs only as many items as it has distinct regions. Item order
+carries no meaning: every reader sums, takes a minimum, or takes the
+first of the disjoint cubes that matches.
 
 Every sum of value times vertex count goes through value groups. The
 integer counts of the items that share a value are added up first, and
@@ -116,18 +117,85 @@ def overlay(items: Items, cube: Cube, delta: Fraction) -> Items:
     return out
 
 
-def assign(items: Items, cube: Cube, value: Fraction) -> Items:
-    """items set to value on every vertex of cube, for items that cover
-    cube (a delay partition covers its whole level). The cube keeps the
-    pieces the items cut it into."""
-    out: Items = []
-    for c, v in items:
-        inter = c.intersect(cube)
-        if inter is None:
-            out.append((c, v))
+def _pins(cubes: list[Cube], idx) -> tuple[int, int, int, int]:
+    """The bits that some cube of idx pins to 1 and that some pins to 0,
+    and the value and care of their supercube: the bits all pin alike."""
+    ones = zeros = 0
+    all1 = all0 = -1
+    for i in idx:
+        v, z = cubes[i].value, cubes[i].care ^ cubes[i].value
+        ones, zeros, all1, all0 = ones | v, zeros | z, all1 & v, all0 & z
+    return ones, zeros, all1, all1 | all0
+
+
+def meets(a: list[Cube], b: list[Cube]) -> list[tuple[int, int]]:
+    """Every index pair (i, j) whose cubes a[i] and b[j] share a vertex, in
+    nested-loop order: by i, then by j.
+
+    The join is unate-recursive, as in Espresso. A cube that misses the
+    other side's supercube drops out. Then both sides split on a bit that
+    a cube of one pins to 0 and a cube of the other to 1; a cube free on
+    it goes to both halves, and a pair free on it counts in the 0 half
+    only. Sides with no such bit meet pairwise. A scan tests each pair
+    once and a split makes a few passes over both sides, so sides with few
+    pairs per cube are scanned."""
+    out: list[tuple[int, int]] = []
+    todo = [(range(len(a)), range(len(b)))]
+    split = False  # a lone scan leaves the pairs in order
+    while todo:
+        ia, ib = todo.pop()
+        if len(ia) * len(ib) <= 64 * (len(ia) + len(ib)):
+            for i in ia:
+                ci, vi = a[i].care, a[i].value
+                out += [(i, j) for j in ib if not (b[j].value ^ vi) & b[j].care & ci]
             continue
-        out.extend((p, v) for p in c.subtract(cube))
-        out.append((inter, value))
+        split = True
+        ones_a, zeros_a, value, care = _pins(a, ia)
+        ib = [j for j in ib if not (b[j].value ^ value) & b[j].care & care]
+        ones_b, zeros_b, value, care = _pins(b, ib)
+        ia = [i for i in ia if not (a[i].value ^ value) & a[i].care & care]
+        sep = (ones_a & zeros_b) | (zeros_a & ones_b)
+        if not sep:
+            out += [(i, j) for i in ia for j in ib]
+            continue
+        bit = 1 << (sep.bit_length() - 1)
+        a0 = [i for i in ia if (a[i].care ^ a[i].value) & bit]
+        a1 = [i for i in ia if a[i].value & bit]
+        af = [i for i in ia if not a[i].care & bit]
+        b0 = [j for j in ib if (b[j].care ^ b[j].value) & bit]
+        b1 = [j for j in ib if b[j].value & bit]
+        bf = [j for j in ib if not b[j].care & bit]
+        todo += [(a0 + af, b0 + bf), (a1, b1 + bf), (af, b1)]
+    if split:
+        out.sort()
+    return out
+
+
+def _carve(items: Items, cuts: Items, pairs) -> Items:
+    """items rewritten by the pairwise disjoint cuts, given the pairs of
+    `meets` between them: as if each cut in turn replaced every piece it
+    meets by the piece's peel around it (`Cube.subtract`), followed by
+    their intersection with the cut's value.
+
+    A cut meets only peel pieces of an earlier cut, so an item is carved
+    by its first cut, then each peel piece by the later cuts it meets."""
+    hits: dict[int, list] = {}
+    for i, j in pairs:
+        hits.setdefault(i, []).append(cuts[j])
+    out: Items = []
+    for i, item in enumerate(items):
+        todo = [(item, hits.get(i, ()))]
+        while todo:
+            (p, v), left = todo.pop()
+            if not left:
+                out.append((p, v))
+                continue
+            (o, s), rest = left[0], left[1:]
+            todo.append(((p.intersect(o), s), ()))
+            for q in reversed(p.subtract(o)):
+                qc, qv = q.care, q.value
+                meet = [h for h in rest if not (h[0].value ^ qv) & h[0].care & qc]
+                todo.append(((q, v), meet))
     return out
 
 
@@ -143,20 +211,16 @@ def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
     out: Items = []
     # (v, s) as integers -> [child share, parent vertices]
     groups: dict[tuple[int, int, int, int], list] = {}
-    for part, s in parts:
-        if s == 1:
-            continue
-        n, pc, pv = part.length, part.care, part.value
-        for c, v in items:
-            if (c.value ^ pv) & c.care & pc:
-                continue
-            care = c.care | pc
-            key = (v.numerator, v.denominator, s.numerator, s.denominator)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = [v * (1 - s) / 2, 0]
-            out.append((Cube(n + 1, care << 1, (c.value | pv) << 1), group[0]))
-            group[1] += 1 << (n - care.bit_count())
+    live = [(part, s) for part, s in parts if s != 1]
+    for i, j in meets([part for part, _ in live], [c for c, _ in items]):
+        (part, s), (c, v) = live[i], items[j]
+        n, care = part.length, c.care | part.care
+        key = (v.numerator, v.denominator, s.numerator, s.denominator)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [v * (1 - s) / 2, 0]
+        out.append((Cube(n + 1, care << 1, (c.value | part.value) << 1), group[0]))
+        group[1] += 1 << (n - care.bit_count())
     pushed = sum(
         (
             Fraction(vn * (sd - sn) * k, vd * sd)  # v * (1 - s) * k
@@ -218,9 +282,10 @@ def coalesce(items: Items) -> Items:
 class DelayTable:
     """Delays for one level: a default plus exceptions in three tiers.
 
-    Lookup precedence is vertex > suffix-cube > subtree > default. Within
-    a tier, exceptions never overlap (insertion enforces it), so lookup
-    order inside a tier does not matter.
+    Precedence is vertex > suffix-cube > subtree > default, and
+    `s_partition` is its one definition; `delay` reads the partition.
+    Within a tier, exceptions never overlap (insertion enforces it), so
+    the order inside a tier decides only the order of the parts.
     """
 
     def __init__(self, level: int, default: Fraction = ZERO):
@@ -241,39 +306,24 @@ class DelayTable:
         self.vertex[x] = v
         self._partition = None
 
-    def add_suffix(self, cube: Cube, v: Fraction) -> None:
-        self.add_suffix_pieces(cube, [cube], v)
-
-    def add_suffix_pieces(self, region: Cube, pieces: list[Cube], v: Fraction) -> None:
-        """Add pairwise disjoint cubes inside `region`, each with delay v.
-
-        A piece keeps only what no stored entry covers yet. Only the
-        entries that meet `region` can meet a piece, and the pieces cannot
-        meet each other, so each is checked against those entries alone.
-        """
-        v = _check_delay_value(v)
-        if region.length != self.level:
+    def add_suffix(self, entries: Items) -> None:
+        """Add pairwise disjoint (cube, delay) entries. Each keeps only what
+        no stored entry covers yet; a stored entry of another delay that
+        meets it is a conflict."""
+        for v in {v for _, v in entries}:
+            _check_delay_value(v)
+        if any(cube.length != self.level for cube, _ in entries):
             raise ConstructionError("suffix cube at wrong level")
-        near = [
-            (have, v0)
-            for have, v0 in self.suffix
-            if not (have.value ^ region.value) & have.care & region.care
-        ]
-        for cube in pieces:
-            parts = [cube]
-            for have, v0 in near:
-                nxt = []
-                for p in parts:
-                    if p.intersect(have) is None:
-                        nxt.append(p)
-                        continue
-                    if v0 != v:
-                        raise ConstructionError(
-                            f"conflicting suffix delays on {p} ∩ {have}: {v0} vs {v}"
-                        )
-                    nxt.extend(p.subtract(have))
-                parts = nxt
-            self.suffix.extend((p, v) for p in parts)
+        holes: dict[int, list[Cube]] = {}
+        for i, j in meets([c for c, _ in entries], [c for c, _ in self.suffix]):
+            (cube, v), (have, v0) = entries[i], self.suffix[j]
+            if v0 != v:
+                raise ConstructionError(
+                    f"conflicting suffix delays on {cube} ∩ {have}: {v0} vs {v}"
+                )
+            holes.setdefault(i, []).append(have)
+        for i, (cube, v) in enumerate(entries):
+            self.suffix += [(p, v) for p in subtract_many(cube, holes.get(i, []))]
         self._partition = None
 
     def add_subtree(self, root: BitString, v: Fraction) -> None:
@@ -297,30 +347,28 @@ class DelayTable:
     def delay(self, x: BitString) -> Fraction:
         if len(x) != self.level:
             raise ConstructionError(f"vertex {x} not at level {self.level}")
-        hit = self.vertex.get(x)
-        if hit is not None:
-            return hit
-        for cube, v in self.suffix:
-            if cube.contains(x):
+        value = x.value
+        for cube, v in self.s_partition():
+            if value & cube.care == cube.value:
                 return v
-        for root, v in self.subtree.items():
-            if root.is_prefix_of(x):
-                return v
-        return self.default
 
     def s_partition(self) -> Items:
-        """Disjoint (cube, s) cover of the whole level."""
+        """Disjoint (cube, s) cover of the whole level. Each tier, in
+        rising precedence, rewrites the parts it meets: a part keeps its
+        peel around each entry in turn, and the entry's piece takes the
+        entry's delay."""
         if self._partition is not None:
             return self._partition
-        parts: Items = [(Cube.whole_level(self.level), self.default)]
-        overrides: list[tuple[Cube, Fraction]] = []
-        for root, v in sorted(self.subtree.items()):
-            overrides.append((Cube.subtree(root, self.level), v))
-        overrides.extend(self.suffix)
-        for x, v in sorted(self.vertex.items()):
-            overrides.append((Cube.vertex(x), v))
-        for cube, v in overrides:
-            parts = assign(parts, cube, v)
+        n = self.level
+        parts: Items = [(Cube.whole_level(n), self.default)]
+        for tier in (
+            [(Cube.subtree(r, n), v) for r, v in sorted(self.subtree.items())],
+            self.suffix,
+            [(Cube.vertex(x), v) for x, v in sorted(self.vertex.items())],
+        ):
+            if tier:
+                pairs = meets([c for c, _ in parts], [c for c, _ in tier])
+                parts = _carve(parts, tier, pairs)
         self._partition = parts
         return parts
 

@@ -319,5 +319,5 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
         if s != ONE:
             value = s / (ONE - s)
             desc = klass.extend(n - len(x))
-            table.add_suffix_pieces(desc, subtract_many(desc, target_cubes), value)
+            table.add_suffix([(p, value) for p in subtract_many(desc, target_cubes)])
     return table, classes, ctx.outcome(2, w=w, wk=wk, edges=tuple(drawn))

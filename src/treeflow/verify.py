@@ -926,16 +926,7 @@ CHECKS: dict[str, Callable] = {
 
 def run_checks(bundle, names: Optional[list[str]] = None) -> list[CheckReport]:
     if names is None:
-        names = [
-            "delay_form",
-            "no_overlap",
-            "conservation",
-            "sn_bound",
-            "duplication",
-            "ratio_identity",
-            "separators",
-            "discards",
-        ]
+        names = [n for n in CHECKS if n != "extension_shadow"]
         if (
             bundle.depth <= ORACLE_DEPTH_CAP
             and bundle.config.preset in LENGTH_PRESETS

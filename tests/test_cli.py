@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from treeflow.cli import main, read_bundle
-from treeflow.constructions import reference_roster_descriptors
+from treeflow.cli import main, read_bundle, write_bundle
+from treeflow.constructions import RunConfig, build, reference_roster_descriptors
+from treeflow.verify import run_checks
 
 BUNDLE_FILES = [
     "config.json",
@@ -231,6 +232,46 @@ def test_malformed_cube_pattern_is_bad_input(tmp_path, build_args, corrupt):
     )
     assert main(["verify", str(out)]) == 2
     assert main(["export", str(out), "--out", str(tmp_path / "copy")]) == 2
+
+
+@pytest.mark.parametrize("same_delay", [False, True], ids=["other-delay", "same-delay"])
+def test_overlapping_suffix_entries_are_impossible(tmp_path, capsys, same_delay):
+    # The engine never writes two suffix entries of one table that share a
+    # vertex, so such a file describes no construction whatever the delays.
+    out = _build(tmp_path, "--preset", "atom", "--depth", "12")
+    path = out / "levels.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rec = next(r for r in rows if r["suffix"])
+    pat, v = rec["suffix"][0]
+    assert "*" in pat
+    other = v if same_delay else ("1/2" if v != "1/2" else "1/3")
+    rec["suffix"].append([pat.replace("*", "0", 1), other])
+    path.write_text(
+        "".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows
+        )
+    )
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 3
+    last = len(rec["suffix"]) - 1
+    err = capsys.readouterr().err
+    assert f"level {rec['level']}: suffix entries 0 and {last} overlap" in err
+    assert main(["export", str(out), "--out", str(tmp_path / "copy")]) == 3
+    assert not (tmp_path / "copy").exists()
+
+
+def test_deep_atom_bundle_round_trips(tmp_path):
+    # Level 232 holds 14,175 suffix entries: the reload takes them in as one
+    # batch, and conservation's held-mass walk builds their partition.
+    bundle = build(RunConfig(preset="atom", depth=232))
+    assert len(bundle.network(1).tables[232].suffix) == 14175
+    write_bundle(bundle, tmp_path / "a")
+    assert main(["export", str(tmp_path / "a"), "--out", str(tmp_path / "b")]) == 0
+    for name in BUNDLE_FILES:
+        a, b = (tmp_path / d / name for d in "ab")
+        assert a.read_bytes() == b.read_bytes(), name
+    [report] = run_checks(bundle, ["conservation"])
+    assert report.passed, report.witness
 
 
 def test_corrupted_edge_file_fails_the_crossing_check(tmp_path):

@@ -14,7 +14,7 @@ MAP_OPERATIONS = {
     "mass_in",
     "restrict",
     "overlay",
-    "assign",
+    "meets",
     "push_down",
     "coalesce",
     "_grouped_sum",

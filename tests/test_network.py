@@ -133,22 +133,32 @@ def test_uniform_network_is_halving():
 def test_delay_table_precedence():
     t = DelayTable(4, default=F(1, 5))
     t.add_subtree(B("01"), F(1, 7))
-    t.add_suffix(Cube.from_pattern("*11*"), F(1, 9))
+    t.add_suffix([(Cube.from_pattern("*11*"), F(1, 9))])
     t.set_vertex(B("0110"), F(1, 2))
-    assert t.delay(B("1010")) == F(1, 5)
-    assert t.delay(B("0100")) == F(1, 7)
+
+    def longhand(x):  # vertex > suffix > subtree > default
+        s = str(x)
+        if s == "0110":
+            return F(1, 2)
+        if s[1:3] == "11":
+            return F(1, 9)
+        if s.startswith("01"):
+            return F(1, 7)
+        return F(1, 5)
+
     assert t.delay(B("0111")) == F(1, 9)  # suffix beats subtree
     assert t.delay(B("0110")) == F(1, 2)  # vertex beats suffix
-    parts = t.s_partition()
-    # Partition covers the level exactly once with the resolved values.
+    # The partition covers the level exactly once, and it and every
+    # lookup give the longhand value.
     seen = {}
-    for cube, v in parts:
+    for cube, v in t.s_partition():
         for x in cube.members():
             assert x not in seen
             seen[x] = v
     assert len(seen) == 16
     for x, v in seen.items():
-        assert v == t.delay(x)
+        assert v == longhand(x)
+        assert t.delay(x) == longhand(x)
 
 
 def test_delay_table_rejects_bad_values_and_conflicts():
@@ -164,11 +174,11 @@ def test_delay_table_rejects_bad_values_and_conflicts():
     t.add_subtree(B("01"), F(1, 2))
     with pytest.raises(ConstructionError):
         t.add_subtree(B("0"), F(1, 3))
-    t.add_suffix(Cube.from_pattern("**1"), F(1, 6))
+    t.add_suffix([(Cube.from_pattern("**1"), F(1, 6))])
     with pytest.raises(ConstructionError):
-        t.add_suffix(Cube.from_pattern("*11"), F(1, 7))
+        t.add_suffix([(Cube.from_pattern("*11"), F(1, 7))])
     # Equal-value overlap is fine: the overlap is carved away.
-    t.add_suffix(Cube.from_pattern("1**"), F(1, 6))
+    t.add_suffix([(Cube.from_pattern("1**"), F(1, 6))])
     assert t.delay(B("101")) == F(1, 6)
     assert t.delay(B("100")) == F(1, 6)
 

@@ -288,7 +288,7 @@ def _halve_head_region(bundle, net_id, head, level):
     """Delay 1/2 on the level-`level` vertices under `head`, with every
     level below recommitted, so frames and aggregates stay consistent."""
     net = bundle.network(net_id)
-    net.tables[level].add_suffix(Cube.subtree(head, level), Fraction(1, 2))
+    net.tables[level].add_suffix([(Cube.subtree(head, level), Fraction(1, 2))])
     fresh = ElementaryNetwork(net_id)
     fresh.tables[0] = net.tables[0]
     landing = {}
