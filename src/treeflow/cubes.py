@@ -27,23 +27,24 @@ _PATTERN = re.compile(r"[01*]*")
 
 
 class Cube:
-    __slots__ = ("length", "care", "value", "_hash")
+    __slots__ = ("length", "care", "value")
 
     def __init__(self, length: int, care: int = 0, value: int = 0):
         if care < 0 or care >> length:
             raise ValueError(f"care mask {care:b} outside level {length}")
         if value & ~care:
             raise ValueError(f"value {value:b} sets a free position")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "care", care)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", hash((length, care, value)))
+        # The slot descriptors write past the read-only __setattr__.
+        _set_length(self, length)
+        _set_care(self, care)
+        _set_value(self, value)
 
     def __setattr__(self, name, val):
         raise AttributeError("Cube is immutable")
 
     def __hash__(self):
-        return self._hash
+        # On demand: the engine keys few dicts by cube.
+        return hash((self.length, self.care, self.value))
 
     def __eq__(self, other):
         return (
@@ -161,6 +162,11 @@ class Cube:
             (self.care << k) | ((1 << k) - 1),
             (self.value << k) | bits.value,
         )
+
+
+_set_length = Cube.length.__set__
+_set_care = Cube.care.__set__
+_set_value = Cube.value.__set__
 
 
 def subtract_many(base: Cube, holes: list[Cube]) -> list[Cube]:

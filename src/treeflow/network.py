@@ -20,17 +20,20 @@ first of the disjoint cubes that matches.
 
 Every sum of value times vertex count goes through value groups. The
 integer counts of the items that share a value are added up first, and
-each distinct value then costs one Fraction product. A frame holds few
-distinct values in many pieces (`nonstochastic` at depth 128: 563 values
-in 11,484 items), and a Fraction operation on denominators of a few
-hundred bits costs a gcd, so grouping is where the exact arithmetic
-saves its time. Groups are keyed by the integers (numerator, denominator)
-and not by the Fraction: hashing a Fraction computes a modular inverse on
-every call.
+the distinct values are then added in one sum over a common denominator:
+one lcm and one final Fraction, where pairwise Fraction sums take a gcd
+per term. A frame holds few distinct values in many pieces
+(`nonstochastic` at depth 128: 563 values in 11,484 items), and most
+items share their value object with others: push_down gives every item
+of a group the same share. So groups are keyed by id(v) first, which
+costs no Fraction work, and only then by the integers (numerator,
+denominator), once per value object; never by the Fraction itself, whose
+hash computes a modular inverse on every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -68,16 +71,33 @@ def _check_delay_value(v: Fraction) -> Fraction:
 Items = list[tuple[Cube, Fraction]]
 
 
+def _fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Sum of num/den over (num, den) integer terms, added over one common
+    denominator: one lcm and one reduction for the whole sum."""
+    terms = list(terms)
+    if not terms:
+        return ZERO
+    common = math.lcm(*{den for _, den in terms})
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
+
+
 def _grouped_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
-    """Sum of v * k over (v, k) terms with integer k, in one Fraction
-    product per distinct v."""
-    counts: dict[tuple[int, int], int] = {}
+    """Sum of v * k over (v, k) terms with integer k. The counts are added
+    per value object first (a group holds its v, so no id is reused
+    meanwhile), then per (numerator, denominator), and the distinct values
+    in one `_fraction_sum`."""
+    by_id: dict[int, list] = {}
     for v, k in terms:
+        group = by_id.get(id(v))
+        if group is None:
+            by_id[id(v)] = [v, k]
+        else:
+            group[1] += k
+    counts: dict[tuple[int, int], int] = {}
+    for v, k in by_id.values():
         key = (v.numerator, v.denominator)
         counts[key] = counts.get(key, 0) + k
-    return sum(
-        (Fraction(num * k, den) for (num, den), k in counts.items() if k), ZERO
-    )
+    return _fraction_sum((num * k, den) for (num, den), k in counts.items() if k)
 
 
 def items_total(items: Items) -> Fraction:
@@ -204,29 +224,48 @@ def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
     partition `parts`, a vertex x with delay s gives each child the share
     (1 - s)/2 of its value.
 
-    The share is computed once per distinct (v, s) pair. The carried mass
-    is summed on the input side, v * (1 - s) times the parent vertices of
-    each pair, never from the shares written out, so the ledger in
-    commit_level still catches a wrong share."""
+    Each live part walks its items: all of them, testing each for a meet,
+    when it is the only live part, else the ones `meets` pairs it with.
+    Output is in nested-loop order, by part, then by item. A per-part memo
+    maps id(v) to the group of the integers (v, s), so the Fraction reads
+    happen once per value object and the share once per distinct (v, s),
+    as one Fraction. id keys are sound: every v lives in items throughout.
+    The carried mass is summed on the input side, v * (1 - s) times the
+    parent vertices of each group over one common denominator, never from
+    the shares written out, so the ledger in commit_level still catches a
+    wrong share."""
     out: Items = []
     # (v, s) as integers -> [child share, parent vertices]
     groups: dict[tuple[int, int, int, int], list] = {}
     live = [(part, s) for part, s in parts if s != 1]
-    for i, j in meets([part for part, _ in live], [c for c, _ in items]):
-        (part, s), (c, v) = live[i], items[j]
-        n, care = part.length, c.care | part.care
-        key = (v.numerator, v.denominator, s.numerator, s.denominator)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = [v * (1 - s) / 2, 0]
-        out.append((Cube(n + 1, care << 1, (c.value | part.value) << 1), group[0]))
-        group[1] += 1 << (n - care.bit_count())
-    pushed = sum(
-        (
-            Fraction(vn * (sd - sn) * k, vd * sd)  # v * (1 - s) * k
-            for (vn, vd, sn, sd), (_, k) in groups.items()
-        ),
-        ZERO,
+    if len(live) == 1:
+        walks = [(live[0], items)]
+    else:
+        found: dict[int, Items] = {}
+        for i, j in meets([part for part, _ in live], [c for c, _ in items]):
+            found.setdefault(i, []).append(items[j])
+        walks = [(live[i], pieces) for i, pieces in found.items()]
+    for (part, s), pieces in walks:
+        n, pcare, pvalue = part.length, part.care, part.value
+        sn, sd = s.numerator, s.denominator
+        memo: dict[int, list] = {}
+        for c, v in pieces:
+            if (c.value ^ pvalue) & c.care & pcare:
+                continue
+            group = memo.get(id(v))
+            if group is None:
+                vn, vd = v.numerator, v.denominator
+                group = groups.get((vn, vd, sn, sd))
+                if group is None:
+                    share = Fraction(vn * (sd - sn), 2 * vd * sd)
+                    group = groups[vn, vd, sn, sd] = [share, 0]
+                memo[id(v)] = group
+            care = c.care | pcare
+            out.append((Cube(n + 1, care << 1, (c.value | pvalue) << 1), group[0]))
+            group[1] += 1 << (n - care.bit_count())
+    pushed = _fraction_sum(
+        (vn * (sd - sn) * k, vd * sd)  # v * (1 - s) * k
+        for (vn, vd, sn, sd), (_, k) in groups.items()
     )
     return out, pushed
 
@@ -295,6 +334,7 @@ class DelayTable:
         self.suffix: Items = []
         self.subtree: dict[BitString, Fraction] = {}
         self._partition: Optional[Items] = None
+        self._record: Optional[dict] = None
 
     def set_vertex(self, x: BitString, v: Fraction) -> None:
         v = _check_delay_value(v)
@@ -304,7 +344,7 @@ class DelayTable:
         if old is not None and old != v:
             raise ConstructionError(f"conflicting vertex delays at {x}: {old} vs {v}")
         self.vertex[x] = v
-        self._partition = None
+        self._partition = self._record = None
 
     def add_suffix(self, entries: Items) -> None:
         """Add pairwise disjoint (cube, delay) entries. Each keeps only what
@@ -324,7 +364,7 @@ class DelayTable:
             holes.setdefault(i, []).append(have)
         for i, (cube, v) in enumerate(entries):
             self.suffix += [(p, v) for p in subtract_many(cube, holes.get(i, []))]
-        self._partition = None
+        self._partition = self._record = None
 
     def add_subtree(self, root: BitString, v: Fraction) -> None:
         v = _check_delay_value(v)
@@ -342,7 +382,7 @@ class DelayTable:
                     f"nested subtree delay roots {have} and {root}"
                 )
         self.subtree[root] = v
-        self._partition = None
+        self._partition = self._record = None
 
     def delay(self, x: BitString) -> Fraction:
         if len(x) != self.level:
@@ -373,7 +413,12 @@ class DelayTable:
         return parts
 
     def to_record(self) -> dict:
-        return {
+        """The table as its bundle record. The dict is cached until the
+        next write, which drops it for a new one and never edits it, so a
+        record handed out earlier keeps the table as it was."""
+        if self._record is not None:
+            return self._record
+        self._record = {
             "level": self.level,
             "default": rat_str(self.default),
             "vertex": [[str(x), rat_str(v)] for x, v in sorted(self.vertex.items())],
@@ -382,6 +427,7 @@ class DelayTable:
                 [str(r), rat_str(v)] for r, v in sorted(self.subtree.items())
             ],
         }
+        return self._record
 
 
 @dataclass(frozen=True)

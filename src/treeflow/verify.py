@@ -585,22 +585,70 @@ def check_ratio_identity(
     )
 
 
+def _pinned_bits(cubes, idx) -> tuple[int, int]:
+    """The bits that some cube of idx pins to 1, and those some pins to 0."""
+    ones = zeros = 0
+    for i in idx:
+        ones |= cubes[i].value
+        zeros |= cubes[i].care ^ cubes[i].value
+    return ones, zeros
+
+
+def _split_on(cubes, idx, bit) -> tuple[list, list, list]:
+    """idx split by what its cubes do on bit: pin 0, pin 1, leave free."""
+    zero = [i for i in idx if (cubes[i].care ^ cubes[i].value) & bit]
+    one = [i for i in idx if cubes[i].value & bit]
+    free = [i for i in idx if not cubes[i].care & bit]
+    return zero, one, free
+
+
+def _meeting_pairs(a, b) -> list[tuple[int, int]]:
+    """Every index pair (i, j), ascending, whose cubes a[i] and b[j] share
+    a vertex. Both lists are bucketed by their leading pinned bits: a
+    bucket pair splits on the first bit that a cube of one pins to 0 and a
+    cube of the other to 1, a cube free on it going to both halves and a
+    pair free on it counting in the 0 half only. With no such bit every
+    pair meets; bucket pairs with at most 16 pairs per cube are tested
+    pair by pair."""
+    out = []
+    todo = [(list(range(len(a))), list(range(len(b))))]
+    while todo:
+        ia, ib = todo.pop()
+        if len(ia) * len(ib) <= 16 * (len(ia) + len(ib)):
+            for i in ia:
+                care, value = a[i].care, a[i].value
+                out += [(i, j) for j in ib if not (b[j].value ^ value) & b[j].care & care]
+            continue
+        ones_a, zeros_a = _pinned_bits(a, ia)
+        ones_b, zeros_b = _pinned_bits(b, ib)
+        sep = (ones_a & zeros_b) | (zeros_a & ones_b)
+        if not sep:
+            out += [(i, j) for i in ia for j in ib]
+            continue
+        bit = 1 << (sep.bit_length() - 1)
+        a0, a1, af = _split_on(a, ia, bit)
+        b0, b1, bf = _split_on(b, ib, bit)
+        todo += [(a0 + af, b0 + bf), (a1, b1 + bf), (af, b1)]
+    out.sort()
+    return out
+
+
 def _unhalved(children, parents):
     """(piece, R(x), R(parent of x)) for the child-level pieces on which
     2 R(x) > R(parent of x), over two frames one level apart. A child item
     and a parent item that meet share one pair of values; a child vertex
-    under no parent item has R(parent) = 0."""
+    under no parent item has R(parent) = 0. `_meeting_pairs` finds the
+    parent items each child item meets, in frame order."""
     below = [(p.extend(1), u) for p, u in parents]
-    for c, v in children:
-        under = []
-        for b, u in below:
-            inter = c.intersect(b)
-            if inter is not None:
-                under.append(b)
-                if 2 * v > u:
-                    yield inter, v, u
+    under: list[list] = [[] for _ in children]
+    for i, j in _meeting_pairs([c for c, _ in children], [b for b, _ in below]):
+        under[i].append(below[j])
+    for (c, v), met in zip(children, under):
+        for b, u in met:
+            if 2 * v > u:
+                yield c.intersect(b), v, u
         if v > 0:
-            for rest in subtract_many(c, under):
+            for rest in subtract_many(c, [b for b, _ in met]):
                 yield rest, v, ZERO
 
 

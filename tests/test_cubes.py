@@ -86,6 +86,25 @@ def test_validation():
         Cube(3, 0b100, 0b010)
 
 
+@pytest.mark.parametrize("name", ["length", "care", "value", "other"])
+def test_cubes_are_read_only(name):
+    c = Cube.from_pattern("0*1")
+    with pytest.raises(AttributeError):
+        setattr(c, name, 0)
+    assert (c.length, c.care, c.value) == (3, 0b101, 0b001)
+
+
+@given(pattern_pairs)
+def test_equal_cubes_hash_equal_and_dedupe(ab):
+    a, b = ab
+    first, again, other = Cube.from_pattern(a), Cube.from_pattern(a), Cube.from_pattern(b)
+    assert first is not again and first == again
+    assert hash(first) == hash(again)
+    assert {first: 1}[again] == 1
+    assert len({first, again, other}) == (1 if a == b else 2)
+    assert (first == other) == (a == b)
+
+
 @pytest.mark.parametrize("bad", ["01x*", "0 1", "2", "0_1", "+1", "-"])
 def test_malformed_pattern_rejected(bad):
     with pytest.raises(ValueError):

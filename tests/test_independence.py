@@ -18,6 +18,7 @@ MAP_OPERATIONS = {
     "push_down",
     "coalesce",
     "_grouped_sum",
+    "_fraction_sum",
 }
 
 

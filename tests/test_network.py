@@ -183,6 +183,33 @@ def test_delay_table_rejects_bad_values_and_conflicts():
     assert t.delay(B("100")) == F(1, 6)
 
 
+def test_table_record_is_cached_until_the_next_write():
+    t = DelayTable(3, default=F(1, 4))
+    first = t.to_record()
+    assert t.to_record() is first
+    snapshot = repr(first)
+    for write in (
+        lambda: t.set_vertex(B("011"), F(1, 2)),
+        lambda: t.add_suffix([(Cube.from_pattern("1*1"), F(1, 3))]),
+        lambda: t.add_subtree(B("00"), F(1, 5)),
+    ):
+        before = t.to_record()
+        write()
+        after = t.to_record()
+        # A write builds a new record; one handed out earlier (as a
+        # provenance row holds it) keeps the table as it was.
+        assert after is not before and after != before
+        assert t.to_record() is after
+    assert repr(first) == snapshot
+    assert t.to_record() == {
+        "level": 3,
+        "default": "1/4",
+        "vertex": [["011", "1/2"]],
+        "suffix": [["1*1", "1/3"]],
+        "subtree": [["00", "1/5"]],
+    }
+
+
 def test_edge_validation():
     with pytest.raises(ConstructionError):
         ExtraEdge(B("0"), B("00"), F(1, 3), 1, None, 1, 2)  # gap 1
@@ -452,6 +479,63 @@ def test_grouped_sums_match_brute_force(length, rng):
         assert mass_in(items, cube) == sum(
             (R[x] for x in level if cube.contains(x)), F(0)
         )
+
+
+# Values whose equal copies may arrive as distinct objects, among them
+# numerators and denominators of 200 bits and more.
+_VALUES = [F(1), F(1, 2), F(1, 3), F(5, 12), F(3**140, 2**203), F(7, 3**130 + 2)]
+_DELAYS = [F(0), F(1, 2), F(1, 5), F(1, 2**201 + 9), F(1)]
+
+
+def _pick(rng, pool):
+    """One value of pool: the pool's own object (shared by every pick of
+    it) or an equal Fraction built afresh (a distinct object)."""
+    v = rng.choice(pool)
+    return v if rng.random() < 0.5 else F(v.numerator, v.denominator)
+
+
+def _longhand_push(items, parts):
+    out, pushed = [], F(0)
+    for part, s in parts:
+        if s == 1:
+            continue
+        for c, v in items:
+            inter = part.intersect(c)
+            if inter is not None:
+                out.append((inter.extend(1), v * (1 - s) / 2))
+                pushed += v * (1 - s) * inter.count()
+    return out, pushed
+
+
+@given(st.integers(0, 10), st.randoms(use_true_random=False))
+def test_identity_keyed_sums_match_a_longhand_loop(length, rng):
+    # A disjoint map (possibly empty) and a delay partition of one level,
+    # each cut into random pieces; a value object is shared by many items,
+    # and big items meet several parts of different delays.
+    def pieces(rounds):
+        return [c for c, _ in _split(rng, [(Cube.whole_level(length), None)], rounds)]
+
+    keep = rng.choice([0.0, 0.5, 0.9, 1.0])
+    items = [
+        (c, _pick(rng, _VALUES)) for c in pieces(rng.randrange(30)) if rng.random() < keep
+    ]
+    parts = [(c, _pick(rng, _DELAYS)) for c in pieces(rng.randrange(10))]
+
+    out, pushed = push_down(items, parts)
+    want, want_pushed = _longhand_push(items, parts)
+    assert [c for c, _ in out] == [c for c, _ in want]
+    assert [v for _, v in out] == [v for _, v in want]
+    assert pushed == want_pushed
+    assert items_total(out) == sum((v * c.count() for c, v in want), F(0))
+    assert items_total(items) == sum((v * c.count() for c, v in items), F(0))
+    # Vertex cubes leave most values a zero count; an empty map sums to 0.
+    for cube in (
+        Cube.whole_level(length),
+        Cube(length, (1 << length) - 1, rng.randrange(1 << length)),
+        rng.choice(pieces(rng.randrange(8))),
+    ):
+        assert mass_in(items, cube) == sum((v * c.overlap(cube) for c, v in items), F(0))
+    assert items_total([]) == mass_in([], Cube.whole_level(length)) == 0
 
 
 @pytest.mark.parametrize(

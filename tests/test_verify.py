@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from treeflow.bitseq import BitString, index_of
-from treeflow.cubes import Cube
+from treeflow.cubes import Cube, subtract_many
 from treeflow.constructions import (
     RunConfig,
     build_atom,
@@ -29,8 +29,10 @@ from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
     _acting_net,
     _longest_image,
+    _meeting_pairs,
     _stable_tasks,
     _stream_task,
+    _unhalved,
     check_conservation,
     check_discards,
     check_extension_shadow,
@@ -485,6 +487,107 @@ def test_deep_frame_corruption_trips_separators(corruption):
         "P": rat_str(r_x),
         "P_parent": rat_str(r_parent),
     }
+
+
+def _pairwise_unhalved(children, parents):
+    """The separators walk before bucketing, kept as the oracle: every
+    child item against every parent item."""
+    below = [(p.extend(1), u) for p, u in parents]
+    for c, v in children:
+        under = []
+        for b, u in below:
+            inter = c.intersect(b)
+            if inter is not None:
+                under.append(b)
+                if 2 * v > u:
+                    yield inter, v, u
+        if v > 0:
+            for rest in subtract_many(c, under):
+                yield rest, v, Fraction(0)
+
+
+def _random_frame(rng, length, rounds):
+    """A disjoint cube map of one level: the whole level cut along random
+    free positions, some pieces dropped, values from a small pool."""
+    cubes = [Cube.whole_level(length)]
+    for _ in range(rounds):
+        splittable = [k for k, c in enumerate(cubes) if c.count() > 1]
+        if not splittable:
+            break
+        c = cubes.pop(rng.choice(splittable))
+        bit = rng.choice([1 << s for s in range(length) if not c.care >> s & 1])
+        cubes += [Cube(length, c.care | bit, c.value), Cube(length, c.care | bit, c.value | bit)]
+    rng.shuffle(cubes)
+    pool = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)]
+    return [(c, rng.choice(pool)) for c in cubes if rng.random() < 0.9]
+
+
+def _staircase(length, heads):
+    """Nested-prefix cubes 0^k 1 *..., under each head pattern: the frame
+    shape of the deep separator levels."""
+    out = []
+    for head in heads:
+        for k in range(length - len(head)):
+            rest = length - len(head) - k - 1
+            out.append(Cube.from_pattern(head + "0" * k + "1" + "*" * rest))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_bucketed_unhalved_matches_the_pairwise_walk(length, rng):
+    children = _random_frame(rng, length, rng.randrange(120))
+    parents = _random_frame(rng, length - 1, rng.randrange(120))
+    a, b = [c for c, _ in children], [p.extend(1) for p, _ in parents]
+    assert _meeting_pairs(a, b) == [
+        (i, j) for i in range(len(a)) for j in range(len(b)) if a[i].intersect(b[j])
+    ]
+    assert list(_unhalved(children, parents)) == list(
+        _pairwise_unhalved(children, parents)
+    )
+
+
+def _grid(length, low, high):
+    """Every cube that pins exactly positions low..high-1."""
+    return [
+        Cube.from_pattern("*" * low + format(v, f"0{high - low}b") + "*" * (length - high))
+        for v in range(1 << (high - low))
+    ]
+
+
+@pytest.mark.parametrize("shape", ["staircases", "crossed grids"])
+def test_bucketed_unhalved_matches_the_pairwise_walk_on_shapes(shape):
+    if shape == "staircases":
+        heads = ["00", "01", "1*", "*1"]
+        child_cubes, parent_cubes = _staircase(40, heads), _staircase(39, heads[1:])
+    else:
+        # No bit is pinned on both sides, so every pair meets.
+        child_cubes, parent_cubes = _grid(12, 0, 6), _grid(11, 6, 11)
+    children = [(c, Fraction(1, 2 + k % 3)) for k, c in enumerate(child_cubes)]
+    parents = [(c, Fraction(1, 1 + k % 4)) for k, c in enumerate(parent_cubes)]
+    a, b = [c for c, _ in children], [p.extend(1) for p, _ in parents]
+    assert _meeting_pairs(a, b) == [
+        (i, j) for i in range(len(a)) for j in range(len(b)) if a[i].intersect(b[j])
+    ]
+    assert list(_unhalved(children, parents)) == list(
+        _pairwise_unhalved(children, parents)
+    )
+
+
+@pytest.mark.parametrize("corruption", [None, "raised child", "emptied parent"])
+def test_bucketed_unhalved_matches_the_pairwise_walk_on_bundles(corruption):
+    b = build_nonstochastic(40)
+    net = b.network(1)
+    x = BitString(24, 0)
+    if corruption == "raised child":
+        _set_frame_value(net, x, net.frame_eval(x) + 1)
+    elif corruption == "emptied parent":
+        _set_frame_value(net, x.truncate(23), Fraction(0))
+    assert max(len(frame) for frame in net.frames) > 100
+    for n in range(1, b.depth + 1):
+        assert list(_unhalved(net.frames[n], net.frames[n - 1])) == list(
+            _pairwise_unhalved(net.frames[n], net.frames[n - 1])
+        ), n
 
 
 @pytest.mark.parametrize("via", ["frame item", "edge in transit"])
