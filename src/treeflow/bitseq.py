@@ -36,6 +36,9 @@ class BitString:
     def __setattr__(self, name, val):
         raise AttributeError("BitString is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("BitString is immutable")
+
     @classmethod
     def from_str(cls, bits: str) -> "BitString":
         bits = bits.strip()

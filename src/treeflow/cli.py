@@ -15,11 +15,12 @@ strings):
 Exit codes are a stable contract: 0 success, 1 check failure, 2 bad
 config or unreadable input, 3 construction invariant violation, 4 a
 resource cap was hit. Files that parse but describe an impossible
-construction (a malformed delay, an edge the conservation ledger
-rejects) surface as code 3; grammar problems surface as code 2. A cap
-(an enumeration limit, or a depth beyond what the dense oracle replays)
-says only that the work was cut off, not that the construction is
-impossible, so it gets its own code.
+construction (a malformed delay, an edge whose weight is not its
+source's delay) surface as code 3, as does a conservation ledger that
+breaks when a command first reads a frame; grammar problems surface as
+code 2. A cap (an enumeration limit, or a depth beyond what the dense
+oracle replays) says only that the work was cut off, not that the
+construction is impossible, so it gets its own code.
 """
 
 from __future__ import annotations
@@ -181,13 +182,17 @@ def _edge_from_record(rec: dict) -> ExtraEdge:
 def read_bundle(path: Path) -> ConstructionBundle:
     """Rebuild a run from its files.
 
-    Each network is recommitted level by level through
-    `ElementaryNetwork.commit_level`, the one commit path, which re-runs
-    the conservation ledger. Every stored edge goes in as its own
-    one-vertex class, and the commit coalesces each level, so a reloaded
-    frame has the same value at every vertex as the built one and no more
-    items. Stored aggregates are kept as the independent record the checks
-    compare against."""
+    Each network takes its levels through `ElementaryNetwork.record_level`,
+    which checks every table's level and every edge's weight and source
+    at read time. Every stored edge goes in as its own one-vertex class.
+    Frames are made on demand: the first read of `frames` pushes the
+    recorded levels in order through the one push path, which runs the
+    conservation ledger and coalesces each level, so a reloaded frame has
+    the same value at every vertex as the built one and no more items. A
+    command that reads no frame (`export`, `mltest`) pushes none, and a
+    broken ledger surfaces, as a ConstructionError, where a frame is
+    first read. Stored aggregates are kept as the independent record the
+    checks compare against."""
     path = Path(path)
     if not path.is_dir():
         raise BundleError(f"{path} is not a bundle directory")
@@ -254,7 +259,7 @@ def read_bundle(path: Path) -> ConstructionBundle:
             t = tables.get((net_id, n))
             if t is None:
                 raise BundleError(f"missing level-{n} record for network {net_id}")
-            net.commit_level(t, classes_at.get(n, []))
+            net.record_level(t, classes_at.get(n, []))
         stored = agg_by_net.get(net_id, {})
         if sorted(stored) != list(range(config.depth + 1)):
             raise BundleError(

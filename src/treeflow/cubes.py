@@ -42,6 +42,9 @@ class Cube:
     def __setattr__(self, name, val):
         raise AttributeError("Cube is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Cube is immutable")
+
     def __hash__(self):
         # On demand: the engine keys few dicts by cube.
         return hash((self.length, self.care, self.value))

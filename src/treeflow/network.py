@@ -18,6 +18,13 @@ vertices costs only as many items as it has distinct regions. Item order
 carries no meaning: every reader sums, takes a minimum, or takes the
 first of the disjoint cubes that matches.
 
+Frames are made on demand. A level is recorded first, with every check
+that reads no frame, and pushed later: a build pushes each level as it
+commits it, since the next step reads the frame, while a reloaded bundle
+pushes its levels only when a frame is first read. Both go through one
+push path, so a frame and its conservation ledger come out the same
+either way.
+
 Every sum of value times vertex count goes through value groups. The
 integer counts of the items that share a value are added up first, and
 the distinct values are then added in one sum over a common denominator:
@@ -232,7 +239,7 @@ def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
     as one Fraction. id keys are sound: every v lives in items throughout.
     The carried mass is summed on the input side, v * (1 - s) times the
     parent vertices of each group over one common denominator, never from
-    the shares written out, so the ledger in commit_level still catches a
+    the shares written out, so the ledger of the push still catches a
     wrong share."""
     out: Items = []
     # (v, s) as integers -> [child share, parent vertices]
@@ -503,19 +510,36 @@ class LevelAggregates:
 
 
 class ElementaryNetwork:
-    """One network, built level by level by a construction driver."""
+    """One network, built level by level by a construction driver.
+
+    A level goes in through `record_level`, which checks and indexes what
+    no frame is needed for, and is pushed by `_push`, the one path that
+    makes a frame: the push-down, the landing classes, the conservation
+    ledger and `coalesce`. `commit_level` does both at once; a reloaded
+    bundle only records, and `frames` pushes its levels, in order, when a
+    frame is first read."""
 
     def __init__(self, network_id: int = 1):
         self.network_id = network_id
         self.depth = 0
         self.tables: list[DelayTable] = [DelayTable(0)]
-        self.frames: list[Items] = [[(Cube.whole_level(0), ONE)]]
+        self._frames: list[Items] = [[(Cube.whole_level(0), ONE)]]
         self.aggregates: list[LevelAggregates] = [LevelAggregates(ONE, ZERO)]
         self.edges: list[ExtraEdge] = []
         # Outgoing edges keyed by source length, then by source value: a
         # flow query probes one dict per edge source level.
         self._out_edges: dict[int, dict[int, ExtraEdge]] = {}
+        # The classes landing on each recorded level not yet pushed.
+        self._landing: dict[int, list[EdgeClass]] = {}
         self._pre: Optional[tuple[int, Items, Fraction]] = None
+
+    @property
+    def frames(self) -> list[Items]:
+        """The frame of every level up to depth; a recorded level that is
+        not pushed yet is pushed first, lower levels before higher."""
+        while len(self._frames) <= self.depth:
+            self._push(len(self._frames))
+        return self._frames
 
     # -- queries ---------------------------------------------------------
 
@@ -563,32 +587,28 @@ class ElementaryNetwork:
             raise ConstructionError(
                 f"pre-commit frame only exists at level {self.depth + 1}"
             )
-        if self._pre is not None and self._pre[0] == n:
-            return self._pre[1]
-        items, pushed = push_down(
-            self.frames[self.depth], self.tables[self.depth].s_partition()
-        )
-        self._pre = (n, items, pushed)
-        return items
+        return self._pushed(n, self.frames[n - 1])[0]
 
-    def commit_level(
+    def _pushed(self, n: int, parent: Items) -> tuple[Items, Fraction]:
+        """Level n pushed down from its parent frame, before any class
+        lands on it, and the mass carried: computed once per level."""
+        if self._pre is None or self._pre[0] != n:
+            self._pre = (n, *push_down(parent, self.tables[n - 1].s_partition()))
+        return self._pre[1], self._pre[2]
+
+    def record_level(
         self, table: DelayTable, classes: Iterable[EdgeClass] = ()
     ) -> None:
+        """Take level depth + 1 with the classes that land on it, checking
+        all that reads no frame: the levels, each edge's weight against its
+        source's delay, and one outgoing edge per source. The level's frame
+        is left to `_push`."""
         n = self.depth + 1
         if table.level != n:
             raise ConstructionError(f"expected a level-{n} table, got {table.level}")
-        items = self.pre_frame(n)
-        pushed = self._pre[2]
-        inflow = ZERO
-        # A level is clean when its parent has one delay part and no class
-        # lands on it. The parent frame is coalesced; one part scales every
-        # value by the same injective factor (1 - s)/2 and every cube gains
-        # the same free bit, so the child has no mergeable pair either.
-        clean = len(self.tables[self.depth].s_partition()) == 1
+        classes = list(classes)
         for ec in classes:
-            clean = False
-            src_level = ec.source_cube.length
-            if src_level + len(ec.tail) != n:
+            if ec.source_cube.length + len(ec.tail) != n:
                 raise ConstructionError("edge class does not land on the new level")
             for e in ec.edges:
                 if e.q != self.delay(e.source):
@@ -600,7 +620,22 @@ class ElementaryNetwork:
                     raise ConstructionError(f"second outgoing edge at {e.source}")
                 by_value[e.source.value] = e
                 self.edges.append(e)
-            for inter, v in restrict(self.frames[src_level], ec.source_cube):
+        if classes:
+            self._landing[n] = classes
+        self.tables.append(table)
+        self.depth = n
+
+    def _push(self, n: int) -> LevelAggregates:
+        """Make the frame of recorded level n from frame n - 1, which must
+        be the last one made, and return the level's aggregates. The
+        ledger checks the frame's total against the mass pushed down plus
+        the mass the landing classes inject; a level it rejects keeps its
+        classes, so a second read fails the same way."""
+        items, pushed = self._pushed(n, self._frames[n - 1])
+        classes = self._landing.get(n, ())
+        inflow = ZERO
+        for ec in classes:
+            for inter, v in restrict(self._frames[ec.source_cube.length], ec.source_cube):
                 items = overlay(items, inter.append_bits(ec.tail), ec.q * v)
                 inflow += ec.q * v * inter.count()
         total = items_total(items)
@@ -609,11 +644,22 @@ class ElementaryNetwork:
                 f"conservation ledger broken at level {n}: "
                 f"{total} != {pushed} + {inflow}"
             )
-        self.tables.append(table)
-        self.frames.append(items if clean else coalesce(items))
-        self.aggregates.append(LevelAggregates(total, inflow))
-        self.depth = n
+        # A level is clean when its parent has one delay part and no class
+        # lands on it. The parent frame is coalesced; one part scales every
+        # value by the same injective factor (1 - s)/2 and every cube gains
+        # the same free bit, so the child has no mergeable pair either.
+        clean = not classes and len(self.tables[n - 1].s_partition()) == 1
+        self._frames.append(items if clean else coalesce(items))
+        self._landing.pop(n, None)
         self._pre = None
+        return LevelAggregates(total, inflow)
+
+    def commit_level(
+        self, table: DelayTable, classes: Iterable[EdgeClass] = ()
+    ) -> None:
+        """Record level depth + 1 and push it at once."""
+        self.record_level(table, classes)
+        self.aggregates.append(self._push(self.depth))
 
     def outgoing_edge(self, x: BitString) -> Optional[ExtraEdge]:
         by_value = self._out_edges.get(x.length)

@@ -638,14 +638,26 @@ def _unhalved(children, parents):
     2 R(x) > R(parent of x), over two frames one level apart. A child item
     and a parent item that meet share one pair of values; a child vertex
     under no parent item has R(parent) = 0. `_meeting_pairs` finds the
-    parent items each child item meets, in frame order."""
+    parent items each child item meets, in frame order.
+
+    2 v > u is decided once per pair of value objects, as the integer
+    comparison 2 v.num u.den > u.num v.den (both denominators positive);
+    a frame holds few values in many pieces. id keys are sound: both
+    frames hold every value throughout."""
     below = [(p.extend(1), u) for p, u in parents]
     under: list[list] = [[] for _ in children]
     for i, j in _meeting_pairs([c for c, _ in children], [b for b, _ in below]):
         under[i].append(below[j])
+    over: dict[tuple[int, int], bool] = {}
     for (c, v), met in zip(children, under):
         for b, u in met:
-            if 2 * v > u:
+            key = (id(v), id(u))
+            more = over.get(key)
+            if more is None:
+                more = over[key] = (
+                    2 * v.numerator * u.denominator > u.numerator * v.denominator
+                )
+            if more:
                 yield c.intersect(b), v, u
         if v > 0:
             for rest in subtract_many(c, [b for b, _ in met]):

@@ -115,6 +115,14 @@ def test_bitstring_basics():
     assert x.suffix_from(1) == x
 
 
+@pytest.mark.parametrize("name", ["length", "value", "_hash"])
+def test_bitstrings_cannot_lose_an_attribute(name):
+    x = BitString.from_str("0110")
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    assert (x.length, x.value, hash(x)) == (4, 0b0110, hash((4, 0b0110)))
+
+
 def test_bitstring_ordering_matches_code_order():
     xs = breadth_first_strings(6)
     assert xs == sorted(xs)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from treeflow import network
 from treeflow.cli import main, read_bundle, write_bundle
 from treeflow.constructions import RunConfig, build, reference_roster_descriptors
 from treeflow.verify import run_checks
@@ -317,6 +318,62 @@ def test_tampered_aggregates(tmp_path):
     lines[-1] = json.dumps(last, sort_keys=True, separators=(",", ":"))
     (out / "aggregates.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["verify", str(out), "--checks", "conservation"]) == 2
+
+
+def test_export_and_mltest_push_no_frame(tmp_path, monkeypatch):
+    # Neither command reads a frame, so a reload records its levels and
+    # never pushes one.
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "24")
+
+    def refuse(*args):
+        raise AssertionError("a frame was pushed")
+
+    monkeypatch.setattr(network, "push_down", refuse)
+    copy = tmp_path / "copy"
+    assert main(["export", str(out), "--out", str(copy)]) == 0
+    for name in BUNDLE_FILES:
+        assert (out / name).read_bytes() == (copy / name).read_bytes(), name
+    assert main(["mltest", str(out), "--out", str(tmp_path / "ml.jsonl")]) == 0
+
+
+def _rewrite_edges(out, edit):
+    path = out / "edges.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows = edit(rows)
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: [{**rows[0], "q": "1/7"}, *rows[1:]],
+        lambda rows: [rows[0], *rows],
+    ],
+    ids=["weight off the source delay", "second edge out of one source"],
+)
+def test_edge_faults_are_rejected_at_read(tmp_path, edit):
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "8")
+    _rewrite_edges(out, edit)
+    assert main(["export", str(out), "--out", str(tmp_path / "copy")]) == 3
+    assert main(["mltest", str(out)]) == 3
+    assert main(["verify", str(out)]) == 3
+
+
+def test_a_wrong_share_in_a_deferred_push_trips_the_ledger(
+    tmp_path, monkeypatch, capsys
+):
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "8")
+    push_down = network.push_down
+
+    def skewed(items, parts):
+        # The carried mass is right; the first child share is doubled.
+        pushed_items, pushed = push_down(items, parts)
+        (c, v), *rest = pushed_items
+        return [(c, 2 * v), *rest], pushed
+
+    monkeypatch.setattr(network, "push_down", skewed)
+    assert main(["verify", str(out)]) == 3
+    assert "conservation ledger" in capsys.readouterr().err
 
 
 def test_malformed_delay_rejected_as_violation(tmp_path):

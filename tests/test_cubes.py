@@ -94,6 +94,14 @@ def test_cubes_are_read_only(name):
     assert (c.length, c.care, c.value) == (3, 0b101, 0b001)
 
 
+@pytest.mark.parametrize("name", ["length", "care", "value"])
+def test_cubes_cannot_lose_an_attribute(name):
+    c = Cube.from_pattern("0*1")
+    with pytest.raises(AttributeError):
+        delattr(c, name)
+    assert (c.length, c.care, c.value) == (3, 0b101, 0b001)
+
+
 @given(pattern_pairs)
 def test_equal_cubes_hash_equal_and_dedupe(ab):
     a, b = ab

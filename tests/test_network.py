@@ -571,8 +571,9 @@ def _agrees_on(frame, other):
         assert covered == c.count(), c
 
 
-def test_reload_matches_the_build(tmp_path):
-    built = build(RunConfig(preset="hyperimmune", depth=48))
+@pytest.mark.parametrize("preset", PRESETS)
+def test_reload_matches_the_build(tmp_path, preset):
+    built = build(RunConfig(preset=preset, depth=48))
     write_bundle(built, tmp_path / "b")
     reloaded = read_bundle(tmp_path / "b")
     for a, b in zip(built.networks, reloaded.networks, strict=True):

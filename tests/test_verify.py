@@ -301,7 +301,7 @@ def _halve_head_region(bundle, net_id, head, level):
         )
     for n in range(1, bundle.depth + 1):
         fresh.commit_level(net.tables[n], landing.get(n, []))
-    net.frames = fresh.frames
+    net.frames[:] = fresh.frames
     net.aggregates = fresh.aggregates
 
 
