@@ -19,7 +19,6 @@ from treeflow.cubes import Cube
 from treeflow.network import (
     ConstructionError,
     DelayTable,
-    EdgeClass,
     ElementaryNetwork,
     ExtraEdge,
     LevelAggregates,
@@ -40,7 +39,6 @@ __all__ = [
     "Cube",
     "DelayTable",
     "DiscardRecord",
-    "EdgeClass",
     "ElementaryNetwork",
     "ExtraEdge",
     "LevelAggregates",

@@ -47,7 +47,6 @@ from treeflow.dense import compare_runs, dense_build
 from treeflow.network import (
     ConstructionError,
     DelayTable,
-    EdgeClass,
     ElementaryNetwork,
     ExtraEdge,
     LevelAggregates,
@@ -184,11 +183,12 @@ def read_bundle(path: Path) -> ConstructionBundle:
 
     Each network takes its levels through `ElementaryNetwork.record_level`,
     which checks every table's level and every edge's weight and source
-    at read time. Every stored edge goes in as its own one-vertex class.
-    Frames are made on demand: the first read of `frames` pushes the
-    recorded levels in order through the one push path, which runs the
-    conservation ledger and coalesces each level, so a reloaded frame has
-    the same value at every vertex as the built one and no more items. A
+    at read time. Stored edges are grouped by the level they land on and
+    go in with that level, as a build hands them over; an edge that lands
+    below the bundle's depth is a BundleError. Frames are made on demand:
+    the first read of `frames` pushes the recorded levels in order through
+    the one push path, which runs the conservation ledger and coalesces
+    each level, so a reloaded frame equals the built one item for item. A
     command that reads no frame (`export`, `mltest`) pushes none, and a
     broken ledger surfaces, as a ConstructionError, where a frame is
     first read. Stored aggregates are kept as the independent record the
@@ -246,20 +246,19 @@ def read_bundle(path: Path) -> ConstructionBundle:
         if base is None:
             raise BundleError(f"missing level-0 record for network {net_id}")
         net.tables[0] = base
-        classes_at: dict[int, list[EdgeClass]] = {}
+        landing: dict[int, list[ExtraEdge]] = {}
         for e in edges_by_net.get(net_id, []):
-            cls = EdgeClass(
-                source_cube=Cube.vertex(e.source),
-                tail=e.target.suffix_from(len(e.source) + 1),
-                q=e.q,
-                edges=(e,),
-            )
-            classes_at.setdefault(len(e.target), []).append(cls)
+            if len(e.target) > config.depth:
+                raise BundleError(
+                    f"edge {e.source} -> {e.target} of network {net_id} lands "
+                    f"below the bundle's depth {config.depth}"
+                )
+            landing.setdefault(len(e.target), []).append(e)
         for n in range(1, config.depth + 1):
             t = tables.get((net_id, n))
             if t is None:
                 raise BundleError(f"missing level-{n} record for network {net_id}")
-            net.record_level(t, classes_at.get(n, []))
+            net.record_level(t, landing.get(n, []))
         stored = agg_by_net.get(net_id, {})
         if sorted(stored) != list(range(config.depth + 1)):
             raise BundleError(

@@ -551,8 +551,8 @@ def _step_nonstochastic(config, n, nets, state, ops, fns, caps):
     i = state.stream.task(n)
     ctx = StepContext(n=n, i=i, net=net, state=state, rho_base=config.rho_base, caps=caps)
     pred = LengthPredicate(ctx, ops.operator_for(i), i)
-    table, classes, out = t1_step(ctx, pred)
-    return {1: table}, {1: classes}, out
+    table, out = t1_step(ctx, pred)
+    return {1: table}, out
 
 
 def _step_divisible(config, n, nets, state, ops, fns, caps):
@@ -562,14 +562,14 @@ def _step_divisible(config, n, nets, state, ops, fns, caps):
     op = ops.operator_for(i)
     ctx = StepContext(n=n, i=i, net=net, state=state, rho_base=config.rho_base, caps=caps)
     pred = ImageMassPredicate(ctx, op, config.discard_mode)
-    table, classes, out = t1_step(
+    table, out = t1_step(
         ctx,
         pred,
         designated=designated,
         image_of=lambda y: apply_modified(op, y),
         discard_mode=config.discard_mode,
     )
-    return {1: table}, {1: classes}, out
+    return {1: table}, out
 
 
 def _step_atom(config, n, nets, state, ops, fns, caps):
@@ -580,8 +580,8 @@ def _step_atom(config, n, nets, state, ops, fns, caps):
         n=n, i=i, net=net, state=state, k=k, rho_base=config.rho_base, caps=caps
     )
     pred = LengthPredicate(ctx, ops.operator_for(i), i)
-    table, classes, out = t2_step(ctx, pred)
-    return {1: table}, {1: classes}, out
+    table, out = t2_step(ctx, pred)
+    return {1: table}, out
 
 
 def _step_family(config, n, nets, state, ops, fns, caps):
@@ -596,28 +596,24 @@ def _step_family(config, n, nets, state, ops, fns, caps):
         n=n, i=i, net=acting, state=state, k=k, rho_base=config.rho_base, caps=caps
     )
     if base_id == target_id:
-        out = ctx.outcome(3, note="base and target collide after wrapping")
-        return tables, {}, out
+        return tables, ctx.outcome(3, note="base and target collide after wrapping")
     target = nets[target_id - 1]
     w = state.start((i,), n)
     op = ops.base_for(op_num)
     pred = TargetMassPredicate(ctx, op, target, w)
-    table, classes, out = t2_step(ctx, pred)
+    table, out = t2_step(ctx, pred)
     tables[base_id] = table
     records = []
-    written: set = set()
     for e in out.edges:
         img = apply_modified(op, e.target)
         cube = family_pattern(img, w, n)
         # Edges in one class share an image suffix, so their patterns
-        # coincide; the discarded region is a union and gets one write,
-        # while every edge still books its own allowance. An image past
-        # the truncation depth leaves nothing to silence yet.
+        # coincide; `add_suffix` keeps only what is not stored yet, so a
+        # repeat writes nothing, while every edge still books its own
+        # allowance. An image past the truncation depth leaves nothing to
+        # silence yet.
         if cube is not None:
-            key = cube.pattern()
-            if key not in written:
-                written.add(key)
-                tables[target_id].add_suffix([(cube, ONE)])
+            tables[target_id].add_suffix([(cube, ONE)])
         records.append(
             DiscardRecord(
                 network_id=target_id,
@@ -628,7 +624,7 @@ def _step_family(config, n, nets, state, ops, fns, caps):
         )
     if records:
         out = dataclasses.replace(out, discards=tuple(records))
-    return tables, {base_id: classes}, out
+    return tables, out
 
 
 def _step_hyperimmune(config, n, nets, state, ops, fns, caps):
@@ -644,11 +640,11 @@ def _step_hyperimmune(config, n, nets, state, ops, fns, caps):
         n=n, i=i, net=acting, state=state, k=k, rho_base=config.rho_base, caps=caps
     )
     if i == 1:
-        return tables, {}, ctx.outcome(3, note="task 1 carries no decoded index")
+        return tables, ctx.outcome(3, note="task 1 carries no decoded index")
     pred = SparsityPredicate(ctx, fns, (i - 1) // 2)
-    table, classes, out = t2_step(ctx, pred)
+    table, out = t2_step(ctx, pred)
     tables[net_id] = table
-    return tables, {net_id: classes}, out
+    return tables, out
 
 
 _STEP_FNS = {
@@ -671,11 +667,10 @@ def build(config: RunConfig, caps: Optional[Caps] = None) -> ConstructionBundle:
     discards: list[DiscardRecord] = []
     step_fn = _STEP_FNS[config.preset]
     for n in range(1, config.depth + 1):
-        tables, classes_by_net, out = step_fn(config, n, nets, state, ops, fns, caps)
+        tables, out = step_fn(config, n, nets, state, ops, fns, caps)
         for net in nets:
-            net.commit_level(
-                tables[net.network_id], classes_by_net.get(net.network_id, [])
-            )
+            edges = [e for e in out.edges if e.network_id == net.network_id]
+            net.commit_level(tables[net.network_id], edges)
         for e in out.edges:
             state.record_edge(e.task, e.subtask, len(e.target))
         discards.extend(out.discards)

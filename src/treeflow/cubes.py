@@ -157,15 +157,6 @@ class Cube:
         """Same pins, `extra` more free low positions (the level below)."""
         return Cube(self.length + extra, self.care << extra, self.value << extra)
 
-    def append_bits(self, bits: BitString) -> "Cube":
-        """Pins positions length+1 .. length+len(bits) to the given bits."""
-        k = len(bits)
-        return Cube(
-            self.length + k,
-            (self.care << k) | ((1 << k) - 1),
-            (self.value << k) | bits.value,
-        )
-
 
 _set_length = Cube.length.__set__
 _set_care = Cube.care.__set__

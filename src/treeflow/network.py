@@ -9,14 +9,14 @@ vertex. Everything is a Fraction; there is no floating point anywhere.
 A frame, the values R(x) of one level, is a cube map (`Items`): a list of
 (cube, value) pairs whose cubes are pairwise disjoint, where a vertex in
 no cube holds 0. The engine builds and combines these maps only through
-the operations below: `items_total`, `mass_in`, `restrict`, `overlay`,
-`push_down` and `coalesce`; which cubes of two lists meet is answered by
-one join, `meets`, for push-downs, delay partitions and suffix writes.
-Committed frames hold no zero values and are coalesced, so no two items
-of equal value differ in exactly one pinned bit, and a level with 2^n
-vertices costs only as many items as it has distinct regions. Item order
-carries no meaning: every reader sums, takes a minimum, or takes the
-first of the disjoint cubes that matches.
+the operations below: `value_at`, `items_total`, `mass_in`, `restrict`,
+`overlay`, `push_down` and `coalesce`; which cubes of two lists meet is
+answered by one join, `meets`, for push-downs, delay partitions and suffix
+writes. Committed frames hold no zero values and are coalesced, so no
+two items of equal value differ in exactly one pinned bit, and a level
+with 2^n vertices costs only as many items as it has distinct regions.
+Item order carries no meaning: every reader sums, takes a minimum, or
+takes the first of the disjoint cubes that matches.
 
 Frames are made on demand. A level is recorded first, with every check
 that reads no frame, and pushed later: a build pushes each level as it
@@ -115,6 +115,15 @@ def items_total(items: Items) -> Fraction:
 def mass_in(items: Items, cube: Cube) -> Fraction:
     """Sum of the values over the vertices of cube."""
     return _grouped_sum((v, c.overlap(cube)) for c, v in items)
+
+
+def value_at(items: Items, x: BitString) -> Fraction:
+    """The map's value at vertex x."""
+    value = x.value
+    for cube, v in items:
+        if value & cube.care == cube.value:
+            return v
+    return ZERO
 
 
 def restrict(items: Items, cube: Cube) -> Iterator[tuple[Cube, Fraction]]:
@@ -394,10 +403,7 @@ class DelayTable:
     def delay(self, x: BitString) -> Fraction:
         if len(x) != self.level:
             raise ConstructionError(f"vertex {x} not at level {self.level}")
-        value = x.value
-        for cube, v in self.s_partition():
-            if value & cube.care == cube.value:
-                return v
+        return value_at(self.s_partition(), x)
 
     def s_partition(self) -> Items:
         """Disjoint (cube, s) cover of the whole level. Each tier, in
@@ -467,31 +473,6 @@ class ExtraEdge:
         }
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    """A batch of parallel edges: every source in the cube, one shared tail.
-
-    Injection works on the cube as a whole, so a class of 2^k edges costs
-    the same as one edge plus the bookkeeping of its member records.
-    """
-
-    source_cube: Cube
-    tail: BitString
-    q: Fraction
-    edges: tuple[ExtraEdge, ...]
-
-    def __post_init__(self):
-        if len(self.tail) <= 1:
-            raise ConstructionError("edge class tail must skip at least one level")
-        for e in self.edges:
-            if not self.source_cube.contains(e.source):
-                raise ConstructionError(f"edge source {e.source} outside its class cube")
-            if e.source.concat(self.tail) != e.target:
-                raise ConstructionError(f"edge target {e.target} does not match class tail")
-            if e.q != self.q:
-                raise ConstructionError("edge weight differs from class weight")
-
-
 @dataclass
 class LevelAggregates:
     total_R: Fraction
@@ -514,7 +495,7 @@ class ElementaryNetwork:
 
     A level goes in through `record_level`, which checks and indexes what
     no frame is needed for, and is pushed by `_push`, the one path that
-    makes a frame: the push-down, the landing classes, the conservation
+    makes a frame: the push-down, the landing edges, the conservation
     ledger and `coalesce`. `commit_level` does both at once; a reloaded
     bundle only records, and `frames` pushes its levels, in order, when a
     frame is first read."""
@@ -529,8 +510,8 @@ class ElementaryNetwork:
         # Outgoing edges keyed by source length, then by source value: a
         # flow query probes one dict per edge source level.
         self._out_edges: dict[int, dict[int, ExtraEdge]] = {}
-        # The classes landing on each recorded level not yet pushed.
-        self._landing: dict[int, list[EdgeClass]] = {}
+        # The edges landing on each recorded level not yet pushed.
+        self._landing: dict[int, list[ExtraEdge]] = {}
         self._pre: Optional[tuple[int, Items, Fraction]] = None
 
     @property
@@ -551,11 +532,7 @@ class ElementaryNetwork:
     def frame_eval(self, x: BitString) -> Fraction:
         if len(x) > self.depth:
             raise ConstructionError(f"level {len(x)} not constructed yet")
-        value = x.value
-        for cube, v in self.frames[len(x)]:
-            if value & cube.care == cube.value:
-                return v
-        return ZERO
+        return value_at(self.frames[len(x)], x)
 
     def flow_eval(self, x: BitString) -> Fraction:
         """P(x): the frame value R(x) plus the mass in transit over x, that
@@ -590,38 +567,39 @@ class ElementaryNetwork:
         return self._pushed(n, self.frames[n - 1])[0]
 
     def _pushed(self, n: int, parent: Items) -> tuple[Items, Fraction]:
-        """Level n pushed down from its parent frame, before any class
+        """Level n pushed down from its parent frame, before any edge
         lands on it, and the mass carried: computed once per level."""
         if self._pre is None or self._pre[0] != n:
             self._pre = (n, *push_down(parent, self.tables[n - 1].s_partition()))
         return self._pre[1], self._pre[2]
 
     def record_level(
-        self, table: DelayTable, classes: Iterable[EdgeClass] = ()
+        self, table: DelayTable, edges: Iterable[ExtraEdge] = ()
     ) -> None:
-        """Take level depth + 1 with the classes that land on it, checking
+        """Take level depth + 1 with the edges that land on it, checking
         all that reads no frame: the levels, each edge's weight against its
         source's delay, and one outgoing edge per source. The level's frame
         is left to `_push`."""
         n = self.depth + 1
         if table.level != n:
             raise ConstructionError(f"expected a level-{n} table, got {table.level}")
-        classes = list(classes)
-        for ec in classes:
-            if ec.source_cube.length + len(ec.tail) != n:
-                raise ConstructionError("edge class does not land on the new level")
-            for e in ec.edges:
-                if e.q != self.delay(e.source):
-                    raise ConstructionError(
-                        f"edge weight {e.q} differs from source delay at {e.source}"
-                    )
-                by_value = self._out_edges.setdefault(len(e.source), {})
-                if e.source.value in by_value:
-                    raise ConstructionError(f"second outgoing edge at {e.source}")
-                by_value[e.source.value] = e
-                self.edges.append(e)
-        if classes:
-            self._landing[n] = classes
+        edges = list(edges)
+        for e in edges:
+            if len(e.target) != n:
+                raise ConstructionError(
+                    f"edge to {e.target} does not land on level {n}"
+                )
+            if e.q != self.delay(e.source):
+                raise ConstructionError(
+                    f"edge weight {e.q} differs from source delay at {e.source}"
+                )
+            by_value = self._out_edges.setdefault(len(e.source), {})
+            if e.source.value in by_value:
+                raise ConstructionError(f"second outgoing edge at {e.source}")
+            by_value[e.source.value] = e
+            self.edges.append(e)
+        if edges:
+            self._landing[n] = edges
         self.tables.append(table)
         self.depth = n
 
@@ -629,36 +607,46 @@ class ElementaryNetwork:
         """Make the frame of recorded level n from frame n - 1, which must
         be the last one made, and return the level's aggregates. The
         ledger checks the frame's total against the mass pushed down plus
-        the mass the landing classes inject; a level it rejects keeps its
-        classes, so a second read fails the same way."""
+        the mass the landing edges inject; a level it rejects keeps its
+        edges, so a second read fails the same way.
+
+        The edges' q * R(source) are summed per target vertex, and that
+        vertex map is coalesced, so a draw replicated over equal source
+        values lands as one cube of its targets, one overlay each."""
         items, pushed = self._pushed(n, self._frames[n - 1])
-        classes = self._landing.get(n, ())
+        edges = self._landing.get(n)
         inflow = ZERO
-        for ec in classes:
-            for inter, v in restrict(self._frames[ec.source_cube.length], ec.source_cube):
-                items = overlay(items, inter.append_bits(ec.tail), ec.q * v)
-                inflow += ec.q * v * inter.count()
+        if edges:
+            amounts: dict[BitString, Fraction] = {}
+            for e in edges:
+                r = value_at(self._frames[len(e.source)], e.source)
+                if r:
+                    amounts[e.target] = amounts.get(e.target, ZERO) + e.q * r
+            landing = [(Cube.vertex(t), a) for t, a in amounts.items()]
+            for cube, a in coalesce(landing):
+                items = overlay(items, cube, a)
+            inflow = items_total(landing)
         total = items_total(items)
         if total != pushed + inflow:
             raise ConstructionError(
                 f"conservation ledger broken at level {n}: "
                 f"{total} != {pushed} + {inflow}"
             )
-        # A level is clean when its parent has one delay part and no class
+        # A level is clean when its parent has one delay part and no edge
         # lands on it. The parent frame is coalesced; one part scales every
         # value by the same injective factor (1 - s)/2 and every cube gains
         # the same free bit, so the child has no mergeable pair either.
-        clean = not classes and len(self.tables[n - 1].s_partition()) == 1
+        clean = not edges and len(self.tables[n - 1].s_partition()) == 1
         self._frames.append(items if clean else coalesce(items))
         self._landing.pop(n, None)
         self._pre = None
         return LevelAggregates(total, inflow)
 
     def commit_level(
-        self, table: DelayTable, classes: Iterable[EdgeClass] = ()
+        self, table: DelayTable, edges: Iterable[ExtraEdge] = ()
     ) -> None:
         """Record level depth + 1 and push it at once."""
-        self.record_level(table, classes)
+        self.record_level(table, edges)
         self.aggregates.append(self._push(self.depth))
 
     def outgoing_edge(self, x: BitString) -> Optional[ExtraEdge]:

@@ -184,13 +184,10 @@ class OperatorRoster:
     """
 
     bases: tuple[Operator, ...]
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.bases:
             raise OperatorError("empty operator roster")
-        if not self.names:
-            self.names = tuple(f"op{k}" for k in range(len(self.bases)))
 
     def operator_for(self, i: int) -> Operator:
         return self.bases[(unpair_1(i) - 1) % len(self.bases)]
@@ -237,13 +234,10 @@ PartialFunction = TableFunction | LinearFunction
 @dataclass
 class FunctionRoster:
     bases: tuple[PartialFunction, ...]
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.bases:
             raise OperatorError("empty function roster")
-        if not self.names:
-            self.names = tuple(f"fn{k}" for k in range(len(self.bases)))
 
     def function_for(self, j: int) -> PartialFunction:
         return self.bases[(unpair_1(j) - 1) % len(self.bases)]
@@ -252,41 +246,39 @@ def phi_bounded(roster: FunctionRoster, j: int, arg: int, steps: int) -> Optiona
     return roster.function_for(j).bounded(arg, steps)
 
 
-def load_operator(desc: dict) -> tuple[str, Operator]:
+def load_operator(desc: dict) -> Operator:
     kind = desc.get("kind")
-    name = desc.get("name", kind)
     if kind == "echo":
-        return name, echo_operator()
+        return echo_operator()
     if kind == "silent":
-        return name, silent_operator()
+        return silent_operator()
     if kind == "flip":
-        return name, flip_operator()
+        return flip_operator()
     if kind == "doubler":
-        return name, doubler_operator()
+        return doubler_operator()
     if kind == "const":
-        return name, const_operator(desc["bits"])
+        return const_operator(desc["bits"])
     if kind == "table":
         entries = [
             (BitString.from_str(s), BitString.from_str(d), int(c))
             for s, d, c in desc["entries"]
         ]
-        return name, TableOperator(entries)
+        return TableOperator(entries)
     if kind == "transducer":
         rules = {
             (state, int(b)): (tgt, tuple(int(e) for e in emit))
             for state, b, tgt, emit in desc["rules"]
         }
-        return name, TransducerOperator(rules, desc["start"])
+        return TransducerOperator(rules, desc["start"])
     raise OperatorError(f"unknown operator kind {kind!r}")
 
 
-def load_function(desc: dict) -> tuple[str, PartialFunction]:
+def load_function(desc: dict) -> PartialFunction:
     kind = desc.get("kind")
-    name = desc.get("name", kind)
     if kind == "linear":
-        return name, LinearFunction(int(desc["a"]), int(desc["b"]))
+        return LinearFunction(int(desc["a"]), int(desc["b"]))
     if kind == "table":
-        return name, TableFunction(
+        return TableFunction(
             [(int(a), int(v), int(c)) for a, v, c in desc["rows"]]
         )
     raise OperatorError(f"unknown function kind {kind!r}")
@@ -297,9 +289,7 @@ def load_rosters(desc: dict) -> tuple[OperatorRoster, FunctionRoster]:
     fn_descs = desc.get("functions", [])
     if not op_descs or not fn_descs:
         raise OperatorError("roster description needs operators and functions")
-    names_o, ops = zip(*(load_operator(d) for d in op_descs))
-    names_f, fns = zip(*(load_function(d) for d in fn_descs))
     return (
-        OperatorRoster(tuple(ops), tuple(names_o)),
-        FunctionRoster(tuple(fns), tuple(names_f)),
+        OperatorRoster(tuple(load_operator(d) for d in op_descs)),
+        FunctionRoster(tuple(load_function(d) for d in fn_descs)),
     )

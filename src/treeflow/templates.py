@@ -23,7 +23,6 @@ from treeflow.network import (
     ZERO,
     ConstructionError,
     DelayTable,
-    EdgeClass,
     ElementaryNetwork,
     ExtraEdge,
     Rational,
@@ -169,7 +168,8 @@ def t1_step(
     image_of: Optional[Callable[[BitString], BitString]] = None,
     discard_mode: str = "exclude",
 ):
-    """One construction step; returns (table, edge classes, outcome).
+    """One construction step; returns (table, outcome), the drawn edges
+    in the outcome.
 
     With `designated` set, only that vertex is eligible and `image_of`
     supplies the region discarded behind the drawn edge.
@@ -177,19 +177,18 @@ def t1_step(
     n, i, net, state = ctx.n, ctx.i, ctx.net, ctx.state
     w = state.start((i,), n)
     if w is None:
-        return DelayTable(n), [], ctx.outcome(3, note="no session start yet")
+        return DelayTable(n), ctx.outcome(3, note="no session start yet")
     if w == n:
         table = DelayTable(n, default=ctx.install_value())
-        return table, [], ctx.outcome(1, w=w)
+        return table, ctx.outcome(1, w=w)
     levels = state.candidate_levels((i,), w, n)
     if designated is not None:
         levels = [m for m in levels if m == len(designated)]
     pairs = candidates(ctx, predicate, levels, root=designated)
     if not pairs:
-        return DelayTable(n), [], ctx.outcome(3, w=w, note="no candidates")
+        return DelayTable(n), ctx.outcome(3, w=w, note="no candidates")
 
     table = DelayTable(n)
-    classes: list[EdgeClass] = []
     drawn: list[ExtraEdge] = []
     discards: list[DiscardRecord] = []
     for x, y in pairs:
@@ -203,7 +202,6 @@ def t1_step(
             network_id=net.network_id,
             step_drawn=n,
         )
-        classes.append(EdgeClass(Cube.vertex(x), y.suffix_from(len(x) + 1), s, (edge,)))
         drawn.append(edge)
         table.set_vertex(y, ZERO)
         if s != ONE:
@@ -226,9 +224,7 @@ def t1_step(
                         bound=Rational(1, 1 << allowance_exponent(x)),
                     )
                 )
-    return table, classes, ctx.outcome(
-        2, w=w, edges=tuple(drawn), discards=tuple(discards)
-    )
+    return table, ctx.outcome(2, w=w, edges=tuple(drawn), discards=tuple(discards))
 
 
 def discard_pieces(
@@ -268,30 +264,30 @@ def class_cube(x: BitString, w: int) -> Cube:
 
 def t2_step(ctx: StepContext, predicate: EdgePredicate):
     """Subtree-replicated step: the leading subtree's candidates drive, and
-    each draw plus each delay write is copied across suffix classes."""
+    each draw plus each delay write is copied across suffix classes.
+    Returns (table, outcome), the drawn edges in the outcome."""
     n, i, k, net, state = ctx.n, ctx.i, ctx.k, ctx.net, ctx.state
     if k is None:
         raise ConstructionError("t2_step needs a subtask index")
     w = state.start((i,), n)
     if w is None:
-        return DelayTable(n), [], ctx.outcome(3, note="no session start yet")
+        return DelayTable(n), ctx.outcome(3, note="no session start yet")
     if k > 2**w:
-        return DelayTable(n), [], ctx.outcome(
+        return DelayTable(n), ctx.outcome(
             3, w=w, note="subsession index beyond subtree count"
         )
     wk = state.start((i, k), n)
     if wk is None:
-        return DelayTable(n), [], ctx.outcome(3, w=w, note="no subsession start yet")
+        return DelayTable(n), ctx.outcome(3, w=w, note="no subsession start yet")
     if wk == n:
         table = DelayTable(n, default=ctx.install_value())
-        return table, [], ctx.outcome(1, w=w, wk=wk)
+        return table, ctx.outcome(1, w=w, wk=wk)
     levels = state.candidate_levels((i, k), wk, n)
     pairs = candidates(ctx, predicate, levels, root=BitString(w, k - 1))
     if not pairs:
-        return DelayTable(n), [], ctx.outcome(3, w=w, wk=wk, note="no candidates")
+        return DelayTable(n), ctx.outcome(3, w=w, wk=wk, note="no candidates")
 
     table = DelayTable(n)
-    classes: list[EdgeClass] = []
     drawn: list[ExtraEdge] = []
     draws = [(x, y, net.delay(x)) for x, y in pairs]
     # Every target class must be dug out of every descendant region before
@@ -302,7 +298,7 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
         tail = y.suffix_from(len(x) + 1)
         klass = class_cube(x, w)
         members = sorted(ctx.class_members(klass), key=index_of)
-        edges = tuple(
+        drawn.extend(
             ExtraEdge(
                 source=m,
                 target=m.concat(tail),
@@ -314,10 +310,8 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
             )
             for m in members
         )
-        classes.append(EdgeClass(klass, tail, s, edges))
-        drawn.extend(edges)
         if s != ONE:
             value = s / (ONE - s)
             desc = klass.extend(n - len(x))
             table.add_suffix([(p, value) for p in subtract_many(desc, target_cubes)])
-    return table, classes, ctx.outcome(2, w=w, wk=wk, edges=tuple(drawn))
+    return table, ctx.outcome(2, w=w, wk=wk, edges=tuple(drawn))

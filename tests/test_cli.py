@@ -359,6 +359,20 @@ def test_edge_faults_are_rejected_at_read(tmp_path, edit):
     assert main(["verify", str(out)]) == 3
 
 
+def test_an_edge_below_the_depth_is_bad_input(tmp_path, capsys):
+    # An edge whose target lies past the bundle's last level has no level
+    # to land on; every command that reads the bundle refuses it.
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "8")
+    deep = {"from": "0000", "to": "0000000000"}
+    _rewrite_edges(out, lambda rows: [*rows, {**rows[0], **deep}])
+    assert main(["export", str(out), "--out", str(tmp_path / "copy")]) == 2
+    assert main(["mltest", str(out)]) == 2
+    assert main(["verify", str(out)]) == 2
+    for line in capsys.readouterr().err.splitlines():
+        assert "0000 -> 0000000000 of network 1" in line, line
+        assert "depth 8" in line, line
+
+
 def test_a_wrong_share_in_a_deferred_push_trips_the_ledger(
     tmp_path, monkeypatch, capsys
 ):

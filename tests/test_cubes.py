@@ -216,24 +216,14 @@ def test_subtract_many(case):
     assert [p.pattern() for p in pieces] == ref
 
 
-@given(
-    lengths.flatmap(
-        lambda n: st.tuples(
-            pattern_st(n), st.integers(0, MAX_LEN - n), bits_st(MAX_LEN - n)
-        )
-    )
-)
-def test_extend_and_append(case):
-    pat, extra, tail = case
+@given(lengths.flatmap(lambda n: st.tuples(pattern_st(n), st.integers(0, MAX_LEN - n))))
+def test_extend(case):
+    pat, extra = case
     c = Cube.from_pattern(pat)
     ext = c.extend(extra)
     assert ext.pattern() == pat + "*" * extra
     want = [s for s in level(len(pat) + extra) if matches(pat, s[: len(pat)])]
     assert sorted(str(x) for x in ext.members()) == want
-    app = c.append_bits(B(tail))
-    assert app.pattern() == pat + tail
-    want = [s for s in level(len(pat) + len(tail)) if matches(pat + tail, s)]
-    assert sorted(str(x) for x in app.members()) == want
 
 
 @given(

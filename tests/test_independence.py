@@ -10,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "treeflow"
 
 MAP_OPERATIONS = {
+    "value_at",
     "items_total",
     "mass_in",
     "restrict",

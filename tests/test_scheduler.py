@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeflow.bitseq import BitString, pair, string_of, unpair_1, unpair_2
-from treeflow.cubes import Cube
 from treeflow.network import DelayTable, ElementaryNetwork, Rational
 from treeflow.scheduler import (
     PairedTaskStream,
@@ -270,7 +269,7 @@ def test_candidates_filters_and_order():
 
 
 def test_candidates_skips_sources_with_edges():
-    from treeflow.network import EdgeClass, ExtraEdge
+    from treeflow.network import ExtraEdge
 
     net = build_candidate_net()
     x = BitString.from_str("0")
@@ -278,7 +277,7 @@ def test_candidates_skips_sources_with_edges():
     edge = ExtraEdge(source=x, target=y, q=Rational(1, 2), task=1, subtask=None,
                      network_id=1, step_drawn=3)
     t3 = DelayTable(3)
-    net.commit_level(t3, [EdgeClass(Cube.vertex(x), y.suffix_from(2), Rational(1, 2), (edge,))])
+    net.commit_level(t3, [edge])
     state = make_state([], depth=20)
     oracle = ScriptedOracle({x: BitString.from_str("0000"),
                              BitString.from_str("00"): BitString.from_str("0000")})

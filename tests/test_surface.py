@@ -12,7 +12,6 @@ PUBLIC = [
     "Cube",
     "DelayTable",
     "DiscardRecord",
-    "EdgeClass",
     "ElementaryNetwork",
     "ExtraEdge",
     "LevelAggregates",

@@ -53,8 +53,8 @@ def drive_t1(depth, predicate_cls=AlwaysTrue):
     outcomes = []
     for n in range(1, depth + 1):
         ctx = ctx_for(net, state, n, stream.task(n))
-        table, classes, out = t1_step(ctx, predicate_cls(ctx))
-        net.commit_level(table, classes)
+        table, out = t1_step(ctx, predicate_cls(ctx))
+        net.commit_level(table, out.edges)
         for e in out.edges:
             state.record_edge(e.task, e.subtask, len(e.target))
         outcomes.append(out)
@@ -65,9 +65,9 @@ def test_case1_installs_level_default():
     net = ElementaryNetwork()
     state = fresh_state()
     ctx = ctx_for(net, state, 1, 1)
-    table, classes, out = t1_step(ctx, AlwaysTrue(ctx))
-    assert out.case_taken == 1 and out.w == 1 and not classes
-    net.commit_level(table, classes)
+    table, out = t1_step(ctx, AlwaysTrue(ctx))
+    assert out.case_taken == 1 and out.w == 1 and not out.edges
+    net.commit_level(table, out.edges)
     assert net.delay(B("0")) == F(1, 16)
     assert net.delay(B("1")) == F(1, 16)
 
@@ -155,11 +155,11 @@ def test_t1_full_delay_source_zeroes_descendants():
     net.commit_level(DelayTable(3), [])
     state = fresh_state()
     ctx = ctx_for(net, state, 4, 1)
-    table, classes, out = t1_step(ctx, AlwaysTrue(ctx))
+    table, out = t1_step(ctx, AlwaysTrue(ctx))
     assert out.case_taken == 2
     (edge,) = out.edges
     assert edge.q == F(1)
-    net.commit_level(table, classes)
+    net.commit_level(table, out.edges)
     for v in range(1 << 4):
         assert net.delay(BitString(4, v)) == 0
 
@@ -196,7 +196,7 @@ def test_designated_processing():
 
     # A miss (level-2 vertex is not task-1 typed at its level, has s=0).
     ctx = ctx_for(net, state, 4, 1)
-    table, classes, out = t1_step(
+    table, out = t1_step(
         ctx, AlwaysTrue(ctx), designated=B("00"), image_of=img
     )
     assert out.case_taken == 3 and not out.edges
@@ -204,19 +204,19 @@ def test_designated_processing():
     # A designated vertex at or below the level being built is a miss.
     for x in (B("0000"), B("00000")):
         ctx = ctx_for(net, state, 4, 1)
-        table, classes, out = t1_step(ctx, AlwaysTrue(ctx), designated=x, image_of=img)
+        table, out = t1_step(ctx, AlwaysTrue(ctx), designated=x, image_of=img)
         assert out.case_taken == 3 and not out.edges
 
     # A hit processes only the designated vertex even though "1" is also
     # a candidate.
     ctx = ctx_for(net, state, 4, 1)
-    table, classes, out = t1_step(
+    table, out = t1_step(
         ctx, AlwaysTrue(ctx), designated=B("0"), image_of=img
     )
     assert out.case_taken == 2
     (edge,) = out.edges
     assert edge.source == B("0")
-    net.commit_level(table, classes)
+    net.commit_level(table, out.edges)
     # Image region "1" went dead wholesale.
     for v in range(1 << 4):
         x = BitString(4, v)
@@ -237,10 +237,10 @@ def test_designated_processing():
     # "0" is still typed at level 1 with s > 0, but it has its edge now;
     # "1" next to it is still processed.
     ctx = ctx_for(net, state, 6, 1)
-    table, classes, out = t1_step(ctx, AlwaysTrue(ctx), designated=B("0"), image_of=img)
+    table, out = t1_step(ctx, AlwaysTrue(ctx), designated=B("0"), image_of=img)
     assert out.case_taken == 3 and not out.edges
     ctx = ctx_for(net, state, 6, 1)
-    table, classes, out = t1_step(ctx, AlwaysTrue(ctx), designated=B("1"), image_of=img)
+    table, out = t1_step(ctx, AlwaysTrue(ctx), designated=B("1"), image_of=img)
     assert out.case_taken == 2 and [e.source for e in out.edges] == [B("1")]
 
 
@@ -280,16 +280,14 @@ def test_t2_class_replication():
     install_level(net, 4, F(0))
 
     ctx = ctx_for(net, state, 5, 2, k=1)
-    table, classes, out = t2_step(ctx, AlwaysTrue(ctx))
+    table, out = t2_step(ctx, AlwaysTrue(ctx))
     assert out.case_taken == 2 and out.w == 3 and out.wk == 3
     assert len(out.edges) == 4
     assert {e.source for e in out.edges} == {B("000"), B("010"), B("100"), B("110")}
     assert all(e.q == F(1, 36) for e in out.edges)
     assert all(e.target == e.source.concat(B("00")) for e in out.edges)
-    (cls,) = classes
-    assert cls.source_cube == class_cube(B("000"), 3)
 
-    net.commit_level(table, classes)
+    net.commit_level(table, out.edges)
     # Delay writes replicated across classes: targets zero, other
     # descendants of the class 1/35, everything else zero.
     assert net.delay(B("00000")) == 0
@@ -325,12 +323,12 @@ def test_t2_subsession_overflow_and_misses():
     install_level(net, 1, F(0))
     install_level(net, 2, F(0))
     ctx = ctx_for(net, state, 8, 2, k=9)  # 9 > 2^w = 8
-    table, classes, out = t2_step(ctx, AlwaysTrue(ctx))
+    table, out = t2_step(ctx, AlwaysTrue(ctx))
     assert out.case_taken == 3 and "beyond subtree count" in out.note
-    assert all(s == 0 for _, s in table.s_partition()) and not classes
+    assert all(s == 0 for _, s in table.s_partition()) and not out.edges
 
     ctx = ctx_for(net, state, 3, 2, k=1)
-    table, classes, out = t2_step(ctx, AlwaysTrue(ctx))
+    table, out = t2_step(ctx, AlwaysTrue(ctx))
     assert out.case_taken == 1 and out.wk == 3
     assert table.delay(B("101")) == F(1, 36)
 

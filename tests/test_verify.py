@@ -18,7 +18,7 @@ from treeflow.constructions import (
     build_hyperimmune,
     build_nonstochastic,
 )
-from treeflow.network import EdgeClass, ElementaryNetwork, ExtraEdge, rat_str
+from treeflow.network import ElementaryNetwork, ExtraEdge, rat_str
 from treeflow.operators import (
     TableOperator,
     TransducerOperator,
@@ -295,10 +295,7 @@ def _halve_head_region(bundle, net_id, head, level):
     fresh.tables[0] = net.tables[0]
     landing = {}
     for e in net.edges:
-        tail = e.target.suffix_from(len(e.source) + 1)
-        landing.setdefault(len(e.target), []).append(
-            EdgeClass(Cube.vertex(e.source), tail, e.q, (e,))
-        )
+        landing.setdefault(len(e.target), []).append(e)
     for n in range(1, bundle.depth + 1):
         fresh.commit_level(net.tables[n], landing.get(n, []))
     net.frames[:] = fresh.frames
