@@ -8,11 +8,6 @@ from treeflow.constructions import (
     PRESETS,
     RunConfig,
     build,
-    build_atom,
-    build_atom_family,
-    build_divisible,
-    build_hyperimmune,
-    build_nonstochastic,
     ml_test,
 )
 from treeflow.cubes import Cube
@@ -47,11 +42,6 @@ __all__ = [
     "ResourceLimit",
     "RunConfig",
     "build",
-    "build_atom",
-    "build_atom_family",
-    "build_divisible",
-    "build_hyperimmune",
-    "build_nonstochastic",
     "dense_oracle",
     "index_of",
     "ml_test",

@@ -199,11 +199,8 @@ def read_bundle(path: Path) -> ConstructionBundle:
     payload = _load_json(path / "config.json")
     if not isinstance(payload, dict):
         raise BundleError(f"{path / 'config.json'} must hold a JSON object")
-    try:
-        config = RunConfig.from_payload(payload)
-        config.validate()
-    except (ConfigError, TypeError) as exc:
-        raise BundleError(f"bad config: {exc}")
+    config = RunConfig.from_payload(payload)
+    ops, fns = config.validate()
     level_rows = _load_jsonl(path / "levels.jsonl")
     edge_rows = _load_jsonl(path / "edges.jsonl")
     agg_rows = _load_jsonl(path / "aggregates.jsonl")
@@ -296,11 +293,6 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 )
             )
 
-    try:
-        ops, fns = config.resolved_rosters()
-    except (ConfigError, ValueError, KeyError) as exc:
-        raise BundleError(f"bad rosters: {exc}")
-
     return ConstructionBundle(
         config=config,
         networks=nets,
@@ -332,8 +324,6 @@ def cmd_build(args) -> int:
         value = getattr(args, key)
         if value is not None:
             payload[key] = value
-    if "preset" not in payload or "depth" not in payload:
-        raise ConfigError("a preset and a depth are required (flags or --config)")
     config = RunConfig.from_payload(payload)
     config.validate()
     if config.mode == "dense" and config.depth > ORACLE_DEPTH_CAP:

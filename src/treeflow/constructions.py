@@ -16,7 +16,7 @@ together, so frames, aggregates, and the edge history stay in lockstep.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from treeflow.bitseq import BitString, index_of
@@ -33,6 +33,7 @@ from treeflow.network import (
 )
 from treeflow.operators import (
     FunctionRoster,
+    OperatorError,
     OperatorRoster,
     TransducerOperator,
     apply_modified,
@@ -78,16 +79,15 @@ def reference_roster_descriptors() -> dict:
     }
 
 
-def _roster_dict(operators=None, functions=None) -> dict:
-    ref = reference_roster_descriptors()
-    return {
-        "operators": list(operators) if operators else ref["operators"],
-        "functions": list(functions) if functions else ref["functions"],
-    }
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
 class RunConfig:
+    """Everything a run depends on, the caps included: `build(config)`
+    starts a run, and `config.json` records and replays it."""
+
     preset: str
     depth: int
     networks: Optional[int] = None
@@ -96,16 +96,28 @@ class RunConfig:
     seed: int = 0
     mode: str = "sparse"
     rosters: Optional[dict] = None
+    caps: Caps = field(default_factory=Caps)
 
     def __post_init__(self):
         if self.networks is None:
             self.networks = 3 if self.preset in MULTI_NETWORK_PRESETS else 1
         if self.rosters is None:
-            self.rosters = _roster_dict()
+            self.rosters = reference_roster_descriptors()
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[OperatorRoster, FunctionRoster]:
+        """Check every field and load the rosters, which are returned;
+        any problem is a ConfigError."""
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
+        for name in ("depth", "networks", "rho_base", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not isinstance(self.caps, Caps):
+            raise ConfigError("caps must be a Caps")
+        for f in dataclasses.fields(Caps):
+            value = getattr(self.caps, f.name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"Caps.{f.name} must be an integer of at least 1")
         if self.depth < 0:
             raise ConfigError("depth must not be negative")
         if self.preset in MULTI_NETWORK_PRESETS:
@@ -119,14 +131,15 @@ class RunConfig:
             raise ConfigError("rho base must be at least 1")
         if self.mode not in ("sparse", "dense"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not (self.rosters.get("operators") and self.rosters.get("functions")):
-            raise ConfigError("rosters need operators and functions")
-
-    def resolved_rosters(self) -> tuple[OperatorRoster, FunctionRoster]:
-        return load_rosters(self.rosters)
+        if not isinstance(self.rosters, dict):
+            raise ConfigError("rosters must be an object")
+        try:
+            return load_rosters(self.rosters)
+        except (OperatorError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"bad rosters: {exc!r}")
 
     def to_payload(self) -> dict:
-        return {
+        payload = {
             "preset": self.preset,
             "depth": self.depth,
             "networks": self.networks,
@@ -136,6 +149,9 @@ class RunConfig:
             "mode": self.mode,
             "rosters": self.rosters,
         }
+        if self.caps != Caps():
+            payload["caps"] = dataclasses.asdict(self.caps)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RunConfig":
@@ -143,7 +159,16 @@ class RunConfig:
         extra = set(payload) - known
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
-        return cls(**payload)
+        missing = {"preset", "depth"} - set(payload)
+        if missing:
+            raise ConfigError(f"missing config keys {sorted(missing)}")
+        caps = payload.get("caps", {})
+        if not isinstance(caps, dict):
+            raise ConfigError("caps must be an object")
+        extra = set(caps) - {f.name for f in dataclasses.fields(Caps)}
+        if extra:
+            raise ConfigError(f"unknown caps keys {sorted(extra)}")
+        return cls(**{**payload, "caps": Caps(**caps)})
 
 
 @dataclass
@@ -546,21 +571,27 @@ def _prov(out: StepOutcome, tables: dict[int, DelayTable]) -> dict:
     }
 
 
-def _step_nonstochastic(config, n, nets, state, ops, fns, caps):
+def _context(config, n, i, net, state, k=None) -> StepContext:
+    return StepContext(
+        n=n, i=i, net=net, state=state, k=k, rho_base=config.rho_base, caps=config.caps
+    )
+
+
+def _step_nonstochastic(config, n, nets, state, ops, fns):
     net = nets[0]
     i = state.stream.task(n)
-    ctx = StepContext(n=n, i=i, net=net, state=state, rho_base=config.rho_base, caps=caps)
+    ctx = _context(config, n, i, net, state)
     pred = LengthPredicate(ctx, ops.operator_for(i), i)
     table, out = t1_step(ctx, pred)
     return {1: table}, out
 
 
-def _step_divisible(config, n, nets, state, ops, fns, caps):
+def _step_divisible(config, n, nets, state, ops, fns):
     net = nets[0]
     i = state.stream.task(n)
     designated = state.stream.designated(n)
     op = ops.operator_for(i)
-    ctx = StepContext(n=n, i=i, net=net, state=state, rho_base=config.rho_base, caps=caps)
+    ctx = _context(config, n, i, net, state)
     pred = ImageMassPredicate(ctx, op, config.discard_mode)
     table, out = t1_step(
         ctx,
@@ -572,19 +603,17 @@ def _step_divisible(config, n, nets, state, ops, fns, caps):
     return {1: table}, out
 
 
-def _step_atom(config, n, nets, state, ops, fns, caps):
+def _step_atom(config, n, nets, state, ops, fns):
     net = nets[0]
     i = state.stream.task(n)
     k = state.stream.subtask(n)
-    ctx = StepContext(
-        n=n, i=i, net=net, state=state, k=k, rho_base=config.rho_base, caps=caps
-    )
+    ctx = _context(config, n, i, net, state, k)
     pred = LengthPredicate(ctx, ops.operator_for(i), i)
     table, out = t2_step(ctx, pred)
     return {1: table}, out
 
 
-def _step_family(config, n, nets, state, ops, fns, caps):
+def _step_family(config, n, nets, state, ops, fns):
     """The family preset, and hyperimmune's even tasks: t2 on the decoded
     base network, image-pattern discards on the target network."""
     i = state.stream.task(n)
@@ -592,9 +621,7 @@ def _step_family(config, n, nets, state, ops, fns, caps):
     base_id, target_id, op_num = task_networks(config.preset, i, len(nets))
     tables = {net.network_id: DelayTable(n) for net in nets}
     acting = nets[base_id - 1]
-    ctx = StepContext(
-        n=n, i=i, net=acting, state=state, k=k, rho_base=config.rho_base, caps=caps
-    )
+    ctx = _context(config, n, i, acting, state, k)
     if base_id == target_id:
         return tables, ctx.outcome(3, note="base and target collide after wrapping")
     target = nets[target_id - 1]
@@ -627,18 +654,16 @@ def _step_family(config, n, nets, state, ops, fns, caps):
     return tables, out
 
 
-def _step_hyperimmune(config, n, nets, state, ops, fns, caps):
+def _step_hyperimmune(config, n, nets, state, ops, fns):
     """Even tasks run the family semantics, odd ones draw sparse edges."""
     i = state.stream.task(n)
     if i % 2 == 0:
-        return _step_family(config, n, nets, state, ops, fns, caps)
+        return _step_family(config, n, nets, state, ops, fns)
     k = state.stream.subtask(n)
     net_id, _target, _op = task_networks(config.preset, i, len(nets))
     tables = {net.network_id: DelayTable(n) for net in nets}
     acting = nets[net_id - 1]
-    ctx = StepContext(
-        n=n, i=i, net=acting, state=state, k=k, rho_base=config.rho_base, caps=caps
-    )
+    ctx = _context(config, n, i, acting, state, k)
     if i == 1:
         return tables, ctx.outcome(3, note="task 1 carries no decoded index")
     pred = SparsityPredicate(ctx, fns, (i - 1) // 2)
@@ -656,10 +681,10 @@ _STEP_FNS = {
 }
 
 
-def build(config: RunConfig, caps: Optional[Caps] = None) -> ConstructionBundle:
-    config.validate()
-    ops, fns = config.resolved_rosters()
-    caps = caps or Caps()
+def build(config: RunConfig) -> ConstructionBundle:
+    """The one way to start a run: validate the config, then advance
+    every network one level per step."""
+    ops, fns = config.validate()
     state = ScheduleState(task_stream(config.preset), config.depth)
     count = config.networks
     nets = [ElementaryNetwork(m + 1) for m in range(count)]
@@ -667,7 +692,7 @@ def build(config: RunConfig, caps: Optional[Caps] = None) -> ConstructionBundle:
     discards: list[DiscardRecord] = []
     step_fn = _STEP_FNS[config.preset]
     for n in range(1, config.depth + 1):
-        tables, out = step_fn(config, n, nets, state, ops, fns, caps)
+        tables, out = step_fn(config, n, nets, state, ops, fns)
         for net in nets:
             edges = [e for e in out.edges if e.network_id == net.network_id]
             net.commit_level(tables[net.network_id], edges)
@@ -684,57 +709,6 @@ def build(config: RunConfig, caps: Optional[Caps] = None) -> ConstructionBundle:
         operators=ops,
         functions=fns,
     )
-
-
-def build_nonstochastic(depth: int, operator_roster=None, **kw) -> ConstructionBundle:
-    cfg = RunConfig(
-        preset="nonstochastic", depth=depth, rosters=_roster_dict(operator_roster), **kw
-    )
-    return build(cfg)
-
-
-def build_divisible(depth: int, operator_roster=None, **kw) -> ConstructionBundle:
-    cfg = RunConfig(
-        preset="divisible", depth=depth, rosters=_roster_dict(operator_roster), **kw
-    )
-    return build(cfg)
-
-
-def build_atom(depth: int, operator_roster=None, **kw) -> ConstructionBundle:
-    cfg = RunConfig(
-        preset="atom", depth=depth, rosters=_roster_dict(operator_roster), **kw
-    )
-    return build(cfg)
-
-
-def build_atom_family(
-    depth: int, network_count: int = 3, operator_roster=None, **kw
-) -> ConstructionBundle:
-    cfg = RunConfig(
-        preset="family",
-        depth=depth,
-        networks=network_count,
-        rosters=_roster_dict(operator_roster),
-        **kw,
-    )
-    return build(cfg)
-
-
-def build_hyperimmune(
-    depth: int,
-    network_count: int = 3,
-    operator_roster=None,
-    function_roster=None,
-    **kw,
-) -> ConstructionBundle:
-    cfg = RunConfig(
-        preset="hyperimmune",
-        depth=depth,
-        networks=network_count,
-        rosters=_roster_dict(operator_roster, function_roster),
-        **kw,
-    )
-    return build(cfg)
 
 
 # --- interval test sets -------------------------------------------------

@@ -20,7 +20,7 @@ from treeflow.bitseq import (
     unpair_1,
     unpair_2,
 )
-from treeflow.operators import apply_modified, load_rosters, phi_bounded
+from treeflow.operators import apply_modified, phi_bounded
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,9 +124,9 @@ class DenseRun:
 
 class _Driver:
     def __init__(self, config):
+        self.ops, self.fns = config.validate()
         self.config = config
         self.run = DenseRun(config)
-        self.ops, self.fns = load_rosters(config.rosters)
         self.depth = config.depth
         self.paired = config.preset == "divisible"
         self.history: list[dict] = []
@@ -507,7 +507,6 @@ class _Driver:
 
 
 def dense_build(config) -> DenseRun:
-    config.validate()
     return _Driver(config).build()
 
 

@@ -34,9 +34,10 @@ from treeflow.scheduler import ResourceLimit, ScheduleState, candidates
 class Caps:
     """Hard enumeration limits. Hitting one raises, never degrades.
 
-    beta_scan bounds one edge-target lookup: the holds probes of a scan,
-    or the nodes of a search. class_members bounds the members enumerated
-    from one suffix class or source region.
+    candidates bounds the sources one candidate enumeration may return
+    (scheduler.candidates). beta_scan bounds one edge-target lookup: the
+    holds probes of a scan, or the nodes of a search. class_members
+    bounds the members enumerated from one suffix class or source region.
     """
 
     candidates: int = 4096

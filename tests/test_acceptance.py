@@ -32,14 +32,7 @@ import pytest
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.cli import read_bundle, write_bundle
-from treeflow.constructions import (
-    build_atom,
-    build_atom_family,
-    build_divisible,
-    build_hyperimmune,
-    build_nonstochastic,
-    ml_test,
-)
+from treeflow.constructions import PRESETS, RunConfig, build, ml_test
 from treeflow.dense import compare_runs, dense_build
 from treeflow.network import ExtraEdge, rat_str
 from treeflow.operators import phi_bounded
@@ -52,14 +45,6 @@ from treeflow.verify import (
     check_sn_bound,
     run_checks,
 )
-
-BUILDERS = {
-    "nonstochastic": build_nonstochastic,
-    "divisible": build_divisible,
-    "atom": build_atom,
-    "family": build_atom_family,
-    "hyperimmune": build_hyperimmune,
-}
 
 BUNDLE_FILES = [
     "config.json",
@@ -92,14 +77,14 @@ def _leaks(reports, target):
 @pytest.fixture(scope="module")
 def bundles12():
     t0 = time.monotonic()
-    built = {name: fn(12) for name, fn in sorted(BUILDERS.items())}
+    built = {name: build(RunConfig(preset=name, depth=12)) for name in sorted(PRESETS)}
     return built, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def bundles48():
     t0 = time.monotonic()
-    built = {name: fn(48) for name, fn in sorted(BUILDERS.items())}
+    built = {name: build(RunConfig(preset=name, depth=48)) for name in sorted(PRESETS)}
     return built, time.monotonic() - t0
 
 
@@ -144,13 +129,13 @@ def test_c3_shape_checks_and_targeted_corruptions(bundles12, bundles48):
                     problems.append((label, name, rep.name, rep.witness))
 
     # Fresh builds for the corruptions so the shared bundles stay clean.
-    poked = build_nonstochastic(12)
+    poked = build(RunConfig(preset="nonstochastic", depth=12))
     table = poked.network(1).tables[-1]
     table.vertex[BitString(12, 0)] = Fraction(2, 5)
     table._partition = None
     problems.extend(("delay poke", *leak) for leak in _leaks(run_checks(poked), "delay_form"))
 
-    nested = build_nonstochastic(12)
+    nested = build(RunConfig(preset="nonstochastic", depth=12))
     net = nested.network(1)
     outer = ExtraEdge(
         source=BitString(10, 0),
@@ -186,8 +171,8 @@ def test_c4_class_weights_and_ratio_identity():
     want = {"atom": (17, 188, 0, 0), "family": (17, 178, 0, 10)}
     problems = []
     detail = []
-    for name, fn in (("atom", build_atom), ("family", build_atom_family)):
-        b = fn(20)
+    for name in ("atom", "family"):
+        b = build(RunConfig(preset=name, depth=20))
         dup = check_duplication(b)
         if not dup.passed:
             problems.append((name, "duplication", dup.witness))
@@ -263,7 +248,7 @@ def test_c6_discard_bounds_exhaustive(bundles12):
 
 
 def test_c7_forced_shape_and_function_gate():
-    b = build_hyperimmune(32)
+    b = build(RunConfig(preset="hyperimmune", depth=32))
     edges = sorted(
         (e for net in b.networks for e in net.edges),
         key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)),
@@ -298,8 +283,8 @@ def test_c8_byte_identical_export(tmp_path):
         first = tmp_path / f"{name}-first"
         again = tmp_path / f"{name}-again"
         loaded = tmp_path / f"{name}-loaded"
-        write_bundle(BUILDERS[name](depth), first)
-        write_bundle(BUILDERS[name](depth), again)
+        write_bundle(build(RunConfig(preset=name, depth=depth)), first)
+        write_bundle(build(RunConfig(preset=name, depth=depth)), again)
         for fn in BUNDLE_FILES:
             if (first / fn).read_bytes() != (again / fn).read_bytes():
                 problems.append((name, "rebuild", fn))

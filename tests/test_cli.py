@@ -167,6 +167,96 @@ def test_oracle_depth_over_the_cap_is_a_hit_cap(tmp_path, capsys):
     assert "construction violation" not in err
 
 
+def _write_config(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_a_lowered_cap_in_the_config_is_a_hit_cap(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "run.json",
+        {"preset": "nonstochastic", "depth": 12, "caps": {"candidates": 1}},
+    )
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "resource cap hit: Caps.candidates = 1 exceeded at level 4, task 1, network 1"
+    )
+
+
+def test_the_oracle_rebuilds_under_the_bundle_caps(tmp_path, capsys):
+    # Level 4 is the first to enumerate a second candidate, so depth 3
+    # builds under the cap and the depth-8 replay does not.
+    cfg = _write_config(
+        tmp_path / "run.json",
+        {"preset": "nonstochastic", "depth": 3, "caps": {"candidates": 1}},
+    )
+    out = _build(tmp_path, "--config", str(cfg))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--oracle-depth", "8"]) == 4
+    assert "Caps.candidates = 1 exceeded at level 4" in capsys.readouterr().err
+
+
+def test_export_keeps_a_non_default_cap(tmp_path):
+    cfg = _write_config(
+        tmp_path / "run.json",
+        {"preset": "atom", "depth": 10, "caps": {"beta_scan": 10000}},
+    )
+    out = _build(tmp_path, "--config", str(cfg))
+    assert _read_report(out / "config.json")["caps"] == {
+        "candidates": 4096,
+        "beta_scan": 10000,
+        "class_members": 4096,
+    }
+    copy = tmp_path / "copy"
+    assert main(["export", str(out), "--out", str(copy)]) == 0
+    for name in BUNDLE_FILES:
+        assert (out / name).read_bytes() == (copy / name).read_bytes(), name
+
+
+BAD_CONFIGS = {
+    "string depth": {"depth": "4"},
+    "bool depth": {"depth": True},
+    "bool seed": {"seed": True},
+    "float networks": {"networks": 1.0},
+    "list rosters": {"rosters": []},
+    "unknown operator kind": {
+        "rosters": {
+            **reference_roster_descriptors(),
+            "operators": [{"kind": "nope", "name": "nope"}],
+        }
+    },
+    "operator not an object": {
+        "rosters": {**reference_roster_descriptors(), "operators": ["echo"]}
+    },
+    "operator missing a key": {
+        "rosters": {
+            **reference_roster_descriptors(),
+            "operators": [{"kind": "const", "name": "const"}],
+        }
+    },
+    "zero cap": {"caps": {"beta_scan": 0}},
+    "string cap": {"caps": {"candidates": "8"}},
+    "bool cap": {"caps": {"class_members": True}},
+    "unknown cap": {"caps": {"bogus": 1}},
+    "list caps": {"caps": []},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
+def test_a_malformed_config_is_bad_input_everywhere(tmp_path, capsys, bad):
+    payload = {"preset": "atom", "depth": 4, **BAD_CONFIGS[bad]}
+    cfg = _write_config(tmp_path / "run.json", payload)
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    out = _build(tmp_path, "--preset", "atom", "--depth", "4")
+    _write_config(out / "config.json", payload)
+    assert main(["verify", str(out)]) == 2
+    assert main(["export", str(out), "--out", str(tmp_path / "copy")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 3
+    assert all(line.startswith("error: ") for line in errors), errors
+
+
 def test_extension_shadow_is_not_applicable_before_it_is_capped(tmp_path, capsys):
     family = _build(tmp_path, "--preset", "family", "--depth", "16", name="f")
     report_path = tmp_path / "report.json"

@@ -10,11 +10,6 @@ from treeflow.constructions import (
     TargetMassPredicate,
     TargetSearch,
     build,
-    build_atom,
-    build_atom_family,
-    build_divisible,
-    build_hyperimmune,
-    build_nonstochastic,
     ml_test,
     prefix_free,
     reference_roster_descriptors,
@@ -36,11 +31,14 @@ def _all_edges(b):
         key=lambda e: (e.step_drawn, e.network_id, index_of(e.source)),
     )
 
-FLIP_FIRST = [
-    {"kind": "flip", "name": "flip"},
-    {"kind": "silent", "name": "silent"},
-    {"kind": "echo", "name": "echo"},
-]
+FLIP_FIRST = {
+    "operators": [
+        {"kind": "flip", "name": "flip"},
+        {"kind": "silent", "name": "silent"},
+        {"kind": "echo", "name": "echo"},
+    ],
+    "functions": reference_roster_descriptors()["functions"],
+}
 
 
 def test_config_validation_errors():
@@ -70,16 +68,26 @@ def test_config_payload_round_trip():
         RunConfig.from_payload({"preset": "atom", "depth": 3, "bogus": 1})
 
 
+def test_caps_enter_the_payload_only_when_changed():
+    assert "caps" not in RunConfig(preset="atom", depth=3).to_payload()
+    cfg = RunConfig(preset="atom", depth=3, caps=Caps(beta_scan=5))
+    payload = cfg.to_payload()
+    assert payload["caps"] == {"candidates": 4096, "beta_scan": 5, "class_members": 4096}
+    assert RunConfig.from_payload(payload) == cfg
+    with pytest.raises(ConfigError):
+        RunConfig.from_payload({**payload, "caps": {"beta_scan": 5, "bogus": 1}})
+
+
 def test_reference_rosters_are_embedded():
     cfg = RunConfig(preset="atom", depth=3)
     assert cfg.rosters == reference_roster_descriptors()
-    ops, fns = cfg.resolved_rosters()
+    ops, fns = cfg.validate()
     assert len(ops.bases) == 5
     assert len(fns.bases) == 2
 
 
 def test_nonstochastic_reference_run():
-    b = build_nonstochastic(20)
+    b = build(RunConfig(preset="nonstochastic", depth=20))
     assert [p["case"] for p in b.provenance] == [
         1, 3, 1, 2, 1, 1, 3, 3, 3, 1, 3, 3, 3, 3, 1, 3, 3, 3, 3, 3,
     ]
@@ -97,7 +105,7 @@ def test_nonstochastic_reference_run():
 
 
 def test_atom_reference_run():
-    b = build_atom(20)
+    b = build(RunConfig(preset="atom", depth=20))
     edges = _all_edges(b)
     assert [(str(e.source), str(e.target), e.task, e.subtask, e.step_drawn) for e in edges] == [
         ("0", "0000000", 1, 1, 7)
@@ -111,7 +119,7 @@ def test_atom_reference_run():
 
 
 def test_family_reference_run():
-    b = build_atom_family(20)
+    b = build(RunConfig(preset="family", depth=20))
     edges = _all_edges(b)
     assert [(e.network_id, str(e.source), str(e.target)) for e in edges] == [
         (1, "0", "0000000")
@@ -131,7 +139,7 @@ def test_family_reference_run():
 
 
 def test_family_records_discards_in_provenance():
-    b = build_atom_family(20)
+    b = build(RunConfig(preset="family", depth=20))
     step7 = b.provenance[6]
     assert step7["case"] == 2
     assert len(step7["discards"]) == 1
@@ -140,7 +148,7 @@ def test_family_records_discards_in_provenance():
 
 
 def test_family_wrap_collision_goes_inert():
-    b = build_atom_family(21, network_count=2)
+    b = build(RunConfig(preset="family", depth=21, networks=2))
     step21 = b.provenance[20]
     assert step21["task"] == 6
     assert step21["case"] == 3
@@ -149,7 +157,7 @@ def test_family_wrap_collision_goes_inert():
 
 
 def test_hyperimmune_task_one_is_inert():
-    b = build_hyperimmune(8)
+    b = build(RunConfig(preset="hyperimmune", depth=8))
     notes = [p["note"] for p in b.provenance if p["task"] == 1]
     assert notes
     assert all(n == "task 1 carries no decoded index" for n in notes)
@@ -157,7 +165,7 @@ def test_hyperimmune_task_one_is_inert():
 
 
 def test_hyperimmune_sparse_draw_shape():
-    b = build_hyperimmune(32)
+    b = build(RunConfig(preset="hyperimmune", depth=32))
     sparse = [e for e in _all_edges(b) if e.task % 2 == 1]
     assert len(sparse) == 32
     assert {e.step_drawn for e in sparse} == {18}
@@ -171,7 +179,7 @@ def test_hyperimmune_sparse_draw_shape():
 
 
 def test_hyperimmune_even_task_discards_on_target():
-    b = build_hyperimmune(32)
+    b = build(RunConfig(preset="hyperimmune", depth=32))
     family_edges = [e for e in _all_edges(b) if e.task == 2]
     assert len(family_edges) == 4
     assert {str(e.source) for e in family_edges} == {"000", "010", "100", "110"}
@@ -189,14 +197,14 @@ def test_hyperimmune_even_task_discards_on_target():
 
 
 def test_divisible_reference_run_draws_nothing():
-    b = build_divisible(20)
+    b = build(RunConfig(preset="divisible", depth=20))
     assert not _all_edges(b)
     assert not b.discards
     assert {p["case"] for p in b.provenance} <= {1, 3}
 
 
 def test_divisible_flip_roster_draws_with_discards():
-    b = build_divisible(6, operator_roster=FLIP_FIRST)
+    b = build(RunConfig(preset="divisible", depth=6, rosters=FLIP_FIRST))
     edges = _all_edges(b)
     assert [(str(e.source), str(e.target), e.step_drawn) for e in edges] == [
         ("0", "0000", 4),
@@ -232,7 +240,7 @@ def test_prefix_free_and_union_mass():
 
 
 def test_ml_test_nonstochastic_bounds():
-    b = build_nonstochastic(20)
+    b = build(RunConfig(preset="nonstochastic", depth=20))
     m = ml_test(b)
     assert m.max_task == 5
     assert m.ok()
@@ -247,7 +255,7 @@ def test_ml_test_nonstochastic_bounds():
 
 
 def test_ml_test_atom_and_index_filter():
-    b = build_atom(20)
+    b = build(RunConfig(preset="atom", depth=20))
     m = ml_test(b, index=1)
     assert set(m.per_index) == {1}
     assert m.per_index[1]["roots"] == ["0000000"]
@@ -258,14 +266,14 @@ def test_ml_test_atom_and_index_filter():
 
 
 def test_ml_test_rejects_other_presets():
-    b = build_atom_family(8)
+    b = build(RunConfig(preset="family", depth=8))
     with pytest.raises(ConfigError):
         ml_test(b)
 
 
 def test_builds_are_deterministic():
-    first = build_hyperimmune(24)
-    second = build_hyperimmune(24)
+    first = build(RunConfig(preset="hyperimmune", depth=24))
+    second = build(RunConfig(preset="hyperimmune", depth=24))
     assert first.provenance == second.provenance
     assert [e.to_record() for e in _all_edges(first)] == [
         e.to_record() for e in _all_edges(second)
@@ -273,7 +281,7 @@ def test_builds_are_deterministic():
 
 
 def test_discard_allowance_accumulates():
-    b = build_hyperimmune(32)
+    b = build(RunConfig(preset="hyperimmune", depth=32))
     assert b.discard_allowance(2, 29) == 0
     total = b.discard_allowance(2, 32)
     assert total == sum((d.bound for d in b.discards), Rational(0))
@@ -308,7 +316,7 @@ def test_discard_allowance_accumulates():
 )
 def test_cap_hits_name_the_cap_level_task_and_network(preset, depth, caps, message):
     with pytest.raises(ResourceLimit) as hit:
-        build(RunConfig(preset=preset, depth=depth), caps=caps)
+        build(RunConfig(preset=preset, depth=depth, caps=caps))
     assert str(hit.value) == message
 
 

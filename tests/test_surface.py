@@ -20,11 +20,6 @@ PUBLIC = [
     "ResourceLimit",
     "RunConfig",
     "build",
-    "build_atom",
-    "build_atom_family",
-    "build_divisible",
-    "build_hyperimmune",
-    "build_nonstochastic",
     "dense_oracle",
     "index_of",
     "ml_test",

@@ -10,14 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube, subtract_many
-from treeflow.constructions import (
-    RunConfig,
-    build_atom,
-    build_atom_family,
-    build_divisible,
-    build_hyperimmune,
-    build_nonstochastic,
-)
+from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.network import ElementaryNetwork, ExtraEdge, rat_str
 from treeflow.operators import (
     TableOperator,
@@ -70,21 +63,13 @@ def _assert_only_fails(reports, target):
 
 @pytest.fixture(scope="module")
 def hyper32():
-    return build_hyperimmune(32)
+    return build(RunConfig(preset="hyperimmune", depth=32))
 
 
-BUILDERS = {
-    "nonstochastic": build_nonstochastic,
-    "divisible": build_divisible,
-    "atom": build_atom,
-    "family": build_atom_family,
-    "hyperimmune": build_hyperimmune,
-}
 
-
-@pytest.mark.parametrize("preset", sorted(BUILDERS))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_all_checks_clean_at_depth_12(preset):
-    reports = run_checks(BUILDERS[preset](12))
+    reports = run_checks(build(RunConfig(preset=preset, depth=12)))
     names = [r.name for r in reports]
     assert names[: len(DEFAULT_NAMES)] == DEFAULT_NAMES
     if preset in ("nonstochastic", "atom"):
@@ -94,7 +79,7 @@ def test_all_checks_clean_at_depth_12(preset):
 
 
 def test_report_payload_shape():
-    reports = run_checks(build_atom(8))
+    reports = run_checks(build(RunConfig(preset="atom", depth=8)))
     for r in reports:
         payload = r.to_payload()
         assert payload["name"] == r.name
@@ -105,7 +90,7 @@ def test_report_payload_shape():
 
 
 def test_unknown_check_name_rejected():
-    b = build_atom(6)
+    b = build(RunConfig(preset="atom", depth=6))
     with pytest.raises(KeyError):
         run_checks(b, names=["delay_form", "bogus"])
 
@@ -122,7 +107,7 @@ def test_deep_multi_network_run_clean(hyper32):
 
 
 def test_deep_sparse_smoke():
-    b = build_atom_family(48)
+    b = build(RunConfig(preset="family", depth=48))
     assert sum(len(net.edges) for net in b.networks) == 1
     assert len(b.discards) == 1
     names = ["delay_form", "no_overlap", "conservation", "sn_bound", "duplication"]
@@ -131,7 +116,8 @@ def test_deep_sparse_smoke():
 
 
 def test_ratio_identity_covers_every_task_at_depth_20():
-    for b in (build_atom(20), build_atom_family(20)):
+    for preset in ("atom", "family"):
+        b = build(RunConfig(preset=preset, depth=20))
         rep = check_ratio_identity(b, min_coverage=Fraction(4, 5))
         assert rep.passed, rep.witness
         assert rep.details["covered"] == [1, 2, 3, 4, 5]
@@ -258,7 +244,7 @@ def test_ratio_identity_matches_all_pairs_brute_force(preset):
     failing = 0
     for depth in range(1, 13):
         for corrupt in (None, _triple_half_an_item):
-            b = BUILDERS[preset](depth)
+            b = build(RunConfig(preset=preset, depth=depth))
             if corrupt is not None and not corrupt(b):
                 continue
             rep = check_ratio_identity(b)
@@ -278,7 +264,7 @@ def test_tripled_edge_in_transit_trips_ratio_identity():
     # Part of P is mass in transit: at depth 20, 32 edges drawn at step 18
     # pass over level 8, where task 2 (w = 3) compares flows, one under
     # each head. Tripling one of them breaks the proportionality there.
-    b = build_hyperimmune(20)
+    b = build(RunConfig(preset="hyperimmune", depth=20))
     assert check_ratio_identity(b).passed
     assert _triple_an_edge_in_transit(b)
     rep = check_ratio_identity(b)
@@ -308,7 +294,7 @@ def test_scaled_deep_head_region_trips_only_ratio_identity():
     # balanced, so only the proportionality of flows to their width-w
     # prefixes is broken; a 1,000-pair sample almost never draws a pair
     # with that head (the seeded one did not).
-    b = build_atom(24)
+    b = build(RunConfig(preset="atom", depth=24))
     w = 15
     head = BitString(w - 1, 0b1011 << (w - 5))
     assert check_ratio_identity(b).passed
@@ -320,7 +306,7 @@ def test_scaled_deep_head_region_trips_only_ratio_identity():
 
 
 def test_poked_delay_value_trips_only_delay_form():
-    b = build_nonstochastic(12)
+    b = build(RunConfig(preset="nonstochastic", depth=12))
     table = b.network(1).tables[-1]
     table.vertex[BitString(12, 0)] = Fraction(2, 5)
     table._partition = None
@@ -330,7 +316,7 @@ def test_poked_delay_value_trips_only_delay_form():
 
 
 def test_nested_edge_pair_trips_only_no_overlap():
-    b = build_nonstochastic(12)
+    b = build(RunConfig(preset="nonstochastic", depth=12))
     net = b.network(1)
     # Weightless pair sitting below every settled session start, so the
     # crossing structure is the only thing wrong with it.
@@ -359,7 +345,7 @@ def test_nested_edge_pair_trips_only_no_overlap():
 
 
 def test_corrupted_weight_trips_only_conservation():
-    b = build_nonstochastic(12)
+    b = build(RunConfig(preset="nonstochastic", depth=12))
     net = b.network(1)
     e = net.edges[0]
     # Flat list only: flow paths keep using the clean lookup table, so
@@ -371,7 +357,7 @@ def test_corrupted_weight_trips_only_conservation():
 
 
 def test_moved_class_member_trips_only_duplication(hyper32):
-    b = build_hyperimmune(32)
+    b = build(RunConfig(preset="hyperimmune", depth=32))
     net = b.network(1)
     batch = sorted(
         (e for e in net.edges if e.step_drawn == 18),
@@ -391,7 +377,7 @@ def test_moved_class_member_trips_only_duplication(hyper32):
 
 
 def test_edge_across_session_start_trips_only_separators():
-    b = build_nonstochastic(12)
+    b = build(RunConfig(preset="nonstochastic", depth=12))
     net = b.network(1)
     spanner = ExtraEdge(
         source=BitString(2, 0b11),
@@ -410,7 +396,7 @@ def test_edge_across_session_start_trips_only_separators():
 
 
 def test_raised_frame_value_trips_separators_at_that_vertex():
-    b = build_nonstochastic(12)
+    b = build(RunConfig(preset="nonstochastic", depth=12))
     net = b.network(1)
     clean = check_separators(b)
     assert clean.passed
@@ -438,7 +424,7 @@ def test_raised_frame_value_trips_separators_at_that_vertex():
 
 
 def test_separators_report_their_coverage_per_level():
-    b = build_atom_family(20)
+    b = build(RunConfig(preset="family", depth=20))
     rep = check_separators(b)
     assert rep.passed, rep.witness
     coverage = rep.details["coverage"]
@@ -463,7 +449,7 @@ def _set_frame_value(net, x, value):
 def test_deep_frame_corruption_trips_separators(corruption):
     # 0^24 is one vertex of 2^24 on separator level 24: a per-level
     # sample of a few hundred vertices misses it, the exact walk does not.
-    b = build_nonstochastic(24)
+    b = build(RunConfig(preset="nonstochastic", depth=24))
     net = b.network(1)
     assert check_separators(b).details["separators"]["1"][-2:] == [23, 24]
     x = BitString(24, 0)
@@ -573,7 +559,7 @@ def test_bucketed_unhalved_matches_the_pairwise_walk_on_shapes(shape):
 
 @pytest.mark.parametrize("corruption", [None, "raised child", "emptied parent"])
 def test_bucketed_unhalved_matches_the_pairwise_walk_on_bundles(corruption):
-    b = build_nonstochastic(40)
+    b = build(RunConfig(preset="nonstochastic", depth=40))
     net = b.network(1)
     x = BitString(24, 0)
     if corruption == "raised child":
@@ -589,7 +575,7 @@ def test_bucketed_unhalved_matches_the_pairwise_walk_on_bundles(corruption):
 
 @pytest.mark.parametrize("via", ["frame item", "edge in transit"])
 def test_flow_under_a_discarded_child_trips_discards(via):
-    b = build_hyperimmune(32)
+    b = build(RunConfig(preset="hyperimmune", depth=32))
     d = b.discards[0]
     net = b.network(d.network_id)
     assert check_discards(b).passed
@@ -626,7 +612,7 @@ def test_flow_under_a_discarded_child_trips_discards(via):
 
 
 def test_conservation_reports_exhaustive_coverage_per_network():
-    b = build_atom_family(16)
+    b = build(RunConfig(preset="family", depth=16))
     rep = check_conservation(b)
     assert rep.passed, rep.witness
     assert rep.details["coverage"] == {
@@ -635,7 +621,7 @@ def test_conservation_reports_exhaustive_coverage_per_network():
 
 
 def test_inflated_discard_bound_trips_only_discards():
-    b = build_atom_family(12)
+    b = build(RunConfig(preset="family", depth=12))
     assert b.discards
     b.discards[0] = dataclasses.replace(b.discards[0], bound=Fraction(1, 8))
     rep = _assert_only_fails(run_checks(b), "discards")
@@ -662,7 +648,7 @@ def test_vertex_replay_refuses_deep_runs():
 
 
 def test_shadow_walk_refuses_deep_runs():
-    b = build_nonstochastic(16)
+    b = build(RunConfig(preset="nonstochastic", depth=16))
     with pytest.raises(ResourceLimit) as hit:
         check_extension_shadow(b, task=2)
     assert str(hit.value).startswith(
@@ -672,7 +658,7 @@ def test_shadow_walk_refuses_deep_runs():
 
 
 def test_shadow_walk_violation_branch():
-    b = build_nonstochastic(8)
+    b = build(RunConfig(preset="nonstochastic", depth=8))
     clean = check_extension_shadow(b, task=1, admits=lambda i, x: False)
     assert clean.passed
     assert clean.details["qualifying"] == 0
@@ -704,7 +690,7 @@ def _scan_admits(bundle):
 @pytest.mark.parametrize("preset", ["nonstochastic", "atom"])
 def test_shadow_walk_matches_the_extension_scan(preset):
     for depth in (4, 7, 10):
-        b = BUILDERS[preset](depth)
+        b = build(RunConfig(preset=preset, depth=depth))
         fast = check_extension_shadow(b)
         scan = check_extension_shadow(b, admits=_scan_admits(b))
         assert fast.passed == scan.passed
