@@ -63,8 +63,9 @@ class BundleError(Exception):
     """Unreadable or structurally incomplete bundle files."""
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every row: json.dumps with these arguments builds a new
+# encoder on each call.
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _pretty(obj) -> str:

@@ -20,10 +20,14 @@ takes the first of the disjoint cubes that matches.
 
 Frames are made on demand. A level is recorded first, with every check
 that reads no frame, and pushed later: a build pushes each level as it
-commits it, since the next step reads the frame, while a reloaded bundle
-pushes its levels only when a frame is first read. Both go through one
-push path, so a frame and its conservation ledger come out the same
-either way.
+commits it, while a reloaded bundle pushes its levels, in order, only
+when a frame is first read. Both go through one push path, so a frame
+and its conservation ledger come out the same either way. A push that
+needs no frame makes none: a clean level, one whose parent has a single
+delay part and on which no edge lands, is pushed by its parent's value
+groups alone, and its frame is made when something reads it, from the
+nearest made level above. Most levels of a build are clean, and most
+steps read no frame.
 
 Every sum of value times vertex count goes through value groups. The
 integer counts of the items that share a value are added up first, and
@@ -88,11 +92,9 @@ def _fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 
-def _grouped_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
-    """Sum of v * k over (v, k) terms with integer k. The counts are added
-    per value object first (a group holds its v, so no id is reused
-    meanwhile), then per (numerator, denominator), and the distinct values
-    in one `_fraction_sum`."""
+def _value_groups(terms: Iterable[tuple[Fraction, int]]) -> list[list]:
+    """The [v, k] groups of (v, k) terms with integer k: the counts added
+    per value object. A group holds its v, so no id is reused meanwhile."""
     by_id: dict[int, list] = {}
     for v, k in terms:
         group = by_id.get(id(v))
@@ -100,8 +102,15 @@ def _grouped_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
             by_id[id(v)] = [v, k]
         else:
             group[1] += k
+    return list(by_id.values())
+
+
+def _grouped_sum(groups: list[list]) -> Fraction:
+    """Sum of v * k over [v, k] value groups. The counts are added per
+    (numerator, denominator), and the distinct values in one
+    `_fraction_sum`."""
     counts: dict[tuple[int, int], int] = {}
-    for v, k in by_id.values():
+    for v, k in groups:
         key = (v.numerator, v.denominator)
         counts[key] = counts.get(key, 0) + k
     return _fraction_sum((num * k, den) for (num, den), k in counts.items() if k)
@@ -109,12 +118,12 @@ def _grouped_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
 
 def items_total(items: Items) -> Fraction:
     """Sum of the values over every vertex of the map."""
-    return _grouped_sum((v, c.count()) for c, v in items)
+    return _grouped_sum(_value_groups((v, c.count()) for c, v in items))
 
 
 def mass_in(items: Items, cube: Cube) -> Fraction:
     """Sum of the values over the vertices of cube."""
-    return _grouped_sum((v, c.overlap(cube)) for c, v in items)
+    return _grouped_sum(_value_groups((v, c.overlap(cube)) for c, v in items))
 
 
 def value_at(items: Items, x: BitString) -> Fraction:
@@ -284,6 +293,26 @@ def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
         for (vn, vd, sn, sd), (_, k) in groups.items()
     )
     return out, pushed
+
+
+def _push_groups(groups: list[list], s: Fraction) -> tuple[list[list], Fraction]:
+    """`push_down` of a level whose one delay part is s, on the level's
+    [v, vertex count] value groups instead of its items: a group of k
+    vertices of value v becomes the group of 2k vertices of value
+    v (1 - s)/2, and s = 1 passes nothing on. As in push_down, the carried
+    mass v (1 - s) k is summed on the input side, so the ledger of the
+    push still catches a wrong share."""
+    sn, sd = s.numerator, s.denominator
+    if sn == sd:
+        return [], ZERO
+    children = [
+        [Fraction(v.numerator * (sd - sn), 2 * v.denominator * sd), 2 * k]
+        for v, k in groups
+    ]
+    pushed = _fraction_sum(
+        (v.numerator * (sd - sn) * k, v.denominator * sd) for v, k in groups
+    )
+    return children, pushed
 
 
 def coalesce(items: Items) -> Items:
@@ -495,16 +524,24 @@ class ElementaryNetwork:
 
     A level goes in through `record_level`, which checks and indexes what
     no frame is needed for, and is pushed by `_push`, the one path that
-    makes a frame: the push-down, the landing edges, the conservation
-    ledger and `coalesce`. `commit_level` does both at once; a reloaded
-    bundle only records, and `frames` pushes its levels, in order, when a
-    frame is first read."""
+    runs the conservation ledger. A clean level is pushed by its parent's
+    value groups, and `_make` makes its frame when something reads it:
+    `frames`, `frame_eval`, `pre_frame`, or an edge's source in `_push`.
+    Any other level is made as it is pushed: the push-down, the landing
+    edges, the ledger and `coalesce`. `commit_level` records and pushes
+    at once; a reloaded bundle only records, and `frames` pushes and makes
+    its levels, in order, when a frame is first read."""
 
     def __init__(self, network_id: int = 1):
         self.network_id = network_id
         self.depth = 0
         self.tables: list[DelayTable] = [DelayTable(0)]
-        self._frames: list[Items] = [[(Cube.whole_level(0), ONE)]]
+        # The frame of each pushed level, None for a clean level not made.
+        self._frames: list[Optional[Items]] = [[(Cube.whole_level(0), ONE)]]
+        # The total of each pushed level not made yet: its frame's ledger.
+        self._unmade: dict[int, Fraction] = {}
+        # The value groups [v, vertex count] of the last pushed level.
+        self._groups: list[list] = [[ONE, 1]]
         self.aggregates: list[LevelAggregates] = [LevelAggregates(ONE, ZERO)]
         self.edges: list[ExtraEdge] = []
         # Outgoing edges keyed by source length, then by source value: a
@@ -516,11 +553,25 @@ class ElementaryNetwork:
 
     @property
     def frames(self) -> list[Items]:
-        """The frame of every level up to depth; a recorded level that is
-        not pushed yet is pushed first, lower levels before higher."""
-        while len(self._frames) <= self.depth:
-            self._push(len(self._frames))
+        """The frame of every level up to depth. A level not pushed or not
+        made yet is pushed and made first, lower levels before higher; with
+        none pending, a read costs O(1)."""
+        if self._unmade or len(self._frames) <= self.depth:
+            for n in range(self.depth + 1):
+                self._frame(n)
         return self._frames
+
+    def _frame(self, n: int) -> Items:
+        """The frame of level n, pushed and made first if need be. Level n
+        is read, so if it is pushed here it is pushed down from its parent
+        frame, not by value groups, which would leave it to `_make`."""
+        while len(self._frames) < n:
+            self._push(len(self._frames))
+        if len(self._frames) == n:
+            self._pushed(n)
+            self._push(n)
+        frame = self._frames[n]
+        return self._make(n) if frame is None else frame
 
     # -- queries ---------------------------------------------------------
 
@@ -532,7 +583,7 @@ class ElementaryNetwork:
     def frame_eval(self, x: BitString) -> Fraction:
         if len(x) > self.depth:
             raise ConstructionError(f"level {len(x)} not constructed yet")
-        return value_at(self.frames[len(x)], x)
+        return value_at(self._frame(len(x)), x)
 
     def flow_eval(self, x: BitString) -> Fraction:
         """P(x): the frame value R(x) plus the mass in transit over x, that
@@ -564,12 +615,13 @@ class ElementaryNetwork:
             raise ConstructionError(
                 f"pre-commit frame only exists at level {self.depth + 1}"
             )
-        return self._pushed(n, self.frames[n - 1])[0]
+        return self._pushed(n)[0]
 
-    def _pushed(self, n: int, parent: Items) -> tuple[Items, Fraction]:
+    def _pushed(self, n: int) -> tuple[Items, Fraction]:
         """Level n pushed down from its parent frame, before any edge
         lands on it, and the mass carried: computed once per level."""
         if self._pre is None or self._pre[0] != n:
+            parent = self._frame(n - 1)
             self._pre = (n, *push_down(parent, self.tables[n - 1].s_partition()))
         return self._pre[1], self._pre[2]
 
@@ -578,7 +630,7 @@ class ElementaryNetwork:
     ) -> None:
         """Take level depth + 1 with the edges that land on it, checking
         all that reads no frame: the levels, each edge's weight against its
-        source's delay, and one outgoing edge per source. The level's frame
+        source's delay, and one outgoing edge per source. The level's push
         is left to `_push`."""
         n = self.depth + 1
         if table.level != n:
@@ -604,48 +656,97 @@ class ElementaryNetwork:
         self.depth = n
 
     def _push(self, n: int) -> LevelAggregates:
-        """Make the frame of recorded level n from frame n - 1, which must
-        be the last one made, and return the level's aggregates. The
-        ledger checks the frame's total against the mass pushed down plus
-        the mass the landing edges inject; a level it rejects keeps its
-        edges, so a second read fails the same way.
+        """Push recorded level n from level n - 1, which must be the last
+        one pushed, and return the level's aggregates. The ledger checks
+        the level's total against the mass pushed down plus the mass the
+        landing edges inject; a level it rejects keeps its edges, so a
+        second read fails the same way.
 
-        The edges' q * R(source) are summed per target vertex, and that
-        vertex map is coalesced, so a draw replicated over equal source
-        values lands as one cube of its targets, one overlay each."""
-        items, pushed = self._pushed(n, self._frames[n - 1])
+        A clean level, one whose parent has a single delay part and on
+        which no edge lands, is pushed by the parent's value groups
+        (`_push_groups`) unless its push-down was read already, and its
+        frame is left to `_make`. Any other level is made here. The edges'
+        q * R(source) are summed per target vertex, and that vertex map is
+        coalesced, so a draw replicated over equal source values lands as
+        one cube of its targets, one overlay each."""
+        parts = self.tables[n - 1].s_partition()
         edges = self._landing.get(n)
+        clean = not edges and len(parts) == 1
         inflow = ZERO
-        if edges:
-            amounts: dict[BitString, Fraction] = {}
-            for e in edges:
-                r = value_at(self._frames[len(e.source)], e.source)
-                if r:
-                    amounts[e.target] = amounts.get(e.target, ZERO) + e.q * r
-            landing = [(Cube.vertex(t), a) for t, a in amounts.items()]
-            for cube, a in coalesce(landing):
-                items = overlay(items, cube, a)
-            inflow = items_total(landing)
-        total = items_total(items)
+        if clean and (self._pre is None or self._pre[0] != n):
+            items = None
+            groups, pushed = _push_groups(self._groups, parts[0][1])
+        else:
+            items, pushed = self._pushed(n)
+            if edges:
+                amounts: dict[BitString, Fraction] = {}
+                for e in edges:
+                    r = value_at(self._frame(len(e.source)), e.source)
+                    if r:
+                        amounts[e.target] = amounts.get(e.target, ZERO) + e.q * r
+                landing = [(Cube.vertex(t), a) for t, a in amounts.items()]
+                for cube, a in coalesce(landing):
+                    items = overlay(items, cube, a)
+                inflow = items_total(landing)
+            groups = _value_groups((v, c.count()) for c, v in items)
+        total = _grouped_sum(groups)
         if total != pushed + inflow:
             raise ConstructionError(
                 f"conservation ledger broken at level {n}: "
                 f"{total} != {pushed} + {inflow}"
             )
-        # A level is clean when its parent has one delay part and no edge
-        # lands on it. The parent frame is coalesced; one part scales every
-        # value by the same injective factor (1 - s)/2 and every cube gains
-        # the same free bit, so the child has no mergeable pair either.
-        clean = not edges and len(self.tables[n - 1].s_partition()) == 1
-        self._frames.append(items if clean else coalesce(items))
+        if items is None:
+            self._unmade[n] = total
+        elif not clean:
+            # A clean level needs no coalesce. The parent frame is
+            # coalesced; one part scales every value by the same injective
+            # factor (1 - s)/2 and every cube gains the same free bit, so
+            # the child has no mergeable pair either.
+            items = coalesce(items)
+        self._frames.append(items)
+        self._groups = groups
         self._landing.pop(n, None)
         self._pre = None
         return LevelAggregates(total, inflow)
 
+    def _make(self, n: int) -> Items:
+        """Make the frame of pushed level n from the nearest made level m
+        above it. Levels m + 1 .. n are clean, so each cube gains the n - m
+        free low bits in between and each value object is scaled once by
+        the product of (1 - s)/2 over the single delay parts of levels
+        m .. n - 1: the frame n - m push-downs would make, item for item.
+        The ledger checks the frame's total against the level's."""
+        m = n - 1
+        while self._frames[m] is None:
+            m -= 1
+        num = den = 1
+        for table in self.tables[m:n]:
+            ((_, s),) = table.s_partition()
+            num *= s.denominator - s.numerator
+            den *= 2 * s.denominator
+        items: Items = []
+        if num:
+            scaled: dict[int, Fraction] = {}
+            for c, v in self._frames[m]:
+                w = scaled.get(id(v))
+                if w is None:
+                    w = scaled[id(v)] = Fraction(v.numerator * num, v.denominator * den)
+                items.append((c.extend(n - m), w))
+        total = items_total(items)
+        if total != self._unmade[n]:
+            raise ConstructionError(
+                f"conservation ledger broken at level {n}: "
+                f"made frame {total} != {self._unmade[n]}"
+            )
+        self._frames[n] = items
+        del self._unmade[n]
+        return items
+
     def commit_level(
         self, table: DelayTable, edges: Iterable[ExtraEdge] = ()
     ) -> None:
-        """Record level depth + 1 and push it at once."""
+        """Record level depth + 1 and push it at once. A clean level's
+        frame waits for its first read."""
         self.record_level(table, edges)
         self.aggregates.append(self._push(self.depth))
 

@@ -82,28 +82,24 @@ def _frame_total(net, n) -> Fraction:
 def _pre_mass(net, level, cubes) -> Fraction:
     """Mass arriving at `cubes` (level `level`) before level edges land."""
     hits: dict[tuple[int, int, int, int], int] = {}
-    parts = net.tables[level - 1].s_partition()
-    for c, v in net.frames[level - 1]:
-        if v == 0:
-            continue
-        for c2, s in parts:
-            if s == 1:
-                continue
-            inter = c.intersect(c2)
-            if inter is None:
-                continue
-            child = inter.extend(1)
-            k = sum(child.overlap(cube) for cube in cubes)
-            if k:
-                key = (v.numerator, v.denominator, s.numerator, s.denominator)
-                hits[key] = hits.get(key, 0) + k
-    # each hit child vertex receives v * (1 - s) / 2
-    return sum(
-        (
-            Fraction(vn * (sd - sn) * k, 2 * vd * sd)
+    parts = [(c, s) for c, s in net.tables[level - 1].s_partition() if s != 1]
+    items = [(c, v) for c, v in net.frames[level - 1] if v]
+    for j, i in _meeting_pairs([c for c, _ in parts], [c for c, _ in items]):
+        (c2, s), (c, v) = parts[j], items[i]
+        child = c.intersect(c2).extend(1)
+        k = sum(child.overlap(cube) for cube in cubes)
+        if k:
+            key = (v.numerator, v.denominator, s.numerator, s.denominator)
+            hits[key] = hits.get(key, 0) + k
+    # each hit child vertex receives v * (1 - s) / 2; the terms are added
+    # as integers over one common denominator
+    common = lcm(*(2 * vd * sd for _, vd, _, sd in hits))
+    return Fraction(
+        sum(
+            vn * (sd - sn) * k * (common // (2 * vd * sd))
             for (vn, vd, sn, sd), k in hits.items()
         ),
-        ZERO,
+        common,
     )
 
 
@@ -611,7 +607,8 @@ def _meeting_pairs(a, b) -> list[tuple[int, int]]:
     pair meets; bucket pairs with at most 16 pairs per cube are tested
     pair by pair."""
     out = []
-    todo = [(list(range(len(a))), list(range(len(b))))]
+    todo = [(range(len(a)), range(len(b)))]
+    split = False  # a lone scan leaves the pairs in order
     while todo:
         ia, ib = todo.pop()
         if len(ia) * len(ib) <= 16 * (len(ia) + len(ib)):
@@ -619,6 +616,7 @@ def _meeting_pairs(a, b) -> list[tuple[int, int]]:
                 care, value = a[i].care, a[i].value
                 out += [(i, j) for j in ib if not (b[j].value ^ value) & b[j].care & care]
             continue
+        split = True
         ones_a, zeros_a = _pinned_bits(a, ia)
         ones_b, zeros_b = _pinned_bits(b, ib)
         sep = (ones_a & zeros_b) | (zeros_a & ones_b)
@@ -629,7 +627,8 @@ def _meeting_pairs(a, b) -> list[tuple[int, int]]:
         a0, a1, af = _split_on(a, ia, bit)
         b0, b1, bf = _split_on(b, ib, bit)
         todo += [(a0 + af, b0 + bf), (a1, b1 + bf), (af, b1)]
-    out.sort()
+    if split:
+        out.sort()
     return out
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from treeflow import network
 from treeflow.bitseq import BitString
 from treeflow.cli import read_bundle, write_bundle
 from treeflow.constructions import PRESETS, RunConfig, build
@@ -570,10 +571,90 @@ def test_coalesce_leaves_a_clean_level_unchanged(preset, depth):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_reload_matches_the_build(tmp_path, preset):
     # Build and reload hand a level the same edges, so the one push path
-    # makes the same frame: item for item, order included.
-    built = build(RunConfig(preset=preset, depth=48))
+    # makes the same frame: item for item, order included. At depth 128
+    # a build leaves long runs of clean levels unmade until this read.
+    depth = 62 if preset == "hyperimmune" else 128
+    built = build(RunConfig(preset=preset, depth=depth))
     write_bundle(built, tmp_path / "b")
     reloaded = read_bundle(tmp_path / "b")
     for a, b in zip(built.networks, reloaded.networks, strict=True):
         for n in range(built.depth + 1):
             assert b.frames[n] == a.frames[n], (a.network_id, n)
+
+
+def _replay(net, rng=None):
+    """net's levels committed again into a fresh network; with an rng,
+    random frame_eval and pre_frame reads go between the commits."""
+    landing: dict[int, list] = {}
+    for e in net.edges:
+        landing.setdefault(len(e.target), []).append(e)
+    fresh = ElementaryNetwork(net.network_id)
+    for n in range(1, net.depth + 1):
+        fresh.commit_level(net.tables[n], landing.get(n, []))
+        for _ in range(rng.randrange(4) if rng else 0):
+            if n < net.depth and rng.random() < 0.3:
+                fresh.pre_frame(n + 1)
+            else:
+                m = rng.randrange(n + 1)
+                fresh.frame_eval(BitString(m, rng.randrange(1 << m)))
+    return fresh
+
+
+@pytest.mark.parametrize(
+    "source",
+    [*(("random", seed) for seed in range(6)), ("family", 64), ("hyperimmune", 48)],
+    ids=lambda source: "-".join(map(str, source)),
+)
+def test_frame_reads_between_commits_change_nothing(source):
+    # A clean level's frame is made when first read, from the nearest
+    # made level above it. Reads at random levels between the commits
+    # must leave every frame and aggregate as they are when every frame
+    # is made in order at the end.
+    kind, arg = source
+    if kind == "random":
+        nets = [random_network(arg, depth=14)]  # reads every frame as it goes
+    else:
+        nets = build(RunConfig(preset=kind, depth=arg)).networks
+    rng = random.Random(repr(source))
+    for net in nets:
+        for fresh in (_replay(net), _replay(net, rng)):
+            assert fresh.aggregates == net.aggregates, net.network_id
+            assert fresh.frames == net.frames, net.network_id
+
+
+def test_a_build_pushes_down_only_the_levels_that_are_not_clean(monkeypatch):
+    # nonstochastic's steps read no frame, so a clean level, one whose
+    # parent has a single delay part and on which no edge lands, is
+    # pushed by value groups alone.
+    pushed_levels = []
+    push_down = network.push_down
+
+    def counting(items, parts):
+        pushed_levels.append(parts[0][0].length + 1)
+        return push_down(items, parts)
+
+    monkeypatch.setattr(network, "push_down", counting)
+    (net,) = build(RunConfig(preset="nonstochastic", depth=128)).networks
+    landing = {len(e.target) for e in net.edges}
+    dirty = [
+        n
+        for n in range(1, 129)
+        if n in landing or len(net.tables[n - 1].s_partition()) != 1
+    ]
+    assert pushed_levels == dirty
+    assert len(dirty) == 8
+
+
+def test_a_wrong_group_share_trips_the_ledger(monkeypatch):
+    push_groups = network._push_groups
+
+    def skewed(groups, s):
+        # The carried mass is right; the first child share is doubled.
+        children, pushed = push_groups(groups, s)
+        if children:
+            children[0][0] *= 2
+        return children, pushed
+
+    monkeypatch.setattr(network, "_push_groups", skewed)
+    with pytest.raises(ConstructionError, match="conservation ledger"):
+        build(RunConfig(preset="nonstochastic", depth=16))
