@@ -353,6 +353,10 @@ def cmd_verify(args) -> int:
             for c in args.checks.split(",")
             if c.strip()
         ]
+        if not names:
+            raise ConfigError(
+                f"--checks {args.checks!r} names no check; have {sorted(CHECKS)}"
+            )
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; have {sorted(CHECKS)}")

@@ -753,6 +753,8 @@ def ml_test(bundle: ConstructionBundle, index: Optional[int] = None) -> MLTest:
     max_task = max(
         (stream.task(n) for n in range(1, bundle.depth + 1)), default=0
     )
+    if index is not None and index < 1:
+        raise ConfigError(f"task index {index} is below 1; tasks count from 1")
     if index is not None and index > max_task:
         raise ConfigError(f"task {index} never runs at depth {bundle.depth}")
     roots_by_task: dict[int, list[BitString]] = {}

@@ -867,7 +867,14 @@ def check_extension_shadow(
 ) -> CheckReport:
     """Support paths all of whose prefixes could still satisfy a task's
     predicate must run through one of that task's edges or over an s = 1
-    vertex. Needs full paths, so depths stay small."""
+    vertex.
+
+    The walk visits, depth first, only the prefixes on which some task is
+    still live, testing P > 0 on each with `flow_eval`. A child on which
+    no task is live decides no verdict: its support leaves only add to
+    `paths`, and are counted from the deepest frame when the walk reaches
+    it. A test that keeps every prefix live still visits every support
+    vertex, so depths stay capped."""
     start = time.monotonic()
     depth = bundle.depth
     if admits is None and bundle.config.preset not in LENGTH_PRESETS:
@@ -879,7 +886,7 @@ def check_extension_shadow(
         raise ResourceLimit(
             f"verify.ORACLE_DEPTH_CAP = {ORACLE_DEPTH_CAP} exceeded at level "
             f"{depth}, {tasks_named}, every network: the extension-shadow "
-            f"path walk visits every full path"
+            f"walk visits every prefix on which a task is still live"
         )
     tasks = [task] if task is not None else _active_tasks(bundle)
     ops = bundle.operators
@@ -904,19 +911,37 @@ def check_extension_shadow(
         ends: dict[BitString, set[int]] = {}
         for e in net.edges:
             ends.setdefault(e.target, set()).add(e.task)
+        leaves = net.frames[depth]
         # A node carries the tasks that admit every prefix so far, the
         # tasks with an edge ending on the path so far, and whether the
         # path has crossed an s = 1 vertex.
         stack = [(BitString(0, 0), tuple(tasks), frozenset(), False)]
         while stack:
             x, alive, via, dead = stack.pop()
+            if not alive:
+                # Live sets only shrink along a path, so no leaf below x
+                # counts toward the verdict; its support leaves are the
+                # members of x's subtree with R > 0 in the deepest frame.
+                # That is the count a walk testing P > 0 on every vertex
+                # would reach: at full depth P = R, as no edge is in
+                # transit below the last level; frames hold no zero
+                # values; and R(y) > 0 makes P > 0 on every prefix of y,
+                # since a share needs R(parent) > 0 and a landing edge
+                # needs R(source) > 0 and is in transit over every vertex
+                # in between.
+                below = Cube.subtree(x, depth)
+                counts["paths"] += sum(c.overlap(below) for c, _ in leaves)
+                continue
             if len(x) < depth:
                 for b in (0, 1):
                     child = x.child(b)
-                    if net.flow_eval(child) > 0:
+                    live = tuple(i for i in alive if admits_at(i, child))
+                    if not live:
+                        stack.append((child, live, via, dead))
+                    elif net.flow_eval(child) > 0:
                         stack.append((
                             child,
-                            tuple(i for i in alive if admits_at(i, child)),
+                            live,
                             via.union(ends.get(child, ())),
                             dead or net.delay(child) == 1,
                         ))

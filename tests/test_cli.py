@@ -135,6 +135,16 @@ def test_verify_check_selector_accepts_dashes(tmp_path):
     assert main(["verify", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_verify_checks_naming_no_check_is_bad_input(tmp_path, capsys, checks):
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "6")
+    capsys.readouterr()
+    assert main(["verify", str(out), "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert "names no check" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_oracle_depth(tmp_path):
     out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "8")
     report_path = tmp_path / "report.json"
@@ -519,6 +529,14 @@ def test_mltest_masses_and_bounds(tmp_path):
     rows = [json.loads(l) for l in dump.read_text().splitlines()]
     assert len(rows) == 1 and rows[0]["index"] == 1
     assert main(["mltest", str(out), "--index", "99"]) == 2
+
+
+@pytest.mark.parametrize("index", ["0", "-1"])
+def test_mltest_index_below_one_is_bad_input(tmp_path, capsys, index):
+    out = _build(tmp_path, "--preset", "nonstochastic", "--depth", "8")
+    capsys.readouterr()
+    assert main(["mltest", str(out), "--index", index]) == 2
+    assert f"task index {index} is below 1" in capsys.readouterr().err
 
 
 def test_mltest_needs_an_image_length_preset(tmp_path):

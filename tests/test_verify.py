@@ -21,6 +21,7 @@ from treeflow.operators import (
 from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
     _acting_net,
+    _active_tasks,
     _longest_image,
     _meeting_pairs,
     _stable_tasks,
@@ -696,6 +697,123 @@ def test_shadow_walk_matches_the_extension_scan(preset):
         assert fast.passed == scan.passed
         assert fast.witness == scan.witness
         assert fast.details == scan.details
+
+
+def _vertex_walk(bundle, admits):
+    """The shadow walk without pruning: it tests every vertex with
+    flow_eval and visits each one with P > 0, so the pruned walk must reach
+    the same verdict, witness and counters."""
+    depth = bundle.depth
+    tasks = _active_tasks(bundle)
+    counts = {"paths": 0, "qualifying": 0, "via_edge": 0, "via_discard": 0}
+    for net in bundle.networks:
+        ends = {}
+        for e in net.edges:
+            ends.setdefault(e.target, set()).add(e.task)
+        stack = [(BitString(0, 0), tuple(tasks), frozenset(), False)]
+        while stack:
+            x, alive, via, dead = stack.pop()
+            if len(x) < depth:
+                for b in (0, 1):
+                    child = x.child(b)
+                    if net.flow_eval(child) > 0:
+                        stack.append((
+                            child,
+                            tuple(i for i in alive if admits(i, child)),
+                            via.union(ends.get(child, ())),
+                            dead or net.delay(child) == 1,
+                        ))
+                continue
+            counts["paths"] += 1
+            for i in alive:
+                counts["qualifying"] += 1
+                if i in via:
+                    counts["via_edge"] += 1
+                elif dead:
+                    counts["via_discard"] += 1
+                else:
+                    witness = {"network": net.network_id, "path": str(x), "task": i}
+                    return False, witness, counts
+    return True, None, counts
+
+
+def _default_admits(bundle):
+    """The walk's default test, restated: some extension of x has an image
+    longer than index_of(x) + i."""
+    def admits(i, x):
+        bound = index_of(x) + i
+        op = bundle.operators.operator_for(i)
+        return bound < bundle.depth and _longest_image(op, x, bundle.depth) > bound
+
+    return admits
+
+
+def _edge_admits(bundle):
+    """x admits task i when x is comparable with a target of one of task
+    i's edges, so every qualifying path runs through an edge."""
+    targets = {}
+    for net in bundle.networks:
+        for e in net.edges:
+            targets.setdefault(e.task, []).append(e.target)
+
+    def admits(i, x):
+        return any(
+            x.is_prefix_of(t) or t.is_prefix_of(x) for t in targets.get(i, ())
+        )
+
+    return admits
+
+
+_ADMITS = {
+    "default": _default_admits,
+    "scan": _scan_admits,
+    "always": lambda b: lambda i, x: True,
+    "never": lambda b: lambda i, x: False,
+    "edge": _edge_admits,
+    # prunes the left half and fails in the right one, which the walk
+    # visits first: the counters at the witness see no left-half leaf
+    "right half": lambda b: lambda i, x: x.value >> (len(x) - 1) == 1,
+}
+
+
+@pytest.mark.parametrize("preset", ["nonstochastic", "atom"])
+def test_pruned_shadow_walk_matches_the_vertex_walk(preset):
+    for depth in range(1, 13):
+        b = build(RunConfig(preset=preset, depth=depth))
+        for name, make in _ADMITS.items():
+            admits = make(b)
+            pruned = check_extension_shadow(
+                b, admits=None if name == "default" else admits
+            )
+            passed, witness, details = _vertex_walk(b, admits)
+            assert (pruned.passed, pruned.witness, pruned.details) == (
+                passed,
+                witness,
+                details,
+            ), (depth, name)
+
+
+def test_edge_test_passes_through_edges():
+    b = build(RunConfig(preset="nonstochastic", depth=10))
+    rep = check_extension_shadow(b, admits=_edge_admits(b))
+    assert rep.passed
+    assert rep.details["qualifying"] == rep.details["via_edge"] == 128
+
+
+@pytest.mark.parametrize("preset", ["nonstochastic", "atom"])
+def test_shadow_walk_visits_only_live_prefixes(preset, monkeypatch):
+    b = build(RunConfig(preset=preset, depth=14))
+    calls = []
+    flow_eval = ElementaryNetwork.flow_eval
+
+    def counted(self, x):
+        calls.append(x)
+        return flow_eval(self, x)
+
+    monkeypatch.setattr(ElementaryNetwork, "flow_eval", counted)
+    assert check_extension_shadow(b).passed
+    # a per-vertex walk makes 2^15 - 2 = 32,766 calls here
+    assert len(calls) < 64
 
 
 _TRANSDUCERS = st.builds(
