@@ -18,20 +18,23 @@ resource cap was hit. Files that parse but describe an impossible
 construction (a malformed delay, an edge whose weight is not its
 source's delay) surface as code 3, as does a conservation ledger that
 breaks when a command first reads a frame; grammar problems surface as
-code 2. A cap (an enumeration limit, or a depth beyond what the dense
-oracle replays) says only that the work was cut off, not that the
-construction is impossible, so it gets its own code.
+code 2. Those include bytes that are not UTF-8, a .jsonl line whose value
+is not a JSON object, and a rational that is not "numerator/denominator"
+or has a zero denominator. A cap (an enumeration limit, or a depth
+beyond what the dense oracle replays) says only that the work was cut
+off, not that the construction is impossible, so it gets its own code.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from treeflow.bitseq import BitString
 from treeflow.constructions import (
@@ -64,8 +67,11 @@ class BundleError(Exception):
 
 
 # One encoder for every row: json.dumps with these arguments builds a new
-# encoder on each call.
-_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# encoder on each call. No row contains itself, so the encoder need not
+# track the containers it is inside to catch a cycle.
+_canon = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 
 
 def _pretty(obj) -> str:
@@ -80,28 +86,51 @@ def _write_jsonl(path: Path, rows: list) -> None:
     _write_text(path, "".join(_canon(r) + "\n" for r in rows))
 
 
-def _load_json(path: Path):
+# One decoder for every row: json.loads wraps raw_decode in two Python
+# calls per line.
+_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def _read_text(path: Path) -> str:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise BundleError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path} is not UTF-8 text: {exc}")
+
+
+def _load_json(path: Path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path} is not valid JSON: {exc}")
 
 
-def _load_jsonl(path: Path) -> list:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise BundleError(f"cannot read {path}: {exc}")
+def _load_jsonl(path: Path) -> list[dict]:
+    """The rows of a .jsonl file: one JSON object per line, where a line
+    that is blank under str.strip() holds no row. A line is accepted
+    exactly when json.loads accepts it: one value between JSON whitespace.
+    It is decoded in place, so an error names the column json.loads
+    names. A line that is not accepted, or whose value is not an object,
+    is a BundleError naming path:line."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
+        doc = line.rstrip(_JSON_SPACE)
         try:
-            rows.append(json.loads(line))
+            row, end = _decode(doc, len(doc) - len(doc.lstrip(_JSON_SPACE)))
+            if end != len(doc):
+                rest = doc[end:]
+                end += len(rest) - len(rest.lstrip(_JSON_SPACE))
+                raise json.JSONDecodeError("Extra data", doc, end)
         except json.JSONDecodeError as exc:
             raise BundleError(f"{path}:{lineno}: {exc}")
+        if not isinstance(row, dict):
+            raise BundleError(f"{path}:{lineno}: row is not a JSON object")
+        rows.append(row)
     return rows
 
 
@@ -151,11 +180,13 @@ def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
 # --- reading -------------------------------------------------------------
 
 
-def _table_from_record(rec: dict) -> DelayTable:
-    table = DelayTable(rec["level"], rat_parse(rec["default"]))
+def _table_from_record(rec: dict, rat: Callable[[str], Fraction]) -> DelayTable:
+    table = DelayTable(rec["level"], rat(rec["default"]))
+    if rec["vertex"] == rec["suffix"] == rec["subtree"] == []:
+        return table  # most levels: the default alone
     for s, v in rec["vertex"]:
-        table.set_vertex(BitString.from_str(s), rat_parse(v))
-    suffix = [(Cube.from_pattern(pat), rat_parse(v)) for pat, v in rec["suffix"]]
+        table.set_vertex(BitString.from_str(s), rat(v))
+    suffix = [(Cube.from_pattern(pat), rat(v)) for pat, v in rec["suffix"]]
     table.add_suffix(suffix)  # checks delays and lengths, not disjointness
     cubes = [c for c, _ in suffix]
     for i, j in meets(cubes, cubes):
@@ -163,15 +194,15 @@ def _table_from_record(rec: dict) -> DelayTable:
             where = f"network {rec['network']}, level {table.level}"
             raise ConstructionError(f"{where}: suffix entries {i} and {j} overlap")
     for s, v in rec["subtree"]:
-        table.add_subtree(BitString.from_str(s), rat_parse(v))
+        table.add_subtree(BitString.from_str(s), rat(v))
     return table
 
 
-def _edge_from_record(rec: dict) -> ExtraEdge:
+def _edge_from_record(rec: dict, rat: Callable[[str], Fraction]) -> ExtraEdge:
     return ExtraEdge(
         source=BitString.from_str(rec["from"]),
         target=BitString.from_str(rec["to"]),
-        q=rat_parse(rec["q"]),
+        q=rat(rec["q"]),
         task=rec["task"],
         subtask=rec["subtask"],
         network_id=rec["network"],
@@ -207,23 +238,28 @@ def read_bundle(path: Path) -> ConstructionBundle:
     agg_rows = _load_jsonl(path / "aggregates.jsonl")
     prov_rows = _load_jsonl(path / "provenance.jsonl")
 
+    # A bundle repeats few distinct rationals (defaults, the totals of idle
+    # levels), so each string is parsed once per read, by a memo that the
+    # read drops when it returns.
+    rat = functools.cache(rat_parse)
     try:
         tables: dict[tuple[int, int], DelayTable] = {}
         for rec in level_rows:
             key = (rec["network"], rec["level"])
             if key in tables:
                 raise BundleError(f"duplicate level record {key}")
-            tables[key] = _table_from_record(rec)
+            tables[key] = _table_from_record(rec, rat)
         edges_by_net: dict[int, list[ExtraEdge]] = {}
         for rec in edge_rows:
-            e = _edge_from_record(rec)
+            e = _edge_from_record(rec, rat)
             edges_by_net.setdefault(e.network_id, []).append(e)
         agg_by_net: dict[int, dict[int, LevelAggregates]] = {}
         for rec in agg_rows:
-            agg = LevelAggregates(
-                rat_parse(rec["total_R"]), rat_parse(rec["extra_inflow"])
-            )
-            if rat_parse(rec["s_n"]) != agg.s_n:
+            agg = LevelAggregates(rat(rec["total_R"]), rat(rec["extra_inflow"]))
+            # The stored share is read as a Fraction only when its string
+            # is not the share's lowest-terms form, as a writer gives it.
+            stored = rec["s_n"]
+            if stored != rat_str(agg.s_n) and rat_parse(stored) != agg.s_n:
                 raise BundleError(
                     f"aggregate record for network {rec['network']} level "
                     f"{rec['level']} does not add up"
@@ -278,7 +314,7 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 src = BitString.from_str(rec["source"])
                 holder = rec["network"]
                 cubes = tuple(Cube.from_pattern(p) for p in rec["patterns"])
-                bound = rat_parse(rec["bound"])
+                bound = rat(rec["bound"])
                 target = rec["target"]
                 step = rec["step"]
             except (KeyError, ValueError, TypeError) as exc:

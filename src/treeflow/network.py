@@ -45,7 +45,7 @@ hash computes a modular inverse on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -66,15 +66,24 @@ def rat_str(v: Fraction) -> str:
 
 
 def rat_parse(s: str) -> Fraction:
+    """The Fraction of a "numerator/denominator" string. Anything else, a
+    zero denominator included, is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational {s!r} is not a string")
     num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 def _check_delay_value(v: Fraction) -> Fraction:
-    v = Fraction(v)
-    if v == 0:
-        return v
-    if v.numerator != 1 or not 0 < v <= 1:
+    """v as a Fraction, if it is 0 or 1/M for a whole M >= 1. A Fraction's
+    denominator is positive, so that is a numerator of 0 or 1: a test on
+    its integers, with no Fraction made or compared."""
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    if v.numerator not in (0, 1):
         raise ConstructionError(f"delay value {v} is not 0 or 1/M")
     return v
 
@@ -504,12 +513,18 @@ class ExtraEdge:
 
 @dataclass
 class LevelAggregates:
+    """A level's total mass R, the part of it that extra edges injected,
+    and its kept share s_n = total_R - extra_inflow. The share is worked
+    out once, when the record is made: readers take it as a field."""
+
     total_R: Fraction
     extra_inflow: Fraction
+    s_n: Fraction = field(init=False)
 
-    @property
-    def s_n(self) -> Fraction:
-        return self.total_R - self.extra_inflow
+    def __post_init__(self):
+        # Most levels take no inflow, and then the share is the total.
+        inflow = self.extra_inflow
+        self.s_n = self.total_R - inflow if inflow else self.total_R
 
     def to_record(self) -> dict:
         return {

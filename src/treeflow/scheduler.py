@@ -95,17 +95,21 @@ class ScheduleState:
     def __init__(self, stream, depth: int):
         self.stream = stream
         self.depth = depth
-        self._steps: dict[tuple[int, ...], list[int]] = {}
-        has_sub = hasattr(stream, "subtask")
-        for n in range(1, depth + 1):
-            i = stream.task(n)
-            self._steps.setdefault((i,), []).append(n)
-            if has_sub:
-                self._steps.setdefault((i, stream.subtask(n)), []).append(n)
+        # The steps of each key, typed on the first read: a reloaded
+        # bundle that only exports or runs mltest reads none.
+        self._steps: Optional[dict[tuple[int, ...], list[int]]] = None
         # Highest edge level per key, across all networks.
         self._edge_levels: dict[tuple[int, ...], int] = {}
 
     def steps(self, key: tuple[int, ...]) -> list[int]:
+        if self._steps is None:
+            self._steps = {}
+            has_sub = hasattr(self.stream, "subtask")
+            for n in range(1, self.depth + 1):
+                i = self.stream.task(n)
+                self._steps.setdefault((i,), []).append(n)
+                if has_sub:
+                    self._steps.setdefault((i, self.stream.subtask(n)), []).append(n)
         return self._steps.get(key, [])
 
     def record_edge(self, task: int, subtask: Optional[int], level: int) -> None:

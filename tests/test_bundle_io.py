@@ -1,0 +1,272 @@
+"""Bundle reading at the row level: the .jsonl loader against per-line
+json.loads, and faults anywhere in a bundle's bytes as bad input."""
+
+import json
+
+import pytest
+from hypothesis import given, strategies as st
+
+from treeflow.cli import BundleError, _canon, _load_jsonl, main
+
+JSON_SPACE = ["", " ", "\t", "  \t", " \t "]
+
+
+def _reference_load(path):
+    """The rows of a .jsonl file as per-line json.loads reads them."""
+    rows = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BundleError(f"{path}:{lineno}: {exc}")
+        if not isinstance(row, dict):
+            raise BundleError(f"{path}:{lineno}: row is not a JSON object")
+        rows.append(row)
+    return rows
+
+
+def _outcome(load, path):
+    """The rows a loader returns, or the path:line its error names."""
+    try:
+        return "rows", load(path)
+    except BundleError as exc:
+        return "error", str(exc).split(": ")[0]
+
+
+def _assert_same_as_json_loads(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(_load_jsonl, path) == _outcome(_reference_load, path)
+
+
+HAND_WRITTEN = {
+    "canonical rows": '{"a":1}\n{"b":[1,2]}\n',
+    "leading and trailing spaces and tabs": ' \t{"a":1}\t \n  {"b":2}  \n',
+    "carriage returns": '{"a":1}\r\n{"b":2}\r\n',
+    "blank lines": '\n  \n{"a":1}\n\t\n\n{"b":2}\n \t \n',
+    "a blank line of other whitespace": '{"a":1}\n\xa0　\n{"b":2}\n',
+    "no final newline": '{"a":1}\n{"b":2}',
+    "extra data": '{"a":1}\n{"b":2} x\n',
+    "extra data after spaces": '{"a":1}\n  {"b":2}  \t 7\n',
+    "a second value": '{"a":1}{"b":2}\n',
+    "a trailing space that is not JSON's": '{"a":1}\xa0\n',
+    "one row split over two lines": '{"a":[1\n2]}\n',
+    "an array split over two lines": '{"a":1}\n[1,\n2]\n',
+    "not an object": '{"a":1}\n[1,2]\n',
+    "a number": '{"a":1}\n\n 5 \n',
+    "a byte order mark": '﻿{"a":1}\n',
+    "an empty file": "",
+    "only blank lines": "\n \n\t\n",
+    "a bad value after blank lines": '\n\n{"a":1}\n\n{"a":}\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_WRITTEN))
+def test_jsonl_lines_load_as_json_loads_reads_them(tmp_path, case):
+    _assert_same_as_json_loads(tmp_path / "rows.jsonl", HAND_WRITTEN[case])
+
+
+@pytest.mark.parametrize(
+    "line", ['  {"b":2}  \t 7', '{"b":2}{}', ' {"b":[1,}', '\t{"b"', "[1"]
+)
+def test_a_rejected_line_gets_the_error_json_loads_gives(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a":1}\n' + line + "\n")
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(line)
+    with pytest.raises(BundleError) as got:
+        _load_jsonl(path)
+    assert str(got.value) == f"{path}:2: {want.value}"
+
+
+def test_a_row_split_over_two_lines_is_rejected_at_its_first_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a":0}\n{"a":[1\n2]}\n')
+    with pytest.raises(BundleError, match=r"rows\.jsonl:2: "):
+        _load_jsonl(path)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+rows = st.dictionaries(st.text(max_size=4), json_values, max_size=4)
+lines = st.one_of(
+    st.tuples(st.sampled_from(JSON_SPACE), rows.map(_canon), st.sampled_from(JSON_SPACE)),
+    st.tuples(st.just(""), json_values.map(_canon), st.just("")),
+    st.tuples(
+        st.sampled_from(JSON_SPACE),
+        rows.map(_canon),
+        st.sampled_from([" x", "{}", "]", ",", " 1", "\xa0"]),
+    ),
+    st.tuples(st.just(""), st.sampled_from(JSON_SPACE), st.just("")),
+)
+
+
+@given(st.lists(lines, max_size=6), st.sampled_from(["\n", "\r\n"]))
+def test_jsonl_loader_accepts_and_rejects_what_json_loads_does(
+    tmp_path_factory, parts, newline
+):
+    text = "".join(lead + body + trail + newline for lead, body, trail in parts)
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    _assert_same_as_json_loads(path, text)
+
+
+# --- faults in a bundle's bytes ------------------------------------------
+
+
+def _build(tmp_path, preset, depth, *extra):
+    out = tmp_path / "bundle"
+    args = ["build", "--preset", preset, "--depth", str(depth), *extra]
+    assert main([*args, "--out", str(out)]) == 0
+    return out
+
+
+def _edit_rows(path, edit):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join(_canon(r) + "\n" for r in rows))
+
+
+def _set_in_last_row(name, key, value):
+    def corrupt(out):
+        def edit(rows):
+            rows[-1][key] = value
+
+        _edit_rows(out / name, edit)
+
+    return corrupt
+
+
+def _zero_bound(out):
+    def edit(rows):
+        next(d for r in rows for d in r["discards"])["bound"] = "1/0"
+
+    _edit_rows(out / "provenance.jsonl", edit)
+
+
+def _latin1(name, word):
+    """Spell the first key `word` of a file with a Latin-1 byte."""
+
+    def corrupt(out):
+        path = out / name
+        path.write_bytes(path.read_bytes().replace(word, word[:-2] + b"\xf6" + word[-1:], 1))
+
+    return corrupt
+
+
+def _array_row(out):
+    path = out / "provenance.jsonl"
+    path.write_text(path.read_text() + "[1,2]\n")
+
+
+NONSTOCHASTIC = ("nonstochastic", 8)
+FAMILY = ("family", 8, "--networks", "3")  # draws one discard at depth 8
+
+ZERO = "zero denominator in rational '1/0'"
+
+# case -> (bundle, corruption, the words the error names, whether trace,
+# which only splits provenance.jsonl into rows, reads the fault)
+FAULTS = {
+    "zero denominator in a level default": (
+        NONSTOCHASTIC, _set_in_last_row("levels.jsonl", "default", "1/0"), ZERO, False
+    ),
+    "zero denominator in an aggregate": (
+        NONSTOCHASTIC, _set_in_last_row("aggregates.jsonl", "total_R", "1/0"), ZERO, False
+    ),
+    "zero denominator in a discard bound": (FAMILY, _zero_bound, ZERO, False),
+    "a number for a rational": (
+        NONSTOCHASTIC,
+        _set_in_last_row("aggregates.jsonl", "extra_inflow", 0),
+        "rational 0 is not a string",
+        False,
+    ),
+    "edges that are not UTF-8": (
+        NONSTOCHASTIC, _latin1("edges.jsonl", b'"to"'), "edges.jsonl is not UTF-8 text", False
+    ),
+    "a config that is not UTF-8": (
+        NONSTOCHASTIC,
+        _latin1("config.json", b'"preset"'),
+        "config.json is not UTF-8 text",
+        False,
+    ),
+    "provenance that is not UTF-8": (
+        NONSTOCHASTIC,
+        _latin1("provenance.jsonl", b'"note"'),
+        "provenance.jsonl is not UTF-8 text",
+        True,
+    ),
+    "a provenance row that is not an object": (
+        NONSTOCHASTIC, _array_row, "row is not a JSON object", True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAULTS))
+def test_a_fault_in_a_bundle_file_is_bad_input_for_every_reader(tmp_path, capsys, case):
+    (preset, depth, *extra), corrupt, named, trace_reads_it = FAULTS[case]
+    out = _build(tmp_path, preset, depth, *extra)
+    corrupt(out)
+    commands = [
+        ["export", str(out), "--out", str(tmp_path / "copy")],
+        ["verify", str(out)],
+        ["mltest", str(out)],
+    ]
+    if trace_reads_it:
+        commands.append(["trace", str(out)])
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        assert named in err[0], (argv, err)
+
+
+# --- the kept share ------------------------------------------------------
+
+
+def test_a_kept_share_not_in_lowest_terms_loads_and_exports_reduced(tmp_path):
+    out = _build(tmp_path, *NONSTOCHASTIC)
+
+    def halve_last(rows):
+        rows[-1].update(total_R="1/2", extra_inflow="0/1", s_n="2/4")
+
+    _edit_rows(out / "aggregates.jsonl", halve_last)
+    copy = tmp_path / "copy"
+    assert main(["export", str(out), "--out", str(copy)]) == 0
+    last = json.loads((copy / "aggregates.jsonl").read_text().splitlines()[-1])
+    assert last["s_n"] == "1/2"
+    assert json.loads((copy / "report.json").read_text())["final_kept_share"] == {
+        "1": "1/2"
+    }
+
+    def break_share(rows):
+        rows[-1]["s_n"] = "2/5"
+
+    _edit_rows(out / "aggregates.jsonl", break_share)
+    assert main(["export", str(out), "--out", str(tmp_path / "again")]) == 2
+
+
+# --- plain levels --------------------------------------------------------
+
+
+@pytest.mark.parametrize("drop", ["vertex", "subtree"])
+def test_a_level_with_one_kind_of_exception_round_trips(tmp_path, drop):
+    # No preset writes a level whose only exceptions are vertex entries or
+    # subtree entries, so one is made by hand: the reader takes only a level
+    # with no exceptions at all as its default alone.
+    out = _build(tmp_path, *NONSTOCHASTIC)
+
+    def edit(rows):
+        [rec] = [r for r in rows if r["vertex"] and r["subtree"]]
+        rec[drop] = []
+
+    _edit_rows(out / "levels.jsonl", edit)
+    copy = tmp_path / "copy"
+    assert main(["export", str(out), "--out", str(copy)]) == 0
+    for f in out.iterdir():
+        assert (copy / f.name).read_bytes() == f.read_bytes(), f.name

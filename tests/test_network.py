@@ -14,6 +14,7 @@ from treeflow.network import (
     DelayTable,
     ElementaryNetwork,
     ExtraEdge,
+    LevelAggregates,
     coalesce,
     items_total,
     mass_in,
@@ -402,6 +403,43 @@ def test_rat_round_trip():
     assert rat_str(F(5, 6)) == "5/6"
     assert rat_parse("5/6") == F(5, 6)
     assert rat_parse(rat_str(F(0))) == 0
+    assert rat_parse("2/4") == F(1, 2)
+    for bad in ("1/0", "0/0", "-3/0"):
+        with pytest.raises(ValueError, match=f"zero denominator in rational '{bad}'"):
+            rat_parse(bad)
+    for bad in (None, 5, ["1", "2"]):
+        with pytest.raises(ValueError, match="is not a string"):
+            rat_parse(bad)
+
+
+def _delay_by_definition(v):
+    """A delay value as first defined: 0, or numerator 1 with 0 < v <= 1."""
+    v = Fraction(v)
+    if v == 0:
+        return v
+    if v.numerator != 1 or not 0 < v <= 1:
+        raise ConstructionError(f"delay value {v} is not 0 or 1/M")
+    return v
+
+
+def test_delay_check_matches_its_definition():
+    values = [F(n, d) for n in range(-3, 4) for d in range(1, 7)] + [-1, 0, 1, 2]
+    for v in values:
+        try:
+            want = _delay_by_definition(v)
+        except ConstructionError:
+            with pytest.raises(ConstructionError, match="is not 0 or 1/M"):
+                network._check_delay_value(v)
+            continue
+        got = network._check_delay_value(v)
+        assert got == want and type(got) is Fraction, v
+
+
+def test_kept_share_is_fixed_when_the_record_is_made():
+    agg = LevelAggregates(F(7, 8), F(1, 8))
+    assert agg.s_n == F(3, 4)
+    assert LevelAggregates(F(7, 8), F(0)).s_n == F(7, 8)
+    assert agg.to_record() == {"total_R": "7/8", "extra_inflow": "1/8", "s_n": "3/4"}
 
 
 def _split(rng, items, rounds):
