@@ -41,6 +41,8 @@ class BitString:
 
     @classmethod
     def from_str(cls, bits: str) -> "BitString":
+        if not isinstance(bits, str):
+            raise ValueError(f"bit string {bits!r} is not a string")
         bits = bits.strip()
         if bits and set(bits) - {"0", "1"}:
             raise ValueError(f"not a binary string: {bits!r}")

@@ -19,10 +19,13 @@ construction (a malformed delay, an edge whose weight is not its
 source's delay) surface as code 3, as does a conservation ledger that
 breaks when a command first reads a frame; grammar problems surface as
 code 2. Those include bytes that are not UTF-8, a .jsonl line whose value
-is not a JSON object, and a rational that is not "numerator/denominator"
-or has a zero denominator. A cap (an enumeration limit, or a depth
-beyond what the dense oracle replays) says only that the work was cut
-off, not that the construction is impossible, so it gets its own code.
+is not a JSON object, a rational that is not "numerator/denominator"
+or has a zero denominator, a row for a network or level the bundle
+lacks, an int field that is not an int, and provenance that is not one
+row per step with an int w on every edge's step. A cap (an enumeration
+limit, or a depth beyond what the dense oracle replays) says only that
+the work was cut off, not that the construction is impossible, so it
+gets its own code.
 """
 
 from __future__ import annotations
@@ -198,15 +201,30 @@ def _table_from_record(rec: dict, rat: Callable[[str], Fraction]) -> DelayTable:
     return table
 
 
-def _edge_from_record(rec: dict, rat: Callable[[str], Fraction]) -> ExtraEdge:
+def _int_field(rec: dict, key: str, where: str, null: bool = False) -> Optional[int]:
+    """rec[key], which must be an int (JSON's true and false are not), or
+    null where null is allowed. Anything else, a missing key included, is
+    a BundleError naming where the row is."""
+    if key not in rec:
+        raise BundleError(f"{where} has no {key}")
+    v = rec[key]
+    if type(v) is int or (null and v is None):
+        return v
+    want = "an int or null" if null else "an int"
+    raise BundleError(f"{where}: {key} {v!r} is not {want}")
+
+
+def _edge_from_record(
+    rec: dict, rat: Callable[[str], Fraction], where: str
+) -> ExtraEdge:
     return ExtraEdge(
         source=BitString.from_str(rec["from"]),
         target=BitString.from_str(rec["to"]),
         q=rat(rec["q"]),
-        task=rec["task"],
-        subtask=rec["subtask"],
-        network_id=rec["network"],
-        step_drawn=rec["step"],
+        task=_int_field(rec, "task", where),
+        subtask=_int_field(rec, "subtask", where, null=True),
+        network_id=_int_field(rec, "network", where),
+        step_drawn=_int_field(rec, "step", where),
     )
 
 
@@ -224,7 +242,14 @@ def read_bundle(path: Path) -> ConstructionBundle:
     command that reads no frame (`export`, `mltest`) pushes none, and a
     broken ledger surfaces, as a ConstructionError, where a frame is
     first read. Stored aggregates are kept as the independent record the
-    checks compare against."""
+    checks compare against.
+
+    Every levels and aggregates row must name a network and level of the
+    bundle, and every int field must be an int; provenance holds one row
+    per step, in order, and the row of each edge's step gives the edge's
+    class width w. Anything else is a BundleError naming the row or edge
+    at fault, so no row is dropped without a word. A row is named by its
+    file and its place among the file's rows, blank lines not counted."""
     path = Path(path)
     if not path.is_dir():
         raise BundleError(f"{path} is not a bundle directory")
@@ -238,37 +263,57 @@ def read_bundle(path: Path) -> ConstructionBundle:
     agg_rows = _load_jsonl(path / "aggregates.jsonl")
     prov_rows = _load_jsonl(path / "provenance.jsonl")
 
+    known = set(range(1, config.networks + 1))
+    depth = config.depth
+
+    def place(rec: dict, name: str, k: int) -> tuple[int, int]:
+        """The (network, level) that row k of file name is for, which must
+        be a network and a level of the bundle."""
+        net_id, n = rec["network"], rec["level"]
+        if type(net_id) is int and type(n) is int:
+            if net_id in known and 0 <= n <= depth:
+                return net_id, n
+        where = f"{name} row {k}"
+        net_id, n = _int_field(rec, "network", where), _int_field(rec, "level", where)
+        raise BundleError(
+            f"{where}: network {net_id}, level {n} is outside the bundle's "
+            f"networks 1..{config.networks} and levels 0..{depth}"
+        )
+
     # A bundle repeats few distinct rationals (defaults, the totals of idle
     # levels), so each string is parsed once per read, by a memo that the
     # read drops when it returns.
     rat = functools.cache(rat_parse)
     try:
         tables: dict[tuple[int, int], DelayTable] = {}
-        for rec in level_rows:
-            key = (rec["network"], rec["level"])
+        for k, rec in enumerate(level_rows, 1):
+            key = place(rec, "levels.jsonl", k)
             if key in tables:
                 raise BundleError(f"duplicate level record {key}")
             tables[key] = _table_from_record(rec, rat)
         edges_by_net: dict[int, list[ExtraEdge]] = {}
-        for rec in edge_rows:
-            e = _edge_from_record(rec, rat)
+        for k, rec in enumerate(edge_rows, 1):
+            e = _edge_from_record(rec, rat, f"edges.jsonl row {k}")
             edges_by_net.setdefault(e.network_id, []).append(e)
         agg_by_net: dict[int, dict[int, LevelAggregates]] = {}
-        for rec in agg_rows:
+        for k, rec in enumerate(agg_rows, 1):
+            net_id, n = place(rec, "aggregates.jsonl", k)
             agg = LevelAggregates(rat(rec["total_R"]), rat(rec["extra_inflow"]))
             # The stored share is read as a Fraction only when its string
             # is not the share's lowest-terms form, as a writer gives it.
             stored = rec["s_n"]
             if stored != rat_str(agg.s_n) and rat_parse(stored) != agg.s_n:
                 raise BundleError(
-                    f"aggregate record for network {rec['network']} level "
-                    f"{rec['level']} does not add up"
+                    f"aggregate record for network {net_id} level {n} "
+                    "does not add up"
                 )
-            agg_by_net.setdefault(rec["network"], {})[rec["level"]] = agg
+            by_level = agg_by_net.setdefault(net_id, {})
+            if n in by_level:
+                raise BundleError(f"duplicate aggregate record {(net_id, n)}")
+            by_level[n] = agg
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise BundleError(f"malformed bundle record: {exc!r}")
 
-    known = set(range(1, config.networks + 1))
     stray = set(edges_by_net) - known
     if stray:
         raise BundleError(f"edges reference unknown networks {sorted(stray)}")
@@ -301,26 +346,36 @@ def read_bundle(path: Path) -> ConstructionBundle:
         net.aggregates = [stored[n] for n in range(config.depth + 1)]
         nets.append(net)
 
-    state = ScheduleState(task_stream(config.preset), config.depth)
-    for net in nets:
-        for e in net.edges:
-            state.record_edge(e.task, e.subtask, len(e.target))
-
+    # One provenance row per step, in order; the checks read each edge's
+    # class width w from the row of the step that drew it.
+    if len(prov_rows) != config.depth:
+        raise BundleError(
+            f"provenance.jsonl holds {len(prov_rows)} rows for "
+            f"{config.depth} steps"
+        )
     discards = []
-    for row in prov_rows:
-        for rec in row.get("discards", []):
+    for k, row in enumerate(prov_rows, 1):
+        where = f"provenance.jsonl row {k}"
+        if _int_field(row, "step", where) != k:
+            raise BundleError(f"{where}: step {row['step']} is not {k}")
+        _int_field(row, "w", where, null=True)
+        recs = row.get("discards", [])
+        if not isinstance(recs, list):
+            raise BundleError(f"{where}: discards {recs!r} is not a list")
+        for rec in recs:
             try:
-                edge_net = rec["edge_network"]
                 src = BitString.from_str(rec["source"])
-                holder = rec["network"]
                 cubes = tuple(Cube.from_pattern(p) for p in rec["patterns"])
                 bound = rat(rec["bound"])
                 target = rec["target"]
-                step = rec["step"]
             except (KeyError, ValueError, TypeError) as exc:
                 raise BundleError(f"malformed discard record: {exc!r}")
-            if edge_net not in known:
-                raise BundleError(f"discard references unknown network {edge_net}")
+            edge_net = _int_field(rec, "edge_network", f"{where}, discard")
+            holder = _int_field(rec, "network", f"{where}, discard")
+            step = _int_field(rec, "step", f"{where}, discard")
+            for net_id in (edge_net, holder):
+                if net_id not in known:
+                    raise BundleError(f"discard references unknown network {net_id}")
             e = nets[edge_net - 1].outgoing_edge(src)
             if e is None or str(e.target) != target or e.step_drawn != step:
                 raise BundleError(f"discard references unknown edge at {src}")
@@ -329,6 +384,18 @@ def read_bundle(path: Path) -> ConstructionBundle:
                     network_id=holder, cubes=cubes, edge=e, bound=bound
                 )
             )
+
+    state = ScheduleState(task_stream(config.preset), config.depth)
+    for net in nets:
+        for e in net.edges:
+            step = e.step_drawn
+            if not 1 <= step <= config.depth or prov_rows[step - 1]["w"] is None:
+                raise BundleError(
+                    f"edge {e.source} -> {e.target} of network {net.network_id} "
+                    f"was drawn at step {step}, which has no provenance row "
+                    "with an int w"
+                )
+            state.record_edge(e.task, e.subtask, len(e.target))
 
     return ConstructionBundle(
         config=config,

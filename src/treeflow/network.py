@@ -24,12 +24,12 @@ commits it, while a reloaded bundle pushes its levels, in order, only
 when a frame is first read. Both go through one push path, so a frame
 and its conservation ledger come out the same either way. A push that
 needs no frame makes none: a clean level, one whose parent has a single
-delay part and on which no edge lands, is pushed by its parent's value
-groups alone, and its frame is made when something reads it, from the
-nearest made level above. Most levels of a build are clean, and most
-steps read no frame.
+delay part s and on which no edge lands, is pushed by its parent's total
+alone, total * (1 - s), and its frame is made when something reads it,
+from the nearest made level above, and checked against that total. Most
+levels of a build are clean, and most steps read no frame.
 
-Every sum of value times vertex count goes through value groups. The
+Every sum of value times vertex count is grouped by value. The
 integer counts of the items that share a value are added up first, and
 the distinct values are then added in one sum over a common denominator:
 one lcm and one final Fraction, where pairwise Fraction sums take a gcd
@@ -101,9 +101,11 @@ def _fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 
-def _value_groups(terms: Iterable[tuple[Fraction, int]]) -> list[list]:
-    """The [v, k] groups of (v, k) terms with integer k: the counts added
-    per value object. A group holds its v, so no id is reused meanwhile."""
+def _grouped_sum(terms: Iterable[tuple[Fraction, int]]) -> Fraction:
+    """Sum of v * k over (v, k) terms with integer k. The counts are added
+    per value object, then per (numerator, denominator), and the distinct
+    values in one `_fraction_sum`. A group holds its v, so no id is reused
+    meanwhile."""
     by_id: dict[int, list] = {}
     for v, k in terms:
         group = by_id.get(id(v))
@@ -111,15 +113,8 @@ def _value_groups(terms: Iterable[tuple[Fraction, int]]) -> list[list]:
             by_id[id(v)] = [v, k]
         else:
             group[1] += k
-    return list(by_id.values())
-
-
-def _grouped_sum(groups: list[list]) -> Fraction:
-    """Sum of v * k over [v, k] value groups. The counts are added per
-    (numerator, denominator), and the distinct values in one
-    `_fraction_sum`."""
     counts: dict[tuple[int, int], int] = {}
-    for v, k in groups:
+    for v, k in by_id.values():
         key = (v.numerator, v.denominator)
         counts[key] = counts.get(key, 0) + k
     return _fraction_sum((num * k, den) for (num, den), k in counts.items() if k)
@@ -127,12 +122,12 @@ def _grouped_sum(groups: list[list]) -> Fraction:
 
 def items_total(items: Items) -> Fraction:
     """Sum of the values over every vertex of the map."""
-    return _grouped_sum(_value_groups((v, c.count()) for c, v in items))
+    return _grouped_sum((v, c.count()) for c, v in items)
 
 
 def mass_in(items: Items, cube: Cube) -> Fraction:
     """Sum of the values over the vertices of cube."""
-    return _grouped_sum(_value_groups((v, c.overlap(cube)) for c, v in items))
+    return _grouped_sum((v, c.overlap(cube)) for c, v in items)
 
 
 def value_at(items: Items, x: BitString) -> Fraction:
@@ -302,26 +297,6 @@ def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
         for (vn, vd, sn, sd), (_, k) in groups.items()
     )
     return out, pushed
-
-
-def _push_groups(groups: list[list], s: Fraction) -> tuple[list[list], Fraction]:
-    """`push_down` of a level whose one delay part is s, on the level's
-    [v, vertex count] value groups instead of its items: a group of k
-    vertices of value v becomes the group of 2k vertices of value
-    v (1 - s)/2, and s = 1 passes nothing on. As in push_down, the carried
-    mass v (1 - s) k is summed on the input side, so the ledger of the
-    push still catches a wrong share."""
-    sn, sd = s.numerator, s.denominator
-    if sn == sd:
-        return [], ZERO
-    children = [
-        [Fraction(v.numerator * (sd - sn), 2 * v.denominator * sd), 2 * k]
-        for v, k in groups
-    ]
-    pushed = _fraction_sum(
-        (v.numerator * (sd - sn) * k, v.denominator * sd) for v, k in groups
-    )
-    return children, pushed
 
 
 def coalesce(items: Items) -> Items:
@@ -540,12 +515,12 @@ class ElementaryNetwork:
     A level goes in through `record_level`, which checks and indexes what
     no frame is needed for, and is pushed by `_push`, the one path that
     runs the conservation ledger. A clean level is pushed by its parent's
-    value groups, and `_make` makes its frame when something reads it:
-    `frames`, `frame_eval`, `pre_frame`, or an edge's source in `_push`.
-    Any other level is made as it is pushed: the push-down, the landing
-    edges, the ledger and `coalesce`. `commit_level` records and pushes
-    at once; a reloaded bundle only records, and `frames` pushes and makes
-    its levels, in order, when a frame is first read."""
+    total, and `_make` makes its frame when something reads it: `frames`,
+    `frame_eval`, `pre_frame`, or an edge's source in `_push`. Any other
+    level is made as it is pushed: the push-down, the landing edges, the
+    ledger and `coalesce`. `commit_level` records and pushes at once; a
+    reloaded bundle only records, and `frames` pushes and makes its
+    levels, in order, when a frame is first read."""
 
     def __init__(self, network_id: int = 1):
         self.network_id = network_id
@@ -555,8 +530,8 @@ class ElementaryNetwork:
         self._frames: list[Optional[Items]] = [[(Cube.whole_level(0), ONE)]]
         # The total of each pushed level not made yet: its frame's ledger.
         self._unmade: dict[int, Fraction] = {}
-        # The value groups [v, vertex count] of the last pushed level.
-        self._groups: list[list] = [[ONE, 1]]
+        # The total of the last pushed level, as the push worked it out.
+        self._total = ONE
         self.aggregates: list[LevelAggregates] = [LevelAggregates(ONE, ZERO)]
         self.edges: list[ExtraEdge] = []
         # Outgoing edges keyed by source length, then by source value: a
@@ -577,14 +552,11 @@ class ElementaryNetwork:
         return self._frames
 
     def _frame(self, n: int) -> Items:
-        """The frame of level n, pushed and made first if need be. Level n
-        is read, so if it is pushed here it is pushed down from its parent
-        frame, not by value groups, which would leave it to `_make`."""
-        while len(self._frames) < n:
+        """The frame of level n. Levels up to n not pushed yet are pushed
+        first, in order, and a level pushed without a frame is made by
+        `_make`, so a read makes a frame the one way a build does."""
+        while len(self._frames) <= n:
             self._push(len(self._frames))
-        if len(self._frames) == n:
-            self._pushed(n)
-            self._push(n)
         frame = self._frames[n]
         return self._make(n) if frame is None else frame
 
@@ -677,20 +649,22 @@ class ElementaryNetwork:
         landing edges inject; a level it rejects keeps its edges, so a
         second read fails the same way.
 
-        A clean level, one whose parent has a single delay part and on
-        which no edge lands, is pushed by the parent's value groups
-        (`_push_groups`) unless its push-down was read already, and its
-        frame is left to `_make`. Any other level is made here. The edges'
-        q * R(source) are summed per target vertex, and that vertex map is
-        coalesced, so a draw replicated over equal source values lands as
-        one cube of its targets, one overlay each."""
+        A clean level, one whose parent has a single delay part s and on
+        which no edge lands, is pushed by the parent's total alone: its
+        total is the parent's times (1 - s), and its frame is left to
+        `_make`, whose ledger checks the frame against that total. If a
+        step has read the level's pre-frame already, those items are kept.
+        Any other level is made here. The edges' q * R(source) are summed
+        per target vertex, and that vertex map is coalesced, so a draw
+        replicated over equal source values lands as one cube of its
+        targets, one overlay each."""
         parts = self.tables[n - 1].s_partition()
         edges = self._landing.get(n)
         clean = not edges and len(parts) == 1
         inflow = ZERO
         if clean and (self._pre is None or self._pre[0] != n):
             items = None
-            groups, pushed = _push_groups(self._groups, parts[0][1])
+            total = self._unmade[n] = self._total * (1 - parts[0][1])
         else:
             items, pushed = self._pushed(n)
             if edges:
@@ -703,23 +677,20 @@ class ElementaryNetwork:
                 for cube, a in coalesce(landing):
                     items = overlay(items, cube, a)
                 inflow = items_total(landing)
-            groups = _value_groups((v, c.count()) for c, v in items)
-        total = _grouped_sum(groups)
-        if total != pushed + inflow:
-            raise ConstructionError(
-                f"conservation ledger broken at level {n}: "
-                f"{total} != {pushed} + {inflow}"
-            )
-        if items is None:
-            self._unmade[n] = total
-        elif not clean:
-            # A clean level needs no coalesce. The parent frame is
-            # coalesced; one part scales every value by the same injective
-            # factor (1 - s)/2 and every cube gains the same free bit, so
-            # the child has no mergeable pair either.
-            items = coalesce(items)
+            total = items_total(items)
+            if total != pushed + inflow:
+                raise ConstructionError(
+                    f"conservation ledger broken at level {n}: "
+                    f"{total} != {pushed} + {inflow}"
+                )
+            if not clean:
+                # A clean level needs no coalesce. The parent frame is
+                # coalesced; one part scales every value by the same
+                # injective factor (1 - s)/2 and every cube gains the same
+                # free bit, so the child has no mergeable pair either.
+                items = coalesce(items)
         self._frames.append(items)
-        self._groups = groups
+        self._total = total
         self._landing.pop(n, None)
         self._pre = None
         return LevelAggregates(total, inflow)
@@ -730,7 +701,8 @@ class ElementaryNetwork:
         free low bits in between and each value object is scaled once by
         the product of (1 - s)/2 over the single delay parts of levels
         m .. n - 1: the frame n - m push-downs would make, item for item.
-        The ledger checks the frame's total against the level's."""
+        The ledger checks the frame's total against the one `_push` gave
+        the level."""
         m = n - 1
         while self._frames[m] is None:
             m -= 1

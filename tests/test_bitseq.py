@@ -73,6 +73,12 @@ def test_pair_rejects_nonpositive(i, j):
         unpair_1(0)
 
 
+@pytest.mark.parametrize("bits", [7, None, ["0"], b"01", "012", "0 1"])
+def test_from_str_rejects_what_is_not_a_bit_string(bits):
+    with pytest.raises(ValueError):
+        BitString.from_str(bits)
+
+
 @given(st.integers(1, 10**6), st.integers(1, 10**6))
 def test_pair_round_trip(i, j):
     n = pair(i, j)

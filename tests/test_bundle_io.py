@@ -164,8 +164,39 @@ def _array_row(out):
     path.write_text(path.read_text() + "[1,2]\n")
 
 
+def _edit_file(name, edit):
+    def corrupt(out):
+        _edit_rows(out / name, edit)
+
+    return corrupt
+
+
+def _append_copy(name, **changes):
+    """Append a copy of the file's last row with changes."""
+    return _edit_file(name, lambda rows: rows.append({**rows[-1], **changes}))
+
+
+def _at_first_edge_step(edit):
+    """Edit the provenance row of the step that drew the first edge."""
+
+    def corrupt(out):
+        step = json.loads((out / "edges.jsonl").read_text().splitlines()[0])["step"]
+        _edit_rows(out / "provenance.jsonl", lambda rows: edit(rows[step - 1]))
+
+    return corrupt
+
+
+def _first_discard(**changes):
+    def edit(rows):
+        next(d for r in rows for d in r["discards"]).update(changes)
+
+    return _edit_file("provenance.jsonl", edit)
+
+
 NONSTOCHASTIC = ("nonstochastic", 8)
+ATOM = ("atom", 10)  # draws one edge, at step 7
 FAMILY = ("family", 8, "--networks", "3")  # draws one discard at depth 8
+OUTSIDE = "is outside the bundle's networks 1..1 and levels 0..8"
 
 ZERO = "zero denominator in rational '1/0'"
 
@@ -202,6 +233,128 @@ FAULTS = {
     ),
     "a provenance row that is not an object": (
         NONSTOCHASTIC, _array_row, "row is not a JSON object", True
+    ),
+    # Rows that name no network or level of the bundle: each was dropped
+    # without a word, so the export was not the input.
+    "a level row for a network the bundle lacks": (
+        NONSTOCHASTIC,
+        _append_copy("levels.jsonl", network=2),
+        f"levels.jsonl row 10: network 2, level 8 {OUTSIDE}",
+        False,
+    ),
+    "a level row past the depth": (
+        NONSTOCHASTIC,
+        _append_copy("levels.jsonl", level=9),
+        f"levels.jsonl row 10: network 1, level 9 {OUTSIDE}",
+        False,
+    ),
+    "an aggregate row for a network the bundle lacks": (
+        NONSTOCHASTIC,
+        _append_copy("aggregates.jsonl", network=2),
+        f"aggregates.jsonl row 10: network 2, level 8 {OUTSIDE}",
+        False,
+    ),
+    "a second aggregate row for one level": (
+        NONSTOCHASTIC,
+        _append_copy("aggregates.jsonl"),
+        "duplicate aggregate record (1, 8)",
+        False,
+    ),
+    "a discard held by a network the bundle lacks": (
+        FAMILY, _first_discard(network=0), "discard references unknown network 0", False
+    ),
+    # Fields of the wrong type.
+    "an edge source that is not a string": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "from", 7),
+        "bit string 7 is not a string",
+        False,
+    ),
+    "an aggregate level that is not an int": (
+        NONSTOCHASTIC,
+        _set_in_last_row("aggregates.jsonl", "level", ""),
+        "aggregates.jsonl row 9: level '' is not an int",
+        False,
+    ),
+    "a level row's network that is a bool": (
+        NONSTOCHASTIC,
+        _set_in_last_row("levels.jsonl", "network", True),
+        "levels.jsonl row 9: network True is not an int",
+        False,
+    ),
+    "an edge task that is a string": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "task", "1"),
+        "edges.jsonl row 2: task '1' is not an int",
+        False,
+    ),
+    "an edge subtask that is a string": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "subtask", "1"),
+        "edges.jsonl row 2: subtask '1' is not an int or null",
+        False,
+    ),
+    "an edge network that is a bool": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "network", True),
+        "edges.jsonl row 2: network True is not an int",
+        False,
+    ),
+    "an edge step that is a float": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "step", 4.0),
+        "edges.jsonl row 2: step 4.0 is not an int",
+        False,
+    ),
+    "provenance discards that are not a list": (
+        NONSTOCHASTIC,
+        _set_in_last_row("provenance.jsonl", "discards", 5),
+        "provenance.jsonl row 8: discards 5 is not a list",
+        False,
+    ),
+    # Provenance that does not cover the steps and their edges.
+    "a provenance row too few": (
+        ATOM,
+        _edit_file("provenance.jsonl", lambda rows: rows.pop()),
+        "provenance.jsonl holds 9 rows for 10 steps",
+        False,
+    ),
+    "provenance rows out of order": (
+        ATOM,
+        _edit_file("provenance.jsonl", lambda rows: rows.insert(0, rows.pop(1))),
+        "provenance.jsonl row 1: step 2 is not 1",
+        False,
+    ),
+    "a provenance step that is a string": (
+        ATOM,
+        _set_in_last_row("provenance.jsonl", "step", "10"),
+        "provenance.jsonl row 10: step '10' is not an int",
+        False,
+    ),
+    "a provenance row without w": (
+        ATOM,
+        _at_first_edge_step(lambda row: row.pop("w")),
+        "provenance.jsonl row 7 has no w",
+        False,
+    ),
+    "a w that is a string": (
+        ATOM,
+        _set_in_last_row("provenance.jsonl", "w", "1"),
+        "provenance.jsonl row 10: w '1' is not an int or null",
+        False,
+    ),
+    "a null w on an edge's step": (
+        ATOM,
+        _at_first_edge_step(lambda row: row.update(w=None)),
+        "edge 0 -> 0000000 of network 1 was drawn at step 7, which has no "
+        "provenance row with an int w",
+        False,
+    ),
+    "an edge drawn at step 0": (
+        ATOM,
+        _set_in_last_row("edges.jsonl", "step", 0),
+        "was drawn at step 0, which has no provenance row",
+        False,
     ),
 }
 

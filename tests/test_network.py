@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from treeflow import network
 from treeflow.bitseq import BitString
-from treeflow.cli import read_bundle, write_bundle
+from treeflow.cli import main, read_bundle, write_bundle
 from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.cubes import Cube
 from treeflow.network import (
@@ -683,16 +683,55 @@ def test_a_build_pushes_down_only_the_levels_that_are_not_clean(monkeypatch):
     assert len(dirty) == 8
 
 
-def test_a_wrong_group_share_trips_the_ledger(monkeypatch):
-    push_groups = network._push_groups
+def _assert_ledger_trips_on_first_read(tmp_path, capsys, skew):
+    built = tmp_path / "bundle"
+    assert main(["build", "--preset", "nonstochastic", "--depth", "8",
+                 "--out", str(built)]) == 0
+    skew()
+    # In memory: every level is clean (one delay part, no edge), so the
+    # commits read no frame, the fault waits for the first read, and a
+    # second read fails the same way.
+    net = ElementaryNetwork()
+    for n in range(1, 7):
+        net.commit_level(DelayTable(n, F(1, n + 1)))
+    assert net._unmade
+    for _ in range(2):
+        with pytest.raises(ConstructionError, match="conservation ledger"):
+            net.frames
+    # Through a written bundle: verify reads every frame, so it stops on
+    # the ledger with exit 3.
+    assert main(["verify", str(built)]) == 3
+    assert "conservation ledger" in capsys.readouterr().err
 
-    def skewed(groups, s):
-        # The carried mass is right; the first child share is doubled.
-        children, pushed = push_groups(groups, s)
-        if children:
-            children[0][0] *= 2
-        return children, pushed
 
-    monkeypatch.setattr(network, "_push_groups", skewed)
-    with pytest.raises(ConstructionError, match="conservation ledger"):
-        build(RunConfig(preset="nonstochastic", depth=16))
+def test_a_wrong_clean_level_total_trips_the_ledger(monkeypatch, tmp_path, capsys):
+    push = ElementaryNetwork._push
+
+    def skewed(self, n):
+        # The running total a clean level is pushed from is doubled.
+        self._total *= 2
+        return push(self, n)
+
+    def skew():
+        monkeypatch.setattr(ElementaryNetwork, "_push", skewed)
+
+    _assert_ledger_trips_on_first_read(tmp_path, capsys, skew)
+
+
+def test_a_wrong_scale_in_make_trips_the_ledger(monkeypatch, tmp_path, capsys):
+    make = ElementaryNetwork._make
+
+    def skewed(self, n):
+        # The frame is made as if the parent's delay were another.
+        table = self.tables[n - 1]
+        s = table.s_partition()[0][1]
+        self.tables[n - 1] = DelayTable(n - 1, F(1, 2) if s != F(1, 2) else F(1, 3))
+        try:
+            return make(self, n)
+        finally:
+            self.tables[n - 1] = table
+
+    def skew():
+        monkeypatch.setattr(ElementaryNetwork, "_make", skewed)
+
+    _assert_ledger_trips_on_first_read(tmp_path, capsys, skew)
