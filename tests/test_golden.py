@@ -97,6 +97,22 @@ DIGESTS = {
         "provenance.jsonl": "db6f4a49d553fab256dd4985f2af3ae4afe77f1efc7b53e2f61909ac7e35c4dd",
         "report.json": "579078dae612cb0aa670e3864191ff6a74203fc8a6f14fb85d7e9d08976f3e77",
     },
+    ("hyperimmune", 64): {
+        "config.json": "1e20c1ab3f683f501763680769d9d5e147f14ebfd9e9d1e1222473dd4c7b6053",
+        "levels.jsonl": "319d0f40117cd6f47c92ac6d979e65a09c5cbf1ed9c5bf0086f93c5e104fab53",
+        "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
+        "aggregates.jsonl": "25f63f8a7a707b5c9e2b04013bcfd51706060f3523b081834227326f3a11af89",
+        "provenance.jsonl": "619a25055ec2d46c271f5de0e515476721ccebd2eedee0169ab2aa350a853315",
+        "report.json": "b5cf178354d0815c4b8cc8f243a169629ceea5a4567befe39aeec690bd441214",
+    },
+    ("hyperimmune", 72): {
+        "config.json": "3d15e0ff5d3363f6713c6409b58e4d224264eb4f7866f540400b3a85c1324a7f",
+        "levels.jsonl": "f4bab5523e66414400886230d0838a0bed583f2bc4c8ed857ca4a1d2c918d00d",
+        "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
+        "aggregates.jsonl": "bb6c1a1a32160ee8154243378df801a5f2d8fc14d9ce1f4a0763eeb5ebd8bf80",
+        "provenance.jsonl": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
+        "report.json": "a8fad5cf15aa061660837362e6acec988287c500b15ec2dc2497001c49fb13f6",
+    },
 }
 
 
