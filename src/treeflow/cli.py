@@ -22,10 +22,10 @@ code 2. Those include bytes that are not UTF-8, a .jsonl line whose value
 is not a JSON object, a rational that is not "numerator/denominator"
 or has a zero denominator, a row for a network or level the bundle
 lacks, an int field that is not an int, and provenance that is not one
-row per step with an int w on every edge's step. A cap (an enumeration
-limit, or a depth beyond what the dense oracle replays) says only that
-the work was cut off, not that the construction is impossible, so it
-gets its own code.
+row per step with an int w in 1..l(source)+1 on every edge's step. A cap
+(an enumeration limit, or a depth beyond what the dense oracle replays)
+says only that the work was cut off, not that the construction is
+impossible, so it gets its own code.
 """
 
 from __future__ import annotations
@@ -247,9 +247,10 @@ def read_bundle(path: Path) -> ConstructionBundle:
     Every levels and aggregates row must name a network and level of the
     bundle, and every int field must be an int; provenance holds one row
     per step, in order, and the row of each edge's step gives the edge's
-    class width w. Anything else is a BundleError naming the row or edge
-    at fault, so no row is dropped without a word. A row is named by its
-    file and its place among the file's rows, blank lines not counted."""
+    class width w, which lies in 1..l(source)+1. Anything else is a
+    BundleError naming the row or edge at fault, so no row is dropped
+    without a word. A row is named by its file and its place among the
+    file's rows, blank lines not counted."""
     path = Path(path)
     if not path.is_dir():
         raise BundleError(f"{path} is not a bundle directory")
@@ -389,11 +390,18 @@ def read_bundle(path: Path) -> ConstructionBundle:
     for net in nets:
         for e in net.edges:
             step = e.step_drawn
+            edge = f"edge {e.source} -> {e.target} of network {net.network_id}"
             if not 1 <= step <= config.depth or prov_rows[step - 1]["w"] is None:
                 raise BundleError(
-                    f"edge {e.source} -> {e.target} of network {net.network_id} "
-                    f"was drawn at step {step}, which has no provenance row "
-                    "with an int w"
+                    f"{edge} was drawn at step {step}, which has no provenance "
+                    "row with an int w"
+                )
+            # The class of a source x keeps positions w..l(x) of x.
+            w = prov_rows[step - 1]["w"]
+            if not 1 <= w <= len(e.source) + 1:
+                raise BundleError(
+                    f"{edge}: provenance.jsonl row {step} gives w {w}, outside "
+                    f"1..{len(e.source) + 1}"
                 )
             state.record_edge(e.task, e.subtask, len(e.target))
 

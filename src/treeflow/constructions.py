@@ -232,7 +232,11 @@ class LengthPredicate(EdgePredicate):
 
 
 class ImageMassPredicate(EdgePredicate):
-    """Non-prefix image whose region carries little frame mass."""
+    """Non-prefix image whose region carries little frame mass.
+
+    Under an operator whose images are all prefixes of their inputs no
+    target passes, whatever the source, so no level is enumerated and
+    none counts against a cap."""
 
     def __init__(self, ctx: StepContext, operator, mode: str):
         super().__init__(ctx)
@@ -244,6 +248,10 @@ class ImageMassPredicate(EdgePredicate):
         for piece in pieces:
             total += self.ctx.net.pattern_mass(self.ctx.n, piece)
         return total
+
+    def iter_sources(self, cube, level):
+        if not self.operator.prefix_image_only():
+            yield from super().iter_sources(cube, level)
 
     def holds(self, x, y):
         img = apply_modified(self.operator, y)
@@ -514,30 +522,38 @@ class TargetSearch:
 
 class SparsityPredicate(EdgePredicate):
     """Forced-shape targets: the source, one 1, then zeros to the level;
-    allowed only once the level reaches a step-counted function value."""
+    allowed only once the level reaches a step-counted function value.
+
+    Both conditions depend on the source's level m and the step n alone:
+    the gap n - m must be at least 2 and phi_j(m + 2) must have settled at
+    a value of at most n. A level that fails this gate is shut: no source
+    on it can draw, so its sources are never enumerated and count against
+    no cap."""
 
     def __init__(self, ctx: StepContext, functions: FunctionRoster, j: int):
         super().__init__(ctx)
         self.functions = functions
         self.j = j
 
-    def forced_target(self, x) -> Optional[BitString]:
+    def level_open(self, level: int) -> bool:
         n = self.ctx.n
-        if n - len(x) < 2:
-            return None
-        return x.child(1).concat(BitString(n - len(x) - 1, 0))
+        if n - level < 2:
+            return False
+        value = phi_bounded(self.functions, self.j, level + 2, n)
+        return value is not None and n >= value
+
+    def iter_sources(self, cube, level):
+        if self.level_open(level):
+            yield from super().iter_sources(cube, level)
+
+    def forced_target(self, x) -> BitString:
+        return x.child(1).concat(BitString(self.ctx.n - len(x) - 1, 0))
 
     def holds(self, x, y):
-        if y != self.forced_target(x):
-            return False
-        value = phi_bounded(self.functions, self.j, len(x) + 2, self.ctx.n)
-        return value is not None and self.ctx.n >= value
+        return self.level_open(len(x)) and y == self.forced_target(x)
 
     def beta(self, x):
-        y = self.forced_target(x)
-        if y is not None and self.holds(x, y):
-            return y
-        return None
+        return self.forced_target(x) if self.level_open(len(x)) else None
 
 
 # --- drivers ------------------------------------------------------------

@@ -246,6 +246,26 @@ def phi_bounded(roster: FunctionRoster, j: int, arg: int, steps: int) -> Optiona
     return roster.function_for(j).bounded(arg, steps)
 
 
+def _comparable(a: BitString, b: BitString) -> bool:
+    return a.is_prefix_of(b) or b.is_prefix_of(a)
+
+
+def refuse_conflicts(entries: list[tuple[BitString, BitString, int]]) -> None:
+    """Raise InconsistentGraph when two entries have comparable inputs and
+    incomparable outputs. Any input long enough to extend both inputs and
+    to afford both costs and outputs meets the pair, so such a table breaks
+    the axioms however deep the conflict lies; without such a pair every
+    image is well defined."""
+    for k, (s1, d1, _c1) in enumerate(entries):
+        for s2, d2, _c2 in entries[k + 1 :]:
+            if _comparable(s1, s2) and not _comparable(d1, d2):
+                raise InconsistentGraph(
+                    f"table entries {str(s1)!r} -> {str(d1)!r} and "
+                    f"{str(s2)!r} -> {str(d2)!r} have "
+                    "comparable inputs and incomparable outputs"
+                )
+
+
 def load_operator(desc: dict) -> Operator:
     kind = desc.get("kind")
     if kind == "echo":
@@ -263,6 +283,7 @@ def load_operator(desc: dict) -> Operator:
             (BitString.from_str(s), BitString.from_str(d), int(c))
             for s, d, c in desc["entries"]
         ]
+        refuse_conflicts(entries)
         return TableOperator(entries)
     if kind == "transducer":
         rules = {

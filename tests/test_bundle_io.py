@@ -379,6 +379,22 @@ def test_a_fault_in_a_bundle_file_is_bad_input_for_every_reader(tmp_path, capsys
         assert named in err[0], (argv, err)
 
 
+@pytest.mark.parametrize("w", [0, -1, 3, 10**6])
+def test_a_w_outside_the_source_class_range_is_bad_input(tmp_path, capsys, w):
+    # atom-10's one edge, 0 -> 0000000, has a source of length 1, so w
+    # must lie in 1..2.
+    out = _build(tmp_path, *ATOM)
+    _at_first_edge_step(lambda row: row.update(w=w))(out)
+    capsys.readouterr()
+    assert main(["verify", str(out), "--checks", "all"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.splitlines() == [
+        f"error: edge 0 -> 0000000 of network 1: provenance.jsonl row 7 gives "
+        f"w {w}, outside 1..2"
+    ]
+
+
 # --- the kept share ------------------------------------------------------
 
 

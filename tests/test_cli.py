@@ -245,6 +245,14 @@ BAD_CONFIGS = {
             "operators": [{"kind": "const", "name": "const"}],
         }
     },
+    "table conflict past the depth": {
+        "rosters": {
+            **reference_roster_descriptors(),
+            "operators": [
+                {"kind": "table", "entries": [["0", "10", 9], ["00", "01", 9]]}
+            ],
+        }
+    },
     "zero cap": {"caps": {"beta_scan": 0}},
     "string cap": {"caps": {"candidates": "8"}},
     "bool cap": {"caps": {"class_members": True}},
@@ -265,6 +273,27 @@ def test_a_malformed_config_is_bad_input_everywhere(tmp_path, capsys, bad):
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 3
     assert all(line.startswith("error: ") for line in errors), errors
+
+
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+def test_an_inconsistent_table_is_refused_by_both_builds(tmp_path, capsys, mode):
+    # The sparse build never evaluates the entries at input 00..., so it
+    # used to write a bundle that the dense build crashed on.
+    payload = {
+        "preset": "nonstochastic",
+        "depth": 6,
+        "rosters": {
+            "operators": [{"kind": "table", "entries": [["0", "10", 1], ["00", "01", 1]]}],
+            "functions": [{"kind": "linear", "a": 2, "b": 2}],
+        },
+    }
+    cfg = _write_config(tmp_path / "run.json", payload)
+    argv = ["build", "--config", str(cfg), "--mode", mode]
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad rosters: InconsistentGraph(\"table entries '0' -> '10' and "
+        "'00' -> '01' have comparable inputs and incomparable outputs\")"
+    ]
 
 
 def test_extension_shadow_is_not_applicable_before_it_is_capped(tmp_path, capsys):

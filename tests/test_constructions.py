@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from treeflow.bitseq import BitString, index_of
 from treeflow.constructions import (
     ConfigError,
+    ImageMassPredicate,
     RunConfig,
+    SparsityPredicate,
     TargetMassPredicate,
     TargetSearch,
     build,
@@ -17,7 +19,16 @@ from treeflow.constructions import (
 )
 from treeflow.cubes import Cube
 from treeflow.network import ONE, ElementaryNetwork, Rational, mass_in
-from treeflow.operators import TransducerOperator
+from treeflow.operators import (
+    FunctionRoster,
+    LinearFunction,
+    TableFunction,
+    TableOperator,
+    TransducerOperator,
+    echo_operator,
+    flip_operator,
+    silent_operator,
+)
 from treeflow.scheduler import ResourceLimit, ScheduleState, TaskStream
 from treeflow.templates import Caps, EdgePredicate, StepContext
 from treeflow.verify import run_checks
@@ -401,3 +412,131 @@ def test_target_search_finds_the_target_the_scan_finds(scene):
     )
     pred = TargetMassPredicate(ctx, op, PendingFrame(items), w)
     assert TargetSearch(pred, x).target() == EdgePredicate.beta(pred, x)
+
+
+# --- level gates ----------------------------------------------------------
+
+
+@st.composite
+def level_pieces(draw, max_n):
+    """A step n <= max_n, a level m < n, and a piece cube at level m."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, n - 1))
+    care = draw(st.integers(0, (1 << m) - 1))
+    return n, m, Cube(m, care, draw(st.integers(0, (1 << m) - 1)) & care)
+
+
+@st.composite
+def function_rosters(draw):
+    """One to three linear and table functions, with values and costs on
+    both sides of the steps a test reaches."""
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            bases.append(LinearFunction(draw(st.integers(0, 3)), draw(st.integers(0, 12))))
+        else:
+            rows = draw(st.lists(st.tuples(*[st.integers(0, 14)] * 3), max_size=6))
+            bases.append(TableFunction(rows))
+    return FunctionRoster(tuple(bases))
+
+
+def _drawn_pairs(pred, sources):
+    pairs = [(x, pred.beta(x)) for x in sources]
+    return [(x, y) for x, y in pairs if y is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_pieces(12), function_rosters(), st.integers(1, 8))
+def test_sparsity_gate_yields_what_the_full_enumeration_draws(piece, fns, j):
+    n, m, cube = piece
+    ctx = StepContext(
+        n=n, i=2 * j + 1, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n)
+    )
+    pred = SparsityPredicate(ctx, fns, j)
+    gated = _drawn_pairs(pred, pred.iter_sources(cube, m))
+    assert gated == _drawn_pairs(pred, EdgePredicate.iter_sources(pred, cube, m))
+    for x, y in gated[:1]:
+        # The forced target is the least extension the holds scan accepts.
+        assert EdgePredicate.beta(pred, x) == y
+
+
+@st.composite
+def image_operators(draw):
+    """Prefix-only operators (echo, silent, echo-then-silent transducers,
+    tables of prefixes) and others (flip, random transducers, tables)."""
+    kind = draw(st.sampled_from(["echo", "silent", "flip", "transducer", "table"]))
+    if kind == "echo":
+        return echo_operator()
+    if kind == "silent":
+        return silent_operator()
+    if kind == "flip":
+        return flip_operator()
+    if kind == "transducer":
+        states = "abc"[: draw(st.integers(1, 3))]
+        rules = {}
+        for state in states:
+            for b in (0, 1):
+                if draw(st.integers(0, 4)) == 0:
+                    continue
+                emit = draw(st.sampled_from([(), (b,), None]))
+                if emit is None:
+                    emit = tuple(draw(st.lists(st.integers(0, 1), max_size=2)))
+                rules[(state, b)] = (draw(st.sampled_from(states)), emit)
+        return TransducerOperator(rules, "a")
+    length = draw(st.integers(0, 6))
+    source = BitString(length, draw(st.integers(0, (1 << length) - 1)))
+    if draw(st.booleans()):
+        out = source.truncate(draw(st.integers(0, length)))
+    else:
+        k = draw(st.integers(0, 6))
+        out = BitString(k, draw(st.integers(0, (1 << k) - 1)))
+    return TableOperator([(source, out, draw(st.integers(1, 8)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_pieces(10), image_operators(), st.data())
+def test_image_mass_gate_yields_what_the_full_enumeration_draws(piece, op, data):
+    n, m, cube = piece
+    halves = [Cube(n, 1 << (n - 1), 0), Cube(n, 1 << (n - 1), 1 << (n - 1))]
+    items = [
+        (c, Fraction(1, 1 << data.draw(st.integers(0, 2 * n + 6)))) for c in halves
+    ]
+    ctx = StepContext(
+        n=n, i=2, net=PendingFrame(items), state=ScheduleState(TaskStream(), n)
+    )
+    pred = ImageMassPredicate(ctx, op, data.draw(st.sampled_from(["exclude", "reject"])))
+    gated = _drawn_pairs(pred, pred.iter_sources(cube, m))
+    assert gated == _drawn_pairs(pred, EdgePredicate.iter_sources(pred, cube, m))
+    if op.prefix_image_only():
+        assert list(pred.iter_sources(cube, m)) == []
+
+
+def _gated_predicates(n, fn):
+    ctx = StepContext(
+        n=n, i=3, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n),
+        caps=Caps(class_members=4),
+    )
+    sparsity = SparsityPredicate(ctx, FunctionRoster((fn,)), 1)
+    return ctx, sparsity
+
+
+def test_a_shut_level_yields_nothing_and_hits_no_cap():
+    # phi(3 + 2) = 2 * 5 + 2 = 12 has not settled by step 5.
+    ctx, sparsity = _gated_predicates(5, LinearFunction(2, 2))
+    region = Cube.from_pattern("***")
+    assert list(sparsity.iter_sources(region, 3)) == []
+    for op in (echo_operator(), silent_operator()):
+        assert list(ImageMassPredicate(ctx, op, "exclude").iter_sources(region, 3)) == []
+
+
+def test_an_open_level_over_the_member_cap_still_raises():
+    ctx, sparsity = _gated_predicates(5, LinearFunction(0, 0))
+    region = Cube.from_pattern("***")
+    message = (
+        "Caps.class_members = 4 exceeded at level 5, task 3, network 1: "
+        "source region *** has 8 members"
+    )
+    for pred in (sparsity, ImageMassPredicate(ctx, flip_operator(), "exclude")):
+        with pytest.raises(ResourceLimit) as hit:
+            next(pred.iter_sources(region, 3))
+        assert str(hit.value) == message

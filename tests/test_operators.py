@@ -87,6 +87,31 @@ def test_table_inconsistency_is_fatal():
         apply_modified(op, B("00"))
 
 
+def test_load_refuses_a_table_that_some_input_makes_inconsistent():
+    def table(*entries):
+        return {"kind": "table", "entries": [list(e) for e in entries]}
+
+    def load(op):
+        functions = [{"kind": "linear", "a": 1, "b": 1}]
+        return load_rosters({"operators": [op], "functions": functions})
+
+    # Comparable inputs, incomparable outputs: refused however costly.
+    for entries in (
+        [("0", "10", 1), ("00", "01", 1)],
+        [("00", "01", 90), ("0", "10", 70)],
+        [("", "1", 1), ("1011", "0", 5)],
+    ):
+        with pytest.raises(InconsistentGraph):
+            load(table(*entries))
+    # Incomparable inputs, or comparable outputs, are consistent.
+    for entries in (
+        [("0", "10", 1), ("1", "01", 1)],
+        [("0", "1", 1), ("00", "101", 3)],
+        [("0", "", 1), ("01", "11", 1)],
+    ):
+        load(table(*entries))
+
+
 def test_max_image_len():
     assert echo_operator().max_image_len(7) == 7
     assert silent_operator().max_image_len(7) == 0
