@@ -433,7 +433,8 @@ def function_rosters(draw):
     bases = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
-            bases.append(LinearFunction(draw(st.integers(0, 3)), draw(st.integers(0, 12))))
+            a, b = draw(st.integers(0, 3)), draw(st.integers(0, 12))
+            bases.append(LinearFunction(a, b))
         else:
             rows = draw(st.lists(st.tuples(*[st.integers(0, 14)] * 3), max_size=6))
             bases.append(TableFunction(rows))
@@ -478,9 +479,10 @@ def image_operators(draw):
             for b in (0, 1):
                 if draw(st.integers(0, 4)) == 0:
                     continue
-                emit = draw(st.sampled_from([(), (b,), None]))
-                if emit is None:
-                    emit = tuple(draw(st.lists(st.integers(0, 1), max_size=2)))
+                emit = draw(
+                    st.sampled_from([(), (b,)])
+                    | st.lists(st.integers(0, 1), max_size=2).map(tuple)
+                )
                 rules[(state, b)] = (draw(st.sampled_from(states)), emit)
         return TransducerOperator(rules, "a")
     length = draw(st.integers(0, 6))
@@ -497,10 +499,13 @@ def image_operators(draw):
 @given(level_pieces(10), image_operators(), st.data())
 def test_image_mass_gate_yields_what_the_full_enumeration_draws(piece, op, data):
     n, m, cube = piece
+    # Each half of the level is dead or carries 2^-e per vertex, on both
+    # sides of the allowances 2^-(index_of(x) + 3).
     halves = [Cube(n, 1 << (n - 1), 0), Cube(n, 1 << (n - 1), 1 << (n - 1))]
-    items = [
-        (c, Fraction(1, 1 << data.draw(st.integers(0, 2 * n + 6)))) for c in halves
-    ]
+    items = []
+    for c in halves:
+        e = data.draw(st.integers(-1, 2 * n + 6))
+        items.append((c, Fraction(0) if e < 0 else Fraction(1, 1 << e)))
     ctx = StepContext(
         n=n, i=2, net=PendingFrame(items), state=ScheduleState(TaskStream(), n)
     )
