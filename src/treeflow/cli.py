@@ -523,7 +523,7 @@ def cmd_mltest(args) -> int:
                 "roots": entry["roots"],
                 "mass": rat_str(entry["mass"]),
                 "allowance": rat_str(entry["bound_sum"]),
-                "cap": rat_str(Fraction(1, 1 << i)),
+                "cap": rat_str(entry["cap"]),
                 "edge_count": entry["edge_count"],
                 "ok": entry["ok"],
                 "tail_roots": tail["roots"],

@@ -24,6 +24,7 @@ from treeflow.cubes import Cube
 from treeflow.network import (
     ONE,
     ZERO,
+    ConstructionError,
     DelayTable,
     ElementaryNetwork,
     Rational,
@@ -50,6 +51,7 @@ from treeflow.templates import (
     allowance_exponent,
     class_cube,
     discard_pieces,
+    prefix_root,
     t1_step,
     t2_step,
 )
@@ -225,18 +227,12 @@ class LengthPredicate(EdgePredicate):
         img = apply_modified(self.operator, y)
         return len(img) > index_of(x) + self.task
 
-    def beta(self, x):
-        if self._reach <= index_of(x) + self.task:
-            return None
-        return super().beta(x)
-
 
 class ImageMassPredicate(EdgePredicate):
     """Non-prefix image whose region carries little frame mass.
 
     Under an operator whose images are all prefixes of their inputs no
-    target passes, whatever the source, so no level is enumerated and
-    none counts against a cap."""
+    target passes, whatever the source, so every level is shut."""
 
     def __init__(self, ctx: StepContext, operator, mode: str):
         super().__init__(ctx)
@@ -249,9 +245,8 @@ class ImageMassPredicate(EdgePredicate):
             total += self.ctx.net.pattern_mass(self.ctx.n, piece)
         return total
 
-    def iter_sources(self, cube, level):
-        if not self.operator.prefix_image_only():
-            yield from super().iter_sources(cube, level)
+    def level_open(self, level):
+        return super().level_open(level) and not self.operator.prefix_image_only()
 
     def holds(self, x, y):
         img = apply_modified(self.operator, y)
@@ -263,9 +258,7 @@ class ImageMassPredicate(EdgePredicate):
         return not exceeds_dyadic(self._pieces_mass(pieces), allowance_exponent(x))
 
     def beta(self, x):
-        if self.operator.prefix_image_only():
-            return None
-        if self.operator.length_determined() and self.ctx.n - len(x) >= 2:
+        if self.operator.length_determined():
             # One evaluation settles the mass conjunct for every target.
             probe = next(x.extensions(self.ctx.n))
             img = apply_modified(self.operator, probe)
@@ -367,9 +360,6 @@ class TargetMassPredicate(EdgePredicate):
         return False
 
     def iter_sources(self, cube, level):
-        if self.ctx.n - level < 2:
-            # No legal target that close to the level being built.
-            return
         mask = self._worst_mask(level)
         worst = Cube(level, cube.care | mask, cube.value | mask)
         # The smallest worst-member index offers the loosest bound in this
@@ -392,14 +382,11 @@ class TargetMassPredicate(EdgePredicate):
         return best
 
     def beta(self, x):
-        n = self.ctx.n
         worst = self._worst_member(x)
-        if n - len(x) < 2 or self._ruled_out(
-            Cube.vertex(worst), allowance_exponent(worst)
-        ):
+        if self._ruled_out(Cube.vertex(worst), allowance_exponent(worst)):
             return None
         if self.operator.length_determined():
-            return next(x.extensions(n))
+            return next(x.extensions(self.ctx.n))
         if isinstance(self.operator, TransducerOperator):
             return TargetSearch(self, x).target()
         return super().beta(x)
@@ -483,8 +470,6 @@ class TargetSearch:
         return exceeds_dyadic(self.floor(machine, pattern, mass, depth), e)
 
     def target(self) -> Optional[BitString]:
-        if self.gap < 2:
-            return None  # a pair at distance 1 is never an edge
         worst = self.worst
         found = self.visit(self.advance(self.start, worst.value, len(worst)), 0, 0)
         if found is None:
@@ -524,11 +509,9 @@ class SparsityPredicate(EdgePredicate):
     """Forced-shape targets: the source, one 1, then zeros to the level;
     allowed only once the level reaches a step-counted function value.
 
-    Both conditions depend on the source's level m and the step n alone:
-    the gap n - m must be at least 2 and phi_j(m + 2) must have settled at
-    a value of at most n. A level that fails this gate is shut: no source
-    on it can draw, so its sources are never enumerated and count against
-    no cap."""
+    The gate depends on the source's level m and the step n alone: past
+    the distance-1 rule, phi_j(m + 2) must have settled at a value of at
+    most n. On an open level every source has its forced target."""
 
     def __init__(self, ctx: StepContext, functions: FunctionRoster, j: int):
         super().__init__(ctx)
@@ -536,24 +519,14 @@ class SparsityPredicate(EdgePredicate):
         self.j = j
 
     def level_open(self, level: int) -> bool:
-        n = self.ctx.n
-        if n - level < 2:
+        if not super().level_open(level):
             return False
+        n = self.ctx.n
         value = phi_bounded(self.functions, self.j, level + 2, n)
         return value is not None and n >= value
 
-    def iter_sources(self, cube, level):
-        if self.level_open(level):
-            yield from super().iter_sources(cube, level)
-
-    def forced_target(self, x) -> BitString:
-        return x.child(1).concat(BitString(self.ctx.n - len(x) - 1, 0))
-
-    def holds(self, x, y):
-        return self.level_open(len(x)) and y == self.forced_target(x)
-
     def beta(self, x):
-        return self.forced_target(x) if self.level_open(len(x)) else None
+        return x.child(1).concat(BitString(self.ctx.n - len(x) - 1, 0))
 
 
 # --- drivers ------------------------------------------------------------
@@ -603,19 +576,29 @@ def _step_nonstochastic(config, n, nets, state, ops, fns):
 
 
 def _step_divisible(config, n, nets, state, ops, fns):
+    """t1 on the designated vertex; then the image region behind the
+    drawn edge, less the source's own subtree, goes dead (s = 1)."""
     net = nets[0]
     i = state.stream.task(n)
-    designated = state.stream.designated(n)
     op = ops.operator_for(i)
     ctx = _context(config, n, i, net, state)
     pred = ImageMassPredicate(ctx, op, config.discard_mode)
-    table, out = t1_step(
-        ctx,
-        pred,
-        designated=designated,
-        image_of=lambda y: apply_modified(op, y),
-        discard_mode=config.discard_mode,
-    )
+    table, out = t1_step(ctx, pred, designated=state.stream.designated(n))
+    records = []
+    for e in out.edges:
+        img = apply_modified(op, e.target)
+        pieces = discard_pieces(img, e.source, n, config.discard_mode)
+        if pieces is None:
+            raise ConstructionError(
+                f"edge ({e.source}, {e.target}) reaches into its own image "
+                "region in reject mode; the predicate should have refused it"
+            )
+        if pieces:
+            for piece in pieces:
+                table.add_subtree(prefix_root(piece), ONE)
+            records.append(DiscardRecord.behind(e, net.network_id, tuple(pieces)))
+    if records:
+        out = dataclasses.replace(out, discards=tuple(records))
     return {1: table}, out
 
 
@@ -658,12 +641,7 @@ def _step_family(config, n, nets, state, ops, fns):
         if cube is not None:
             tables[target_id].add_suffix([(cube, ONE)])
         records.append(
-            DiscardRecord(
-                network_id=target_id,
-                cubes=(cube,) if cube is not None else (),
-                edge=e,
-                bound=Rational(1, 1 << allowance_exponent(e.source)),
-            )
+            DiscardRecord.behind(e, target_id, (cube,) if cube is not None else ())
         )
     if records:
         out = dataclasses.replace(out, discards=tuple(records))
@@ -732,8 +710,9 @@ def build(config: RunConfig) -> ConstructionBundle:
 
 @dataclass
 class MLTest:
-    """Per task index: the interval roots, their union mass, and the sum of
-    the per-edge allowances 2^-(index_of(source)+i)."""
+    """Per task index: the interval roots, their union mass, the sum of
+    the per-edge allowances 2^-(index_of(source)+i), and the cap 2^-i
+    that both the mass and the tail mass must stay under."""
 
     per_index: dict[int, dict]
     tails: dict[int, dict]
@@ -796,6 +775,7 @@ def ml_test(bundle: ConstructionBundle, index: Optional[int] = None) -> MLTest:
             "roots": [str(r) for r in prefix_free(roots_by_task[i])],
             "mass": mass,
             "bound_sum": allowance[i],
+            "cap": cap,
             "edge_count": len(roots_by_task[i]),
             "ok": mass <= allowance[i] <= cap,
         }

@@ -150,8 +150,10 @@ def candidates(
     A candidate x sits at one of `levels` (the candidate levels of a
     session or subsession), inside the subtree of `root` when one is
     given, has s(x) > 0, no outgoing extra edge, and a defined edge target
-    beta(x). The predicate supplies both the source enumeration (it may
-    prune by its own viability bounds) and beta. More than
+    beta(x). The predicate supplies the level gate, the source
+    enumeration (it may prune by its own viability bounds) and beta. A
+    level the gate shuts is not read, not enumerated and counts against
+    no cap, and beta is asked only for sources on open levels. More than
     Caps.candidates sources raise through ctx.cap_hit. Returned in
     increasing index_of order.
     """
@@ -159,6 +161,8 @@ def candidates(
     found: list[tuple[BitString, BitString]] = []
     seen = 0
     for m in levels:
+        if not predicate.level_open(m):
+            continue
         region_filter = None
         if root is not None:
             if len(root) > m:

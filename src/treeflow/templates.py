@@ -6,15 +6,16 @@ processes candidate vertices by drawing edges and shifting their delayed
 share onto descendants (case 2), or writes an all-zero level (case 3).
 
 t1_step handles one vertex per edge; given a designated vertex it processes
-only that one and additionally marks the operator image's region as dead
-(s = 1). t2_step runs inside leading subtrees and replicates every draw and
-every delay write across suffix-equivalence classes.
+only that one. t2_step runs inside leading subtrees and replicates every
+draw and every delay write across suffix-equivalence classes. Neither
+writes discards: a driver that silences an image region behind an edge
+does so after the draw and books it with DiscardRecord.behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube, subtract_many
@@ -55,6 +56,19 @@ class DiscardRecord:
     cubes: tuple[Cube, ...]
     edge: ExtraEdge
     bound: Rational
+
+    @classmethod
+    def behind(
+        cls, edge: ExtraEdge, network_id: int, cubes: tuple[Cube, ...]
+    ) -> "DiscardRecord":
+        """The record of `cubes` silenced on `network_id` behind `edge`,
+        bounded by the allowance of the edge's source."""
+        return cls(
+            network_id=network_id,
+            cubes=cubes,
+            edge=edge,
+            bound=Rational(1, 1 << allowance_exponent(edge.source)),
+        )
 
 
 @dataclass(frozen=True)
@@ -123,18 +137,26 @@ class StepContext:
 class EdgePredicate:
     """Decides whether (x, y) may become an extra edge, and finds targets.
 
+    level_open(m) says whether a source on level m may draw at step n at
+    all. A pair at distance 1 is never a legal extra edge, so the default
+    opens only levels at least two below n; a subclass narrows it with
+    gates that depend on the level alone. scheduler.candidates reads it
+    once per level and enumerates and asks beta only on open levels.
+
     Subclasses override holds(x, y). beta returns the numerically least
-    length-n extension of x satisfying it, or None; a pair at distance 1
-    is never a legal extra edge, so such x have no target at all. This
-    beta scans the extensions in order, one holds probe each, and raises
-    after Caps.beta_scan probes. A subclass may override it with a search
-    that returns the same target; the search's nodes count against the
-    same cap. The source enumeration may be overridden to prune by
-    viability bounds.
+    length-n extension of x satisfying it, or None. This beta scans the
+    extensions in order, one holds probe each, and raises after
+    Caps.beta_scan probes. A subclass may override it with a search that
+    returns the same target; the search's nodes count against the same
+    cap. The source enumeration may be overridden to prune by viability
+    bounds.
     """
 
     def __init__(self, ctx: StepContext):
         self.ctx = ctx
+
+    def level_open(self, level: int) -> bool:
+        return self.ctx.n - level >= 2
 
     def holds(self, x: BitString, y: BitString) -> bool:
         raise NotImplementedError
@@ -144,8 +166,6 @@ class EdgePredicate:
 
     def beta(self, x: BitString) -> Optional[BitString]:
         n = self.ctx.n
-        if n - len(x) < 2:
-            return None
         budget = self.ctx.caps.beta_scan
         for count, y in enumerate(x.extensions(n)):
             if count >= budget:
@@ -166,14 +186,9 @@ def t1_step(
     ctx: StepContext,
     predicate: EdgePredicate,
     designated: Optional[BitString] = None,
-    image_of: Optional[Callable[[BitString], BitString]] = None,
-    discard_mode: str = "exclude",
 ):
     """One construction step; returns (table, outcome), the drawn edges
-    in the outcome.
-
-    With `designated` set, only that vertex is eligible and `image_of`
-    supplies the region discarded behind the drawn edge.
+    in the outcome. With `designated` set, only that vertex is eligible.
     """
     n, i, net, state = ctx.n, ctx.i, ctx.net, ctx.state
     w = state.start((i,), n)
@@ -191,7 +206,6 @@ def t1_step(
 
     table = DelayTable(n)
     drawn: list[ExtraEdge] = []
-    discards: list[DiscardRecord] = []
     for x, y in pairs:
         s = net.delay(x)
         edge = ExtraEdge(
@@ -207,25 +221,7 @@ def t1_step(
         table.set_vertex(y, ZERO)
         if s != ONE:
             table.add_subtree(x, s / (ONE - s))
-        if image_of is not None:
-            pieces = discard_pieces(image_of(y), x, n, discard_mode)
-            if pieces is None:
-                raise ConstructionError(
-                    f"edge ({x}, {y}) reaches into its own image region "
-                    "in reject mode; the predicate should have refused it"
-                )
-            if pieces:
-                for piece in pieces:
-                    table.add_subtree(prefix_root(piece), ONE)
-                discards.append(
-                    DiscardRecord(
-                        network_id=net.network_id,
-                        cubes=tuple(pieces),
-                        edge=edge,
-                        bound=Rational(1, 1 << allowance_exponent(x)),
-                    )
-                )
-    return table, ctx.outcome(2, w=w, edges=tuple(drawn), discards=tuple(discards))
+    return table, ctx.outcome(2, w=w, edges=tuple(drawn))
 
 
 def discard_pieces(

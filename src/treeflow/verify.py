@@ -9,7 +9,6 @@ walk would not finish, so the run config's seed drives none of them.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -474,9 +473,7 @@ def _level_mismatch(m_pieces, w_pieces, shift, walk):
     return None
 
 
-def check_ratio_identity(
-    bundle, min_coverage: Optional[Fraction] = None
-) -> CheckReport:
+def check_ratio_identity(bundle) -> CheckReport:
     """Flows inside suffix-equivalent subtrees stay proportional: for y, z
     at a level m of a settled task's session that share positions w..m,
     P(y) P(z[:w]) = P(z) P(y[:w]).
@@ -563,14 +560,10 @@ def check_ratio_identity(
         "stable": {str(i): w for i, w in sorted(stable.items())},
     }
     # Every settled task with levels to compare must have a region with
-    # nonzero prefix flow on one of them; a stricter coverage bar over all
-    # active tasks applies when the caller sets one.
+    # nonzero prefix flow on one of them.
     missing = sorted(set(usable) - covered)
     passed = not missing
     witness = {"uncovered_settled_tasks": missing} if missing else None
-    if passed and min_coverage is not None and coverage < min_coverage:
-        passed = False
-        witness = {"coverage": rat_str(coverage)}
     return _report(
         "ratio_identity",
         start,
@@ -966,7 +959,7 @@ def check_extension_shadow(
     )
 
 
-def dense_oracle(config, rho_override: Optional[int] = None) -> CheckReport:
+def dense_oracle(config) -> CheckReport:
     """Rebuild with the vertex-by-vertex mirror and compare everything."""
     from treeflow.constructions import build
     from treeflow.dense import compare_runs, dense_build
@@ -978,13 +971,7 @@ def dense_oracle(config, rho_override: Optional[int] = None) -> CheckReport:
             f"{config.depth}, every task, every network: the dense oracle "
             f"replays every vertex"
         )
-    bundle = build(config)
-    mirror_config = (
-        dataclasses.replace(config, rho_base=rho_override)
-        if rho_override is not None
-        else config
-    )
-    problems = compare_runs(bundle, dense_build(mirror_config))
+    problems = compare_runs(build(config), dense_build(config))
     return _report(
         "dense_oracle",
         start,

@@ -176,10 +176,12 @@ def test_c4_class_weights_and_ratio_identity():
         dup = check_duplication(b)
         if not dup.passed:
             problems.append((name, "duplication", dup.witness))
-        rep = check_ratio_identity(b, min_coverage=Fraction(4, 5))
+        rep = check_ratio_identity(b)
         if not rep.passed:
             problems.append((name, "ratio_identity", rep.witness))
             continue
+        if Fraction(rep.details["task_coverage"]) < Fraction(4, 5):
+            problems.append((name, "task_coverage", rep.details["task_coverage"]))
         walk = rep.details["coverage"]
         if walk["walk"] != "exhaustive":
             problems.append((name, "walk", walk))

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treeflow.bitseq import BitString, index_of
 from treeflow.constructions import (
     ConfigError,
     ImageMassPredicate,
+    LengthPredicate,
     RunConfig,
     SparsityPredicate,
     TargetMassPredicate,
@@ -27,9 +28,10 @@ from treeflow.operators import (
     TransducerOperator,
     echo_operator,
     flip_operator,
+    phi_bounded,
     silent_operator,
 )
-from treeflow.scheduler import ResourceLimit, ScheduleState, TaskStream
+from treeflow.scheduler import ResourceLimit, ScheduleState, TaskStream, candidates
 from treeflow.templates import Caps, EdgePredicate, StepContext
 from treeflow.verify import run_checks
 
@@ -215,24 +217,31 @@ def test_divisible_reference_run_draws_nothing():
 
 
 def test_divisible_flip_roster_draws_with_discards():
-    b = build(RunConfig(preset="divisible", depth=6, rosters=FLIP_FIRST))
-    edges = _all_edges(b)
-    assert [(str(e.source), str(e.target), e.step_drawn) for e in edges] == [
-        ("0", "0000", 4),
-        ("1", "10000", 5),
-    ]
-    assert [
-        ([c.pattern() for c in d.cubes], str(d.bound)) for d in b.discards
-    ] == [
-        (["1111"], "1/16"),
-        (["01111"], "1/32"),
-    ]
-    net = b.network(1)
-    assert net.delay(B("1111")) == ONE
-    assert net.delay(B("01111")) == ONE
-    # Pre-draw mass of the first region: sixteenth of the level scaled by
-    # the one earlier pause, within the recorded allowance.
-    assert Rational(15, 256) <= Rational(1, 16)
+    for mode in ("exclude", "reject"):
+        b = build(
+            RunConfig(preset="divisible", depth=6, discard_mode=mode, rosters=FLIP_FIRST)
+        )
+        edges = _all_edges(b)
+        assert [(str(e.source), str(e.target), e.step_drawn) for e in edges] == [
+            ("0", "0000", 4),
+            ("1", "10000", 5),
+        ]
+        assert [
+            ([c.pattern() for c in d.cubes], str(d.bound)) for d in b.discards
+        ] == [
+            (["1111"], "1/16"),
+            (["01111"], "1/32"),
+        ]
+        net = b.network(1)
+        assert net.delay(B("1111")) == ONE
+        assert net.delay(B("01111")) == ONE
+        # A dead region carries no flow to the next level.
+        for dead in ("1111", "01111"):
+            for bit in (0, 1):
+                assert net.flow_eval(B(dead).child(bit)) == 0
+        # Each region's pre-draw mass lies within its recorded allowance.
+        (rep,) = run_checks(b, names=["discards"])
+        assert rep.passed, rep.witness
 
 
 def test_build_rejects_unknown_preset_before_running():
@@ -441,24 +450,79 @@ def function_rosters(draw):
     return FunctionRoster(tuple(bases))
 
 
-def _drawn_pairs(pred, sources):
-    pairs = [(x, pred.beta(x)) for x in sources]
-    return [(x, y) for x, y in pairs if y is not None]
+class LiveLevel:
+    """Level m of a network reduced to one live piece."""
+
+    def __init__(self, cube):
+        self.cube = cube
+
+    def s_partition(self):
+        return [(self.cube, Fraction(1, 2))]
+
+
+class ReadCountingTables(dict):
+    """Level tables that count every level looked up."""
+
+    reads = 0
+
+    def __getitem__(self, level):
+        self.reads += 1
+        return super().__getitem__(level)
+
+
+class GateNet(PendingFrame):
+    """A network reduced to what candidates and the predicates read: one
+    live piece on level m, no edges, a pending frame, and a count of the
+    levels whose partition was read."""
+
+    network_id = 1
+
+    def __init__(self, items, m, cube):
+        super().__init__(items)
+        self.tables = ReadCountingTables({m: LiveLevel(cube)})
+
+    def outgoing_edge(self, x):
+        return None
+
+
+def _gate_context(n, i, items, m, cube, caps=None):
+    net = GateNet(items, m, cube)
+    ctx = StepContext(
+        n=n, i=i, net=net, state=ScheduleState(TaskStream(), n), caps=caps or Caps()
+    )
+    return ctx, net
+
+
+def _scan_oracle(holds, cube, n):
+    """The (x, y) pairs a full enumeration of `cube` draws when each
+    source scans its length-n extensions for the least y with holds(x, y).
+    The distance-1 rule is applied here, source by source."""
+    pairs = []
+    for x in cube.members():
+        if n - len(x) < 2:
+            continue
+        y = next((y for y in x.extensions(n) if holds(x, y)), None)
+        if y is not None:
+            pairs.append((x, y))
+    return sorted(pairs, key=lambda pair: index_of(pair[0]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(level_pieces(12), function_rosters(), st.integers(1, 8))
 def test_sparsity_gate_yields_what_the_full_enumeration_draws(piece, fns, j):
     n, m, cube = piece
-    ctx = StepContext(
-        n=n, i=2 * j + 1, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n)
-    )
+    ctx, _net = _gate_context(n, 2 * j + 1, [], m, cube)
     pred = SparsityPredicate(ctx, fns, j)
-    gated = _drawn_pairs(pred, pred.iter_sources(cube, m))
-    assert gated == _drawn_pairs(pred, EdgePredicate.iter_sources(pred, cube, m))
-    for x, y in gated[:1]:
-        # The forced target is the least extension the holds scan accepts.
-        assert EdgePredicate.beta(pred, x) == y
+    settled = phi_bounded(fns, j, m + 2, n)
+
+    def holds(x, y):
+        # A sparse edge: phi_j(m + 2) settled by step n, and the forced
+        # shape x 1 0...0.
+        if settled is None or settled > n:
+            return False
+        return y == x.child(1).concat(BitString(n - m - 1, 0))
+
+    assert candidates(ctx, pred, [m]) == _scan_oracle(holds, cube, n)
 
 
 @st.composite
@@ -506,42 +570,70 @@ def test_image_mass_gate_yields_what_the_full_enumeration_draws(piece, op, data)
     for c in halves:
         e = data.draw(st.integers(-1, 2 * n + 6))
         items.append((c, Fraction(0) if e < 0 else Fraction(1, 1 << e)))
-    ctx = StepContext(
-        n=n, i=2, net=PendingFrame(items), state=ScheduleState(TaskStream(), n)
-    )
+    ctx, net = _gate_context(n, 2, items, m, cube)
     pred = ImageMassPredicate(ctx, op, data.draw(st.sampled_from(["exclude", "reject"])))
-    gated = _drawn_pairs(pred, pred.iter_sources(cube, m))
-    assert gated == _drawn_pairs(pred, EdgePredicate.iter_sources(pred, cube, m))
+    assert candidates(ctx, pred, [m]) == _scan_oracle(pred.holds, cube, n)
     if op.prefix_image_only():
-        assert list(pred.iter_sources(cube, m)) == []
+        assert net.tables.reads == 0
 
 
-def _gated_predicates(n, fn):
-    ctx = StepContext(
-        n=n, i=3, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n),
-        caps=Caps(class_members=4),
-    )
-    sparsity = SparsityPredicate(ctx, FunctionRoster((fn,)), 1)
-    return ctx, sparsity
+@st.composite
+def shut_levels(draw):
+    """One of the four predicates at a step n, with a level m < n it
+    shuts, whose whole level is live: more sources than either cap."""
+    n = draw(st.integers(1, 12))
+    m = n - 1 if draw(st.booleans()) else draw(st.integers(0, n - 1))
+    op = draw(image_operators())
+    items = [(Cube.whole_level(n), Fraction(1, 1 << draw(st.integers(0, 2 * n))))]
+    caps = Caps(candidates=1, class_members=1)
+    ctx, net = _gate_context(n, 3, items, m, Cube.whole_level(m), caps)
+    kind = draw(st.sampled_from(["length", "image_mass", "target_mass", "sparsity"]))
+    if kind == "length":
+        pred = LengthPredicate(ctx, op, 3)
+    elif kind == "image_mass":
+        pred = ImageMassPredicate(ctx, op, draw(st.sampled_from(["exclude", "reject"])))
+    elif kind == "target_mass":
+        pred = TargetMassPredicate(ctx, op, PendingFrame(items), draw(st.integers(1, n)))
+    else:
+        pred = SparsityPredicate(ctx, draw(function_rosters()), draw(st.integers(1, 8)))
+    assume(not pred.level_open(m))
+    return ctx, net, pred, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(shut_levels())
+def test_a_shut_level_is_never_read_enumerated_or_counted(scene):
+    ctx, net, pred, m = scene
+    assert candidates(ctx, pred, [m]) == []
+    assert net.tables.reads == 0
 
 
 def test_a_shut_level_yields_nothing_and_hits_no_cap():
-    # phi(3 + 2) = 2 * 5 + 2 = 12 has not settled by step 5.
-    ctx, sparsity = _gated_predicates(5, LinearFunction(2, 2))
-    region = Cube.from_pattern("***")
-    assert list(sparsity.iter_sources(region, 3)) == []
-    for op in (echo_operator(), silent_operator()):
-        assert list(ImageMassPredicate(ctx, op, "exclude").iter_sources(region, 3)) == []
+    # phi(3 + 2) = 2 * 5 + 2 = 12 has not settled by step 5; echo and
+    # silent images are prefixes; level 4 is one step above level 5.
+    caps = Caps(class_members=4)
+    ctx, net = _gate_context(5, 3, [], 3, Cube.from_pattern("***"), caps)
+    shut = [SparsityPredicate(ctx, FunctionRoster((LinearFunction(2, 2),)), 1)]
+    shut += [ImageMassPredicate(ctx, op, "exclude") for op in (echo_operator(), silent_operator())]
+    for pred in shut:
+        assert candidates(ctx, pred, [3]) == []
+    assert net.tables.reads == 0
+    ctx, net = _gate_context(5, 3, [], 4, Cube.from_pattern("****"), caps)
+    sparsity = SparsityPredicate(ctx, FunctionRoster((LinearFunction(0, 0),)), 1)
+    for pred in (sparsity, ImageMassPredicate(ctx, flip_operator(), "exclude")):
+        assert candidates(ctx, pred, [4]) == []
+    assert net.tables.reads == 0
 
 
 def test_an_open_level_over_the_member_cap_still_raises():
-    ctx, sparsity = _gated_predicates(5, LinearFunction(0, 0))
-    region = Cube.from_pattern("***")
+    caps = Caps(class_members=4)
+    ctx, _net = _gate_context(5, 3, [], 3, Cube.from_pattern("***"), caps)
+    sparsity = SparsityPredicate(ctx, FunctionRoster((LinearFunction(0, 0),)), 1)
     message = (
         "Caps.class_members = 4 exceeded at level 5, task 3, network 1: "
         "source region *** has 8 members"
     )
     for pred in (sparsity, ImageMassPredicate(ctx, flip_operator(), "exclude")):
         with pytest.raises(ResourceLimit) as hit:
-            next(pred.iter_sources(region, 3))
+            candidates(ctx, pred, [3])
         assert str(hit.value) == message

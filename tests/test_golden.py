@@ -9,6 +9,7 @@ with the reason.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -116,14 +117,61 @@ DIGESTS = {
 }
 
 
+# The reference roster's `divisible` draws no edge, so the runs above
+# never reach its discard path. The flip-first roster of test_dense draws
+# 2 edges and writes 2 discards by depth 12; flip's images are
+# incomparable with their sources, so both discard modes write the same
+# bundle apart from config.json.
+FLIP_ROSTERS = {
+    "operators": [
+        {"kind": "flip", "name": "flip"},
+        {"kind": "silent", "name": "silent"},
+        {"kind": "echo", "name": "echo"},
+    ],
+    "functions": [{"kind": "linear", "name": "double-plus-two", "a": 2, "b": 2}],
+}
+
+FLIP_DIGESTS = {
+    "exclude": {
+        "config.json": "67b7589eb1a3efe98e1f0b6d5adfda2e24ed6de6409abfa061217c2108d40c13",
+        "levels.jsonl": "e75a9a0386130b4ca156df887fd3edc6db02ee19183979d222f5e22335c90a11",
+        "edges.jsonl": "40e94aea7440faf61bd30adeb7cc60cda5049909ba86e760953d23988db4c851",
+        "aggregates.jsonl": "a06c0c19d07764aa9787b65c44d15c7e25793ebb937da250ba4717d73680f9e9",
+        "provenance.jsonl": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
+        "report.json": "8a324e73b5e47246c60dc2a6dbcbeecf3a47ff14f6697030d859160f103cba0c",
+    },
+    "reject": {
+        "config.json": "d8f1c92f4b8b65edbe524741c10993bb37a16a5e52ec0d91053748f0437dcbc5",
+        "levels.jsonl": "e75a9a0386130b4ca156df887fd3edc6db02ee19183979d222f5e22335c90a11",
+        "edges.jsonl": "40e94aea7440faf61bd30adeb7cc60cda5049909ba86e760953d23988db4c851",
+        "aggregates.jsonl": "a06c0c19d07764aa9787b65c44d15c7e25793ebb937da250ba4717d73680f9e9",
+        "provenance.jsonl": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
+        "report.json": "8a324e73b5e47246c60dc2a6dbcbeecf3a47ff14f6697030d859160f103cba0c",
+    },
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 @pytest.mark.parametrize("preset,depth", sorted(DIGESTS))
 def test_bundle_bytes_match_recorded_digests(tmp_path, preset, depth):
     out = tmp_path / f"{preset}-d{depth}"
     extra = ["--networks", "3"] if preset in MULTI_NETWORK else []
     argv = ["build", "--preset", preset, "--depth", str(depth), *extra]
     assert main([*argv, "--out", str(out)]) == 0
-    got = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in DIGESTS[(preset, depth)]
-    }
-    assert got == DIGESTS[(preset, depth)]
+    assert _digests(out, DIGESTS[(preset, depth)]) == DIGESTS[(preset, depth)]
+
+
+@pytest.mark.parametrize("mode", sorted(FLIP_DIGESTS))
+def test_flip_roster_divisible_bytes_match_recorded_digests(tmp_path, mode):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {"preset": "divisible", "depth": 12, "discard_mode": mode, "rosters": FLIP_ROSTERS}
+        )
+    )
+    out = tmp_path / f"divisible-flip-{mode}"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+    assert _digests(out, FLIP_DIGESTS[mode]) == FLIP_DIGESTS[mode]

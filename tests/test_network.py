@@ -663,7 +663,7 @@ def test_frame_reads_between_commits_change_nothing(source):
 def test_a_build_pushes_down_only_the_levels_that_are_not_clean(monkeypatch):
     # nonstochastic's steps read no frame, so a clean level, one whose
     # parent has a single delay part and on which no edge lands, is
-    # pushed by value groups alone.
+    # pushed by its parent's total alone and never reaches push_down.
     pushed_levels = []
     push_down = network.push_down
 

@@ -217,12 +217,17 @@ def test_candidate_levels_literal():
 
 
 class ScriptedOracle:
-    """Enumerates cube members and answers beta from a fixed table."""
+    """Shuts the levels in `shut`, enumerates cube members and answers
+    beta from a fixed table."""
 
-    def __init__(self, beta_table, limit=None):
+    def __init__(self, beta_table, limit=None, shut=()):
         self.beta_table = beta_table
         self.limit = limit
+        self.shut = set(shut)
         self.enumerated = 0
+
+    def level_open(self, level):
+        return level not in self.shut
 
     def iter_sources(self, cube, level):
         for x in cube.members():
@@ -293,3 +298,7 @@ def test_candidates_cap_trips():
     ctx = StepContext(n=4, i=1, net=net, state=state, caps=Caps(candidates=1))
     with pytest.raises(ResourceLimit):
         candidates(ctx, oracle, state.candidate_levels((1,), 1, 4))
+    # Shut levels are skipped whole: nothing is enumerated or counted.
+    shut = ScriptedOracle({}, shut=(1, 2))
+    assert candidates(ctx, shut, state.candidate_levels((1,), 1, 4)) == []
+    assert shut.enumerated == 0
