@@ -6,6 +6,11 @@ provenance row or report shows up here as a mismatch. Depth 48 is where
 `hyperimmune` first draws discard records, so both depths are pinned.
 If a change is meant to alter bundles, record the new digests together
 with the reason.
+
+The verify reports are pinned the same way, as one digest per run over
+every report's payload without its runtime, and so are the deep
+`atom`-240 and `family`-240 bundles, with one digest over every frame of
+the built networks and one over every frame of their reload.
 """
 
 import hashlib
@@ -13,7 +18,9 @@ import json
 
 import pytest
 
-from treeflow.cli import main
+from treeflow.cli import main, read_bundle, write_bundle
+from treeflow.constructions import RunConfig, build
+from treeflow.verify import dense_oracle, run_checks
 
 MULTI_NETWORK = {"family", "hyperimmune"}
 
@@ -175,3 +182,128 @@ def test_flip_roster_divisible_bytes_match_recorded_digests(tmp_path, mode):
     out = tmp_path / f"divisible-flip-{mode}"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 0
     assert _digests(out, FLIP_DIGESTS[mode]) == FLIP_DIGESTS[mode]
+
+
+def _payload_digest(payloads) -> str:
+    """sha256 of the canonical JSON of report payloads without runtime."""
+    kept = [{k: v for k, v in p.items() if k != "runtime"} for p in payloads]
+    text = json.dumps(kept, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _reports_digest(config) -> str:
+    return _payload_digest(r.to_payload() for r in run_checks(build(config)))
+
+
+REPORT_DIGESTS = {
+    ("atom", 10): "1809f6a500bdb795c7d0bf2f940412044d366aa319e6bc18616cd93074bbeb34",
+    ("atom", 20): "c64e2dff07db9e55c5f0ed28d9f530f5231a8804370888dcbaa15603abbf9fb1",
+    ("divisible", 10): "45540c631a12f86f59bb1cfd633ad3819054d828d521b325b565dfd3772f5b59",
+    ("divisible", 20): "3068d108d3e6263c5c6f4fc06814ad966df8e9a4cb65e74a8da3a57ae5861b55",
+    ("family", 10): "9a3d01b0d1f437ff7211205a30256267280a0cfe49f97c9708cfa63db4948025",
+    ("family", 20): "1b8e76e8e8f0779a78a0c29c79525a4bb41a57ac740a03846109b55f7d6f7175",
+    ("hyperimmune", 10): "2ed8f83b258644acfbbaef3b23bd5acab8d0f21d0f91a252dd9f8a4b1c9a705b",
+    ("hyperimmune", 20): "9a4d8b7a309a9cd723af25a968f635d266c52e50ef5846c479985b47a741aedf",
+    ("hyperimmune", 48): "8e04e789b65c7661752ae295acb313cbbefdbea72a5585df2c31d3748bc90f07",
+    ("nonstochastic", 10): "c24841252bcbaec108f47eb65fb4a8ea19ed9ad5af991c6e2334d2b6f8bca805",
+    ("nonstochastic", 20): "762867dc185c848ab615d5c9631ddc87325ab79ba6407a2dd9bef4e837a2b40a",
+}
+
+FLIP_REPORT_DIGESTS = {
+    "exclude": "e438ab9e85eb8d3247502856f1159fd5c4aea5dbb5273ecb2b57207317381c8c",
+    "reject": "e438ab9e85eb8d3247502856f1159fd5c4aea5dbb5273ecb2b57207317381c8c",
+}
+
+ORACLE_DIGESTS = {
+    "atom": "9715f99a8c47c0ea1a394d87654a9ca5cb16f86e9be1e95bbbc21a9b12dd0f1b",
+    "divisible": "460d703feda154c8458d4510c4914a00019545e9394592c47a45dbdd0fbb1104",
+    "family": "80bb42c3f4868f4aa1bfcc01d3fc5f3e029eadd53c5cbe02f5a7678bbb52500f",
+    "hyperimmune": "8231a27b26f2fdf2895d8b4760dc8bcab9d7a57ec7398f59f58f901ee39bbd89",
+    "nonstochastic": "e23071b52365208418fd1e2420eac45aa6e0cba06f0e7d18f35bd33537d64ae2",
+}
+
+
+@pytest.mark.parametrize("preset,depth", sorted(REPORT_DIGESTS))
+def test_verify_reports_match_recorded_digests(preset, depth):
+    config = RunConfig(preset=preset, depth=depth)
+    assert _reports_digest(config) == REPORT_DIGESTS[(preset, depth)]
+
+
+@pytest.mark.parametrize("mode", sorted(FLIP_REPORT_DIGESTS))
+def test_flip_roster_divisible_reports_match_recorded_digests(mode):
+    config = RunConfig(
+        preset="divisible", depth=12, discard_mode=mode, rosters=FLIP_ROSTERS
+    )
+    assert _reports_digest(config) == FLIP_REPORT_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("preset", sorted(ORACLE_DIGESTS))
+def test_dense_oracle_reports_match_recorded_digests(preset):
+    report = dense_oracle(RunConfig(preset=preset, depth=10))
+    assert _payload_digest([report.to_payload()]) == ORACLE_DIGESTS[preset]
+
+
+# The deep bundles: level 232 of atom-240 holds the largest suffix table
+# and frames of any preset, and family-240 the same shapes on three
+# networks. Frame digests cover the built push and the reloaded one.
+DEEP_DIGESTS = {
+    ("atom", 240): {
+        "config.json": "d92e0117ca457681acea1e3f5710337d8c1abbf5d46a256f629c6b490e5d8220",
+        "levels.jsonl": "8f6180d8584c1eef33a41562181bbd5679748691c41dccbb25149f9e87386562",
+        "edges.jsonl": "ce460dd3eed875c213642e69fe087eabe08d017c8d4e7a291d8c965e3c029a05",
+        "aggregates.jsonl": "4754433848e62e940160f031d88e94ccf938e7ca1748ef80c2534a694f04d5fe",
+        "provenance.jsonl": "65bd2559f766b310b46ac2d333cdfcd93412362e9f3063f3b4ac9ca624ddaaa6",
+        "report.json": "6efd888ef48bc6a2b72e24cd8dd672e3acd0f016a703eeea69a0082ece28a908",
+        "built frames": "1d22179cfd9dc8b235f2dde760edee098401ab046a5afa28aa2ec9be8fd2e11e",
+        "reloaded frames": "1d22179cfd9dc8b235f2dde760edee098401ab046a5afa28aa2ec9be8fd2e11e",
+    },
+    ("family", 240): {
+        "config.json": "b4c279c436c2a731d9f068693c56df414fe684d3a3c3b228f5ce4bcf22139553",
+        "levels.jsonl": "54e5e7283f5aabcc568ee192153cc1e542c62dc4012b90e0f5f9b1e63025578f",
+        "edges.jsonl": "ce460dd3eed875c213642e69fe087eabe08d017c8d4e7a291d8c965e3c029a05",
+        "aggregates.jsonl": "dfe66ce9f24b675d28a877f9bbf9dc69a290d4fd8bf69778d66c42f7b7b821bb",
+        "provenance.jsonl": "215d4c4104bb792511ec6584abe5919f312b35e971caa204934ce60df4929af8",
+        "report.json": "295322b99fe3b884c24d9d20cf943b98eb3f4415cd8e40bcf0080229d1ee556a",
+        "built frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
+        "reloaded frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
+    },
+}
+
+
+def _frames_digest(bundle) -> str:
+    """sha256 over every frame item, in order, of every network."""
+    h = hashlib.sha256()
+    for net in bundle.networks:
+        for n in range(bundle.depth + 1):
+            for c, v in net.frames[n]:
+                h.update(f"{net.network_id} {n} {c.pattern()} {v}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(
+    scope="module", params=sorted(DEEP_DIGESTS), ids=lambda key: f"{key[0]}-{key[1]}"
+)
+def deep_bundle(request, tmp_path_factory):
+    """(preset, depth, built bundle, its folder), built once per session."""
+    preset, depth = request.param
+    bundle = build(RunConfig(preset=preset, depth=depth))
+    out = tmp_path_factory.mktemp(f"{preset}-d{depth}")
+    write_bundle(bundle, out)
+    return preset, depth, bundle, out
+
+
+def test_deep_bundle_bytes_match_recorded_digests(deep_bundle):
+    preset, depth, _bundle, out = deep_bundle
+    files = {k: v for k, v in DEEP_DIGESTS[(preset, depth)].items() if "." in k}
+    assert _digests(out, files) == files
+
+
+def test_deep_built_frames_match_recorded_digest(deep_bundle):
+    preset, depth, bundle, _out = deep_bundle
+    assert _frames_digest(bundle) == DEEP_DIGESTS[(preset, depth)]["built frames"]
+
+
+def test_deep_reloaded_frames_match_recorded_digest(deep_bundle):
+    preset, depth, _bundle, out = deep_bundle
+    want = DEEP_DIGESTS[(preset, depth)]["reloaded frames"]
+    assert _frames_digest(read_bundle(out)) == want
