@@ -247,7 +247,8 @@ def read_bundle(path: Path) -> ConstructionBundle:
     Every levels and aggregates row must name a network and level of the
     bundle, and every int field must be an int; provenance holds one row
     per step, in order, and the row of each edge's step gives the edge's
-    class width w, which lies in 1..l(source)+1. Anything else is a
+    class width w, which lies in 1..l(source)+1; and each edge was drawn at
+    the step of its target's level, for that step's task. Anything else is a
     BundleError naming the row or edge at fault, so no row is dropped
     without a word. A row is named by its file and its place among the
     file's rows, blank lines not counted."""
@@ -292,9 +293,11 @@ def read_bundle(path: Path) -> ConstructionBundle:
             if key in tables:
                 raise BundleError(f"duplicate level record {key}")
             tables[key] = _table_from_record(rec, rat)
+        edges: list[ExtraEdge] = []  # in row order
         edges_by_net: dict[int, list[ExtraEdge]] = {}
         for k, rec in enumerate(edge_rows, 1):
             e = _edge_from_record(rec, rat, f"edges.jsonl row {k}")
+            edges.append(e)
             edges_by_net.setdefault(e.network_id, []).append(e)
         agg_by_net: dict[int, dict[int, LevelAggregates]] = {}
         for k, rec in enumerate(agg_rows, 1):
@@ -404,6 +407,18 @@ def read_bundle(path: Path) -> ConstructionBundle:
                     f"1..{len(e.source) + 1}"
                 )
             state.record_edge(e.task, e.subtask, len(e.target))
+    # The engine draws an edge at the step of its target's level, for the
+    # task that the preset's stream runs at that step.
+    for k, e in enumerate(edges, 1):
+        step = len(e.target)
+        task = state.stream.task(step)
+        if (e.step_drawn, e.task) != (step, task):
+            raise BundleError(
+                f"edges.jsonl row {k}: edge {e.source} -> {e.target} of network "
+                f"{e.network_id} is stored as drawn at step {e.step_drawn} for "
+                f"task {e.task}, but lands on level {step}, which is task "
+                f"{task}'s step"
+            )
 
     return ConstructionBundle(
         config=config,

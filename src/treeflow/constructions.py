@@ -190,14 +190,6 @@ class ConstructionBundle:
     def network(self, net_id: int) -> ElementaryNetwork:
         return self.networks[net_id - 1]
 
-    def discard_allowance(self, net_id: int, level: int) -> Rational:
-        """Total mass allowance claimed by discards on a network up to a level."""
-        total = ZERO
-        for d in self.discards:
-            if d.network_id == net_id and d.edge.step_drawn <= level:
-                total += d.bound
-        return total
-
 
 # --- predicates ---------------------------------------------------------
 

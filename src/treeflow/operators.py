@@ -26,11 +26,15 @@ class OperatorError(Exception):
 
 
 class InconsistentGraph(OperatorError):
-    """A provider produced prefix-incomparable outputs for nested inputs."""
+    """A table gives prefix-incomparable outputs for nested inputs."""
 
 
 class TableOperator:
-    """Finite explicit graph: a list of (input, output, cost) entries."""
+    """Finite explicit graph: a list of (input, output, cost) entries.
+
+    The constructor refuses a table that breaks the consistency axiom
+    (`refuse_conflicts`), so the entries that apply at one input, whose
+    inputs are all prefixes of it, have pairwise comparable outputs."""
 
     def __init__(self, entries: Iterable[tuple[BitString, BitString, int]]):
         self.entries = []
@@ -38,6 +42,7 @@ class TableOperator:
             if cost < 1:
                 raise OperatorError("table entry cost must be >= 1")
             self.entries.append((x, y, cost))
+        refuse_conflicts(self.entries)
 
     def image(self, x: BitString) -> BitString:
         budget = len(x)
@@ -46,12 +51,8 @@ class TableOperator:
             if cost > budget or not src.is_prefix_of(x):
                 continue
             y = dst.truncate(min(len(dst), budget))
-            if best.is_prefix_of(y):
+            if best.is_prefix_of(y):  # else y is a prefix of best
                 best = y
-            elif not y.is_prefix_of(best):
-                raise InconsistentGraph(
-                    f"outputs {best} and {y} are incomparable at input {x}"
-                )
         return best
 
     def max_image_len(self, budget: int) -> int:
@@ -283,7 +284,6 @@ def load_operator(desc: dict) -> Operator:
             (BitString.from_str(s), BitString.from_str(d), int(c))
             for s, d, c in desc["entries"]
         ]
-        refuse_conflicts(entries)
         return TableOperator(entries)
     if kind == "transducer":
         rules = {

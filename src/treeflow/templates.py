@@ -1,9 +1,10 @@
 """Step engines that draw extra edges and write delay tables.
 
-Three engines share one skeleton. Each step n on a network either installs
-a fresh uniform delay 1/(n+3)^2 across level n (case 1, session start),
-processes candidate vertices by drawing edges and shifting their delayed
-share onto descendants (case 2), or writes an all-zero level (case 3).
+Two engines, t1_step and t2_step, share one skeleton. Each step n on a
+network either installs a fresh uniform delay 1/(n+3)^2 across level n
+(case 1, session start), processes candidate vertices by drawing edges and
+shifting their delayed share onto descendants (case 2), or writes an
+all-zero level (case 3).
 
 t1_step handles one vertex per edge; given a designated vertex it processes
 only that one. t2_step runs inside leading subtrees and replicates every

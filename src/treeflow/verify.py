@@ -5,10 +5,16 @@ the stored tables, frames, and edge lists, reporting an exact witness when
 the fact fails. No check samples: each one walks its whole region, over
 the cube structure of frames and delay tables where a vertex-by-vertex
 walk would not finish, so the run config's seed drives none of them.
+
+A check body states only its fact. It passes by returning its details (a
+dict, or nothing), returns NOT_APPLICABLE when the bundle's preset has no
+such fact, and fails by raising CheckFailed with its witness. The `_check`
+decorator names, times and reports it, and registers it in CHECKS.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,15 +60,54 @@ class CheckReport:
         }
 
 
-def _report(name, start, passed, witness=None, details=None, levels=None):
-    return CheckReport(
-        name=name,
-        passed=passed,
-        witness=witness,
-        details=details or {},
-        levels=levels,
-        runtime=time.monotonic() - start,
-    )
+class CheckFailed(Exception):
+    """Raised by a check body when its fact fails at `witness`."""
+
+    def __init__(self, witness: dict, details: Optional[dict] = None,
+                 levels: Optional[tuple[int, int]] = None):
+        super().__init__(witness)
+        self.witness = witness
+        self.details = details
+        self.levels = levels
+
+
+NOT_APPLICABLE = object()  # a check body's return for a preset it skips
+
+CHECKS: dict[str, Callable] = {}
+
+
+def _check(name: str, register: bool = True):
+    """Make a check body, called with a bundle (or, for the dense oracle, a
+    run config) and its own arguments, into a timed CheckReport named
+    `name`. Returned details pass over levels 0..depth; NOT_APPLICABLE
+    passes with a note and no levels; CheckFailed fails. Registered checks
+    join CHECKS in definition order."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(run_of, *args, **kwargs) -> CheckReport:
+            start = time.monotonic()
+            try:
+                details = body(run_of, *args, **kwargs)
+            except CheckFailed as failed:
+                report = CheckReport(
+                    name, False, failed.witness, failed.details or {}, failed.levels
+                )
+            else:
+                if details is NOT_APPLICABLE:
+                    report = CheckReport(name, True, details={"note": "not applicable"})
+                else:
+                    report = CheckReport(
+                        name, True, details=details or {}, levels=(0, run_of.depth)
+                    )
+            report.runtime = time.monotonic() - start
+            return report
+
+        if register:
+            CHECKS[name] = run
+        return run
+
+    return wrap
 
 
 # Both sums below count vertices per distinct value first, keyed by the
@@ -132,9 +177,9 @@ def _acting_net(bundle, i: int) -> int:
 # --- the checks ---------------------------------------------------------
 
 
+@_check("delay_form")
 def check_delay_form(bundle) -> CheckReport:
     """Every stored delay is 0 or a unit fraction 1/M."""
-    start = time.monotonic()
 
     def bad(v):
         return v != 0 and (v.numerator != 1 or not 0 < v <= 1)
@@ -147,26 +192,18 @@ def check_delay_form(bundle) -> CheckReport:
             entries += [("subtree", str(r), v) for r, v in table.subtree.items()]
             for kind, where, v in entries:
                 if bad(Fraction(v)):
-                    return _report(
-                        "delay_form",
-                        start,
-                        False,
-                        witness={
-                            "network": net.network_id,
-                            "level": table.level,
-                            "kind": kind,
-                            "where": where,
-                            "value": rat_str(Fraction(v)),
-                        },
-                    )
-    return _report(
-        "delay_form", start, True, levels=(0, bundle.depth)
-    )
+                    raise CheckFailed({
+                        "network": net.network_id,
+                        "level": table.level,
+                        "kind": kind,
+                        "where": where,
+                        "value": rat_str(Fraction(v)),
+                    })
 
 
+@_check("no_overlap")
 def check_no_overlap(bundle) -> CheckReport:
     """No pair of edges with nested sources and a crossing in between."""
-    start = time.monotonic()
     for net in bundle.networks:
         for a in net.edges:
             for b in net.edges:
@@ -175,45 +212,31 @@ def check_no_overlap(bundle) -> CheckReport:
                     and a.source.is_strict_prefix_of(b.target)
                     and len(b.target) < len(a.target)
                 ):
-                    return _report(
-                        "no_overlap",
-                        start,
-                        False,
-                        witness={
-                            "network": net.network_id,
-                            "outer": [str(b.source), str(b.target)],
-                            "inner": [str(a.source), str(a.target)],
-                        },
-                    )
-    return _report("no_overlap", start, True, levels=(0, bundle.depth))
+                    raise CheckFailed({
+                        "network": net.network_id,
+                        "outer": [str(b.source), str(b.target)],
+                        "inner": [str(a.source), str(a.target)],
+                    })
 
 
+@_check("conservation")
 def check_conservation(bundle) -> CheckReport:
     """Per level: frame total equals pushed share plus edge inflow, the
     stored aggregates match both, and held mass splits into the delayed
     part plus exactly the recorded discard regions."""
-    start = time.monotonic()
 
-    def fail(net, n, what, lhs, rhs):
-        return _report(
-            "conservation",
-            start,
-            False,
-            witness={
-                "network": net.network_id,
-                "level": n,
-                "identity": what,
-                "lhs": rat_str(lhs),
-                "rhs": rat_str(rhs),
-            },
-        )
+    def fail(net, n, what, **sides):
+        return CheckFailed({"network": net.network_id, "level": n, "identity": what, **sides})
+
+    def unequal(net, n, what, lhs, rhs):
+        return fail(net, n, what, lhs=rat_str(lhs), rhs=rat_str(rhs))
 
     for net in bundle.networks:
         for n in range(bundle.depth + 1):
             total = _frame_total(net, n)
             agg = net.aggregates[n]
             if total != agg.total_R:
-                return fail(net, n, "stored total", total, agg.total_R)
+                raise unequal(net, n, "stored total", total, agg.total_R)
             if n == 0:
                 continue
             pushed = _pre_mass(net, n, [Cube.whole_level(n)])
@@ -226,9 +249,9 @@ def check_conservation(bundle) -> CheckReport:
                 ZERO,
             )
             if inflow != agg.extra_inflow:
-                return fail(net, n, "stored inflow", inflow, agg.extra_inflow)
+                raise unequal(net, n, "stored inflow", inflow, agg.extra_inflow)
             if total != pushed + inflow:
-                return fail(net, n, "level balance", total, pushed + inflow)
+                raise unequal(net, n, "level balance", total, pushed + inflow)
         # Held mass at each level: the s = 1 region must be exactly the
         # recorded discard regions, nothing more.
         for n in range(bundle.depth + 1):
@@ -243,80 +266,60 @@ def check_conservation(bundle) -> CheckReport:
             for cube in recorded:
                 extra = [p for piece in extra for p in piece.subtract(cube)]
             if extra:
-                return _report(
-                    "conservation",
-                    start,
-                    False,
-                    witness={
-                        "network": net.network_id,
-                        "level": n,
-                        "identity": "unrecorded dead region",
-                        "region": extra[0].pattern(),
-                    },
+                raise fail(
+                    net, n, "unrecorded dead region", region=extra[0].pattern()
                 )
             orphan = recorded
             for cube in dead:
                 orphan = [p for piece in orphan for p in piece.subtract(cube)]
             if orphan:
-                return _report(
-                    "conservation",
-                    start,
-                    False,
-                    witness={
-                        "network": net.network_id,
-                        "level": n,
-                        "identity": "recorded region not silenced",
-                        "region": orphan[0].pattern(),
-                    },
+                raise fail(
+                    net, n, "recorded region not silenced", region=orphan[0].pattern()
                 )
     # Every level of every network is summed in full, nothing is sampled.
     coverage = {
         str(net.network_id): {"walk": "exhaustive", "levels": bundle.depth + 1}
         for net in bundle.networks
     }
-    return _report(
-        "conservation",
-        start,
-        True,
-        details={"coverage": coverage},
-        levels=(0, bundle.depth),
-    )
+    return {"coverage": coverage}
 
 
+@_check("sn_bound")
 def check_sn_bound(bundle) -> CheckReport:
-    """Level aggregates stay above the install-loss budget and 1/2."""
-    start = time.monotonic()
+    """Level aggregates stay above the install-loss budget and 1/2. The
+    budget also leaves out the allowance of every discard the network has
+    recorded up to the level."""
     rho = bundle.config.rho_base
     for net in bundle.networks:
         loss = ZERO
         for n in range(bundle.depth + 1):
             if n >= 1:
                 loss += Fraction(1, (n + rho) ** 2)
-            budget = ONE - loss - bundle.discard_allowance(net.network_id, n)
+            allowance = sum(
+                (
+                    d.bound
+                    for d in bundle.discards
+                    if d.network_id == net.network_id and d.edge.step_drawn <= n
+                ),
+                ZERO,
+            )
+            budget = ONE - loss - allowance
             s_n = net.aggregates[n].s_n
             if s_n < budget or s_n < HALF:
-                return _report(
-                    "sn_bound",
-                    start,
-                    False,
-                    witness={
-                        "network": net.network_id,
-                        "level": n,
-                        "s_n": rat_str(s_n),
-                        "budget": rat_str(budget),
-                    },
-                )
-    return _report("sn_bound", start, True, levels=(0, bundle.depth))
+                raise CheckFailed({
+                    "network": net.network_id,
+                    "level": n,
+                    "s_n": rat_str(s_n),
+                    "budget": rat_str(budget),
+                })
 
 
+@_check("duplication")
 def check_duplication(bundle) -> CheckReport:
     """Edges drawn at one step split into suffix classes: equal weight,
     equal tail, and one member per free prefix."""
-    start = time.monotonic()
     if bundle.config.preset not in T2_PRESETS:
-        return _report(
-            "duplication", start, True, details={"note": "not applicable"}
-        )
+        return NOT_APPLICABLE
     w_by_step = {p["step"]: p["w"] for p in bundle.provenance}
     classes = 0
     for net in bundle.networks:
@@ -340,22 +343,14 @@ def check_duplication(bundle) -> CheckReport:
                 e.source.value >> (len(e.source) - w + 1) for e, _ in members
             }
             if len(qs) != 1 or len(members) != want or len(prefixes) != want:
-                return _report(
-                    "duplication",
-                    start,
-                    False,
-                    witness={
-                        "network": net.network_id,
-                        "class": list(key),
-                        "size": len(members),
-                        "expected_size": want,
-                        "weights": sorted(rat_str(q) for q in qs),
-                    },
-                )
-    return _report(
-        "duplication", start, True, details={"classes": classes},
-        levels=(0, bundle.depth),
-    )
+                raise CheckFailed({
+                    "network": net.network_id,
+                    "class": list(key),
+                    "size": len(members),
+                    "expected_size": want,
+                    "weights": sorted(rat_str(q) for q in qs),
+                })
+    return {"classes": classes}
 
 
 def _flow_pieces(net, n) -> list[tuple[int, int, int]]:
@@ -473,6 +468,7 @@ def _level_mismatch(m_pieces, w_pieces, shift, walk):
     return None
 
 
+@_check("ratio_identity")
 def check_ratio_identity(bundle) -> CheckReport:
     """Flows inside suffix-equivalent subtrees stay proportional: for y, z
     at a level m of a settled task's session that share positions w..m,
@@ -484,11 +480,8 @@ def check_ratio_identity(bundle) -> CheckReport:
     is the same as that of the first region, for b = 0 and b = 1. Regions
     with zero prefix flow are left out, and so are levels m with an
     unsettled task in (w, m]."""
-    start = time.monotonic()
     if bundle.config.preset not in T2_PRESETS:
-        return _report(
-            "ratio_identity", start, True, details={"note": "not applicable"}
-        )
+        return NOT_APPLICABLE
     depth = bundle.depth
     stable = _stable_tasks(bundle)
     tasks = _active_tasks(bundle)
@@ -535,22 +528,17 @@ def check_ratio_identity(bundle) -> CheckReport:
             low = (b << (m - w)) | tail
             y = BitString(m, (ref_head << (m - w + 1)) | low)
             z = BitString(m, (head << (m - w + 1)) | low)
-            return _report(
-                "ratio_identity",
-                start,
-                False,
-                witness={
-                    "task": i,
-                    "w": w,
-                    "network": net.network_id,
-                    "y": str(y),
-                    "z": str(z),
-                    "P_y": rat_str(net.flow_eval(y)),
-                    "P_z": rat_str(net.flow_eval(z)),
-                    "P_y_root": rat_str(net.flow_eval(y.truncate(w))),
-                    "P_z_root": rat_str(net.flow_eval(z.truncate(w))),
-                },
-            )
+            raise CheckFailed({
+                "task": i,
+                "w": w,
+                "network": net.network_id,
+                "y": str(y),
+                "z": str(z),
+                "P_y": rat_str(net.flow_eval(y)),
+                "P_z": rat_str(net.flow_eval(z)),
+                "P_y_root": rat_str(net.flow_eval(y.truncate(w))),
+                "P_z_root": rat_str(net.flow_eval(z.truncate(w))),
+            })
     coverage = Fraction(len(covered), len(tasks)) if tasks else ONE
     details = {
         "coverage": walk,
@@ -562,16 +550,11 @@ def check_ratio_identity(bundle) -> CheckReport:
     # Every settled task with levels to compare must have a region with
     # nonzero prefix flow on one of them.
     missing = sorted(set(usable) - covered)
-    passed = not missing
-    witness = {"uncovered_settled_tasks": missing} if missing else None
-    return _report(
-        "ratio_identity",
-        start,
-        passed,
-        witness=witness,
-        details=details,
-        levels=(0, depth),
-    )
+    if missing:
+        raise CheckFailed(
+            {"uncovered_settled_tasks": missing}, details, levels=(0, depth)
+        )
+    return details
 
 
 def _pinned_bits(cubes, idx) -> tuple[int, int]:
@@ -656,11 +639,11 @@ def _unhalved(children, parents):
                 yield rest, v, ZERO
 
 
+@_check("separators")
 def check_separators(bundle) -> CheckReport:
     """Levels no edge crosses: flow halves from parent to child there.
     Each settled task's session start must itself be such a level on the
     network the task acts on."""
-    start = time.monotonic()
     depth = bundle.depth
     separators: dict[int, list[int]] = {}
     coverage: dict[str, list[dict]] = {}
@@ -687,83 +670,57 @@ def check_separators(bundle) -> CheckReport:
             )
             if bad is not None:
                 piece, p, p_parent = bad
-                return _report(
-                    "separators",
-                    start,
-                    False,
-                    witness={
-                        "network": net.network_id,
-                        "level": n,
-                        "vertex": str(piece.representative()),
-                        "P": rat_str(p),
-                        "P_parent": rat_str(p_parent),
-                    },
-                )
+                raise CheckFailed({
+                    "network": net.network_id,
+                    "level": n,
+                    "vertex": str(piece.representative()),
+                    "P": rat_str(p),
+                    "P_parent": rat_str(p_parent),
+                })
     stable = _stable_tasks(bundle)
     for i, w in sorted(stable.items()):
         net = bundle.network(_acting_net(bundle, i))
         for e in net.edges:
             if len(e.source) < w <= len(e.target):
-                return _report(
-                    "separators",
-                    start,
-                    False,
-                    witness={
-                        "task": i,
-                        "w": w,
-                        "network": net.network_id,
-                        "edge": [str(e.source), str(e.target)],
-                    },
-                )
-    return _report(
-        "separators",
-        start,
-        True,
-        details={
-            "separators": {str(k): v for k, v in separators.items()},
-            "coverage": coverage,
-            "session_starts": {str(i): w for i, w in sorted(stable.items())},
-            "unsettled": sorted(set(_active_tasks(bundle)) - set(stable)),
-        },
-        levels=(0, depth),
-    )
+                raise CheckFailed({
+                    "task": i,
+                    "w": w,
+                    "network": net.network_id,
+                    "edge": [str(e.source), str(e.target)],
+                })
+    return {
+        "separators": {str(k): v for k, v in separators.items()},
+        "coverage": coverage,
+        "session_starts": {str(i): w for i, w in sorted(stable.items())},
+        "unsettled": sorted(set(_active_tasks(bundle)) - set(stable)),
+    }
 
 
+@_check("discards")
 def check_discards(bundle) -> CheckReport:
     """Recorded discards respect the draw-time mass bound, and silenced
     vertices pass nothing on: both children carry zero flow."""
-    start = time.monotonic()
     checked = 0
     for d in bundle.discards:
         net = bundle.network(d.network_id)
         level = d.edge.step_drawn
         want = Fraction(1, 1 << (index_of(d.edge.source) + 3))
         if d.bound != want:
-            return _report(
-                "discards",
-                start,
-                False,
-                witness={
-                    "network": d.network_id,
-                    "level": level,
-                    "bound": rat_str(d.bound),
-                    "expected": rat_str(want),
-                },
-            )
+            raise CheckFailed({
+                "network": d.network_id,
+                "level": level,
+                "bound": rat_str(d.bound),
+                "expected": rat_str(want),
+            })
         mass = _pre_mass(net, level, list(d.cubes))
         if mass > d.bound:
-            return _report(
-                "discards",
-                start,
-                False,
-                witness={
-                    "network": d.network_id,
-                    "level": level,
-                    "mass": rat_str(mass),
-                    "bound": rat_str(d.bound),
-                    "patterns": [c.pattern() for c in d.cubes],
-                },
-            )
+            raise CheckFailed({
+                "network": d.network_id,
+                "level": level,
+                "mass": rat_str(mass),
+                "bound": rat_str(d.bound),
+                "patterns": [c.pattern() for c in d.cubes],
+            })
         if level + 1 > bundle.depth:
             continue
         for cube in d.cubes:
@@ -786,28 +743,17 @@ def check_discards(bundle) -> CheckReport:
             for child in sorted(heads):
                 p = net.flow_eval(child)
                 if p != 0:
-                    return _report(
-                        "discards",
-                        start,
-                        False,
-                        witness={
-                            "network": d.network_id,
-                            "vertex": str(child.truncate(m - 1)),
-                            "child": str(child),
-                            "P": rat_str(p),
-                        },
-                    )
+                    raise CheckFailed({
+                        "network": d.network_id,
+                        "vertex": str(child.truncate(m - 1)),
+                        "child": str(child),
+                        "P": rat_str(p),
+                    })
             checked += cube.count()
-    return _report(
-        "discards",
-        start,
-        True,
-        details={
-            "records": len(bundle.discards),
-            "coverage": {"walk": "exhaustive", "vertices": checked},
-        },
-        levels=(0, bundle.depth),
-    )
+    return {
+        "records": len(bundle.discards),
+        "coverage": {"walk": "exhaustive", "vertices": checked},
+    }
 
 
 def _longest_image(op, x: BitString, depth: int) -> int:
@@ -853,6 +799,7 @@ def _longest_image(op, x: BitString, depth: int) -> int:
     )
 
 
+@_check("extension_shadow")
 def check_extension_shadow(
     bundle,
     task: Optional[int] = None,
@@ -868,12 +815,9 @@ def check_extension_shadow(
     `paths`, and are counted from the deepest frame when the walk reaches
     it. A test that keeps every prefix live still visits every support
     vertex, so depths stay capped."""
-    start = time.monotonic()
     depth = bundle.depth
     if admits is None and bundle.config.preset not in LENGTH_PRESETS:
-        return _report(
-            "extension_shadow", start, True, details={"note": "not applicable"}
-        )
+        return NOT_APPLICABLE
     if depth > ORACLE_DEPTH_CAP:
         tasks_named = "every task" if task is None else f"task {task}"
         raise ResourceLimit(
@@ -947,24 +891,19 @@ def check_extension_shadow(
                 elif dead:
                     counts["via_discard"] += 1
                 else:
-                    return _report(
-                        "extension_shadow",
-                        start,
-                        False,
-                        witness={"network": net.network_id, "path": str(x), "task": i},
-                        details=counts,
+                    raise CheckFailed(
+                        {"network": net.network_id, "path": str(x), "task": i},
+                        counts,
                     )
-    return _report(
-        "extension_shadow", start, True, details=counts, levels=(0, depth)
-    )
+    return counts
 
 
+@_check("dense_oracle", register=False)
 def dense_oracle(config) -> CheckReport:
     """Rebuild with the vertex-by-vertex mirror and compare everything."""
     from treeflow.constructions import build
     from treeflow.dense import compare_runs, dense_build
 
-    start = time.monotonic()
     if config.depth > ORACLE_DEPTH_CAP:
         raise ResourceLimit(
             f"verify.ORACLE_DEPTH_CAP = {ORACLE_DEPTH_CAP} exceeded at level "
@@ -972,27 +911,10 @@ def dense_oracle(config) -> CheckReport:
             f"replays every vertex"
         )
     problems = compare_runs(build(config), dense_build(config))
-    return _report(
-        "dense_oracle",
-        start,
-        not problems,
-        witness={"first": problems[0]} if problems else None,
-        details={"differences": len(problems), "preset": config.preset},
-        levels=(0, config.depth),
-    )
-
-
-CHECKS: dict[str, Callable] = {
-    "delay_form": check_delay_form,
-    "no_overlap": check_no_overlap,
-    "conservation": check_conservation,
-    "sn_bound": check_sn_bound,
-    "duplication": check_duplication,
-    "ratio_identity": check_ratio_identity,
-    "separators": check_separators,
-    "discards": check_discards,
-    "extension_shadow": check_extension_shadow,
-}
+    details = {"differences": len(problems), "preset": config.preset}
+    if problems:
+        raise CheckFailed({"first": problems[0]}, details, levels=(0, config.depth))
+    return details
 
 
 def run_checks(bundle, names: Optional[list[str]] = None) -> list[CheckReport]:

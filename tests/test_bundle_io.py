@@ -356,6 +356,22 @@ FAULTS = {
         "was drawn at step 0, which has no provenance row",
         False,
     ),
+    # An edge the engine never writes: it draws each edge at the step of
+    # its target's level, for that step's task.
+    "an edge stored at a step before its target's level": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "step", 2),
+        "edges.jsonl row 2: edge 1 -> 1000 of network 1 is stored as drawn at "
+        "step 2 for task 1, but lands on level 4, which is task 1's step",
+        False,
+    ),
+    "an edge stored with another step's task": (
+        NONSTOCHASTIC,
+        _set_in_last_row("edges.jsonl", "task", 6),
+        "edges.jsonl row 2: edge 1 -> 1000 of network 1 is stored as drawn at "
+        "step 4 for task 6, but lands on level 4, which is task 1's step",
+        False,
+    ),
 }
 
 

@@ -12,7 +12,7 @@ from treeflow.bitseq import BitString, index_of
 from treeflow.cubes import Cube, subtract_many
 from treeflow import dense
 from treeflow.constructions import PRESETS, RunConfig, build
-from treeflow.network import ElementaryNetwork, ExtraEdge, rat_str
+from treeflow.network import ElementaryNetwork, ExtraEdge, LevelAggregates, rat_str
 from treeflow.operators import (
     TableOperator,
     TransducerOperator,
@@ -33,6 +33,7 @@ from treeflow.verify import (
     check_extension_shadow,
     check_ratio_identity,
     check_separators,
+    check_sn_bound,
     dense_oracle,
     run_checks,
 )
@@ -377,6 +378,33 @@ def test_moved_class_member_trips_only_duplication(hyper32):
     assert rep.witness["network"] == 1
     assert rep.witness["size"] == 32
     assert rep.witness["expected_size"] == 32
+
+
+def test_sn_bound_budget_leaves_out_discards_from_their_step():
+    # hyperimmune-32 books its discards on network 2 from step 30 on. The
+    # budget at a level leaves out the allowance of every discard drawn up
+    # to and at that level, so a share of exactly that budget passes.
+    b = build(RunConfig(preset="hyperimmune", depth=32))
+    rho = b.config.rho_base
+    loss = sum(Fraction(1, (n + rho) ** 2) for n in range(1, 31))
+    allowance = sum(
+        (d.bound for d in b.discards if d.network_id == 2 and d.edge.step_drawn <= 30),
+        Fraction(0),
+    )
+    assert allowance > 0
+    budget = 1 - loss - allowance
+    aggregates = b.network(2).aggregates
+    aggregates[30] = LevelAggregates(budget, Fraction(0))
+    assert check_sn_bound(b).passed
+    aggregates[30] = LevelAggregates(budget - Fraction(1, 1 << 80), Fraction(0))
+    rep = check_sn_bound(b)
+    assert not rep.passed
+    assert rep.witness == {
+        "network": 2,
+        "level": 30,
+        "s_n": rat_str(budget - Fraction(1, 1 << 80)),
+        "budget": rat_str(budget),
+    }
 
 
 def test_edge_across_session_start_trips_only_separators():
