@@ -21,11 +21,17 @@ breaks when a command first reads a frame; grammar problems surface as
 code 2. Those include bytes that are not UTF-8, a .jsonl line whose value
 is not a JSON object, a rational that is not "numerator/denominator"
 or has a zero denominator, a row for a network or level the bundle
-lacks, an int field that is not an int, and provenance that is not one
-row per step with an int w in 1..l(source)+1 on every edge's step. A cap
-(an enumeration limit, or a depth beyond what the dense oracle replays)
-says only that the work was cut off, not that the construction is
-impossible, so it gets its own code.
+lacks, an int field that is not an int, provenance that is not one
+row per step with an int w in 1..l(source)+1 on every edge's step, and a
+provenance row whose copies of its level's tables or of the edges drawn
+at its step describe anything other than what levels.jsonl and
+edges.jsonl store. A cap (an enumeration limit, or a depth beyond what
+the dense oracle replays) says only that the work was cut off, not that
+the construction is impossible, so it gets its own code.
+
+The levels, aggregates and edges rows are formatted from their fields,
+not through the JSON encoder; each must equal `_canon` of its record.
+Provenance, config and report rows, which hold free text, are encoded.
 """
 
 from __future__ import annotations
@@ -69,9 +75,10 @@ class BundleError(Exception):
     """Unreadable or structurally incomplete bundle files."""
 
 
-# One encoder for every row: json.dumps with these arguments builds a new
-# encoder on each call. No row contains itself, so the encoder need not
-# track the containers it is inside to catch a cycle.
+# One encoder for every row that is not formatted directly: json.dumps
+# with these arguments builds a new encoder on each call. No row contains
+# itself, so the encoder need not track the containers it is inside to
+# catch a cycle.
 _canon = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), check_circular=False
 ).encode
@@ -85,8 +92,8 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_jsonl(path: Path, rows: list) -> None:
-    _write_text(path, "".join(_canon(r) + "\n" for r in rows))
+def _write_lines(path: Path, lines: list[str]) -> None:
+    _write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
 # One decoder for every row: json.loads wraps raw_decode in two Python
@@ -156,27 +163,70 @@ def _bundle_report(bundle: ConstructionBundle) -> dict:
     }
 
 
+# The row formatters write keys in sorted order with "," and ":" and no
+# spaces, as `_canon` does. Every value in these rows is an int, null, or a
+# string of digits, "-", "/", "0", "1" and "*" (rationals, bit strings,
+# cube patterns), which JSON writes unescaped, so the text is `_canon`'s.
+
+
+def _pairs(pairs: list) -> str:
+    """The JSON of a list of [string, string] pairs."""
+    if not pairs:
+        return "[]"
+    return '[["' + '"],["'.join([f'{a}","{b}' for a, b in pairs]) + '"]]'
+
+
+def _level_row(net_id: int, rec: dict) -> str:
+    """`_canon` of {"network": net_id, **rec} for a DelayTable record."""
+    return (
+        f'{{"default":"{rec["default"]}","level":{rec["level"]},'
+        f'"network":{net_id},"subtree":{_pairs(rec["subtree"])},'
+        f'"suffix":{_pairs(rec["suffix"])},"vertex":{_pairs(rec["vertex"])}}}'
+    )
+
+
+def _aggregates_row(net_id: int, n: int, agg: LevelAggregates) -> str:
+    """The aggregates.jsonl row of network net_id's level n."""
+    return (
+        f'{{"extra_inflow":"{rat_str(agg.extra_inflow)}","level":{n},'
+        f'"network":{net_id},"s_n":"{rat_str(agg.s_n)}",'
+        f'"total_R":"{rat_str(agg.total_R)}"}}'
+    )
+
+
+def _edge_row(rec: dict) -> str:
+    """`_canon` of an ExtraEdge record."""
+    subtask = "null" if rec["subtask"] is None else rec["subtask"]
+    return (
+        f'{{"from":"{rec["from"]}","network":{rec["network"]},"q":"{rec["q"]}",'
+        f'"step":{rec["step"]},"subtask":{subtask},"task":{rec["task"]},'
+        f'"to":"{rec["to"]}"}}'
+    )
+
+
 def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
+    """Write the bundle's six files into outdir. Levels, aggregates and
+    edges rows are formatted from their fields, each equal to `_canon` of
+    its record; provenance rows go out as the run holds them."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_text(outdir / "config.json", _pretty(bundle.config.to_payload()))
-    levels = []
-    for n in range(bundle.depth + 1):
-        for net in bundle.networks:
-            levels.append({"network": net.network_id, **net.tables[n].to_record()})
-    _write_jsonl(outdir / "levels.jsonl", levels)
-    _write_jsonl(
-        outdir / "edges.jsonl",
-        [e.to_record() for net in bundle.networks for e in net.edges],
-    )
-    aggregates = []
-    for net in bundle.networks:
-        for n, agg in enumerate(net.aggregates):
-            aggregates.append(
-                {"network": net.network_id, "level": n, **agg.to_record()}
-            )
-    _write_jsonl(outdir / "aggregates.jsonl", aggregates)
-    _write_jsonl(outdir / "provenance.jsonl", bundle.provenance)
+    nets = bundle.networks
+    levels = [
+        _level_row(net.network_id, net.tables[n].to_record())
+        for n in range(bundle.depth + 1)
+        for net in nets
+    ]
+    _write_lines(outdir / "levels.jsonl", levels)
+    edges = [_edge_row(e.to_record()) for net in nets for e in net.edges]
+    _write_lines(outdir / "edges.jsonl", edges)
+    aggregates = [
+        _aggregates_row(net.network_id, n, agg)
+        for net in nets
+        for n, agg in enumerate(net.aggregates)
+    ]
+    _write_lines(outdir / "aggregates.jsonl", aggregates)
+    _write_lines(outdir / "provenance.jsonl", [_canon(r) for r in bundle.provenance])
     _write_text(outdir / "report.json", _pretty(_bundle_report(bundle)))
 
 
@@ -228,6 +278,81 @@ def _edge_from_record(
     )
 
 
+def _copy_agrees(copy, read: Callable, want) -> bool:
+    """Whether read(copy), the record of a provenance copy, is want. A copy
+    that does not read describes nothing the bundle stores."""
+    try:
+        return read(copy) == want
+    except (
+        BundleError,
+        ConstructionError,
+        KeyError,
+        ValueError,
+        TypeError,
+        IndexError,
+    ):
+        return False
+
+
+def _check_provenance_copies(
+    prov_rows: list[dict],
+    nets: list[ElementaryNetwork],
+    tables: dict[tuple[int, int], DelayTable],
+    level_rows_at: dict[tuple[int, int], dict],
+    edges: list[ExtraEdge],
+    edge_rows: list[dict],
+    rat: Callable[[str], Fraction],
+) -> None:
+    """Each provenance row repeats the tables of its level, one per network,
+    and the edges drawn at its step; a copy that describes anything else
+    is a BundleError naming the row. A copy equal to the stored rows (less
+    a table row's network) agrees at once; any other is compared as a
+    record. Export writes the stored rows from their records and
+    provenance as read, so an accepted bundle's export reads back. The
+    step's edges are taken by network, in stored order within one network,
+    as export writes them."""
+    drawn: dict[int, list[int]] = {}
+    for j, e in enumerate(edges):
+        drawn.setdefault(e.step_drawn, []).append(j)
+    names = [(str(net.network_id), net.network_id) for net in nets]
+    name_set = {name for name, _ in names}
+    for k, row in enumerate(prov_rows, 1):
+        copies = row.get("tables")
+        if type(copies) is not dict or copies.keys() != name_set:
+            raise BundleError(
+                f"provenance.jsonl row {k}: tables does not hold one copy for "
+                f"each of networks 1..{len(nets)} and no other"
+            )
+        for name, net_id in names:
+            copy = copies[name]
+            if type(copy) is dict:
+                copy = {**copy, "network": net_id}
+                if copy == level_rows_at[net_id, k]:
+                    continue
+            if not _copy_agrees(
+                copy,
+                lambda c: _table_from_record(c, rat).to_record(),
+                tables[net_id, k].to_record(),
+            ):
+                raise BundleError(
+                    f"provenance.jsonl row {k}: tables copy of network {net_id} "
+                    f"differs from its level-{k} record in levels.jsonl"
+                )
+        at = drawn.get(k, [])
+        if len(at) > 1:
+            at = sorted(at, key=lambda j: edges[j].network_id)
+        copy = row.get("edges")
+        if copy != [edge_rows[j] for j in at] and not _copy_agrees(
+            copy,
+            lambda c: [_edge_from_record(r, rat, "").to_record() for r in c],
+            [edges[j].to_record() for j in at],
+        ):
+            raise BundleError(
+                f"provenance.jsonl row {k}: edges differ from the edges that "
+                f"edges.jsonl stores as drawn at step {k}"
+            )
+
+
 def read_bundle(path: Path) -> ConstructionBundle:
     """Rebuild a run from its files.
 
@@ -247,8 +372,10 @@ def read_bundle(path: Path) -> ConstructionBundle:
     Every levels and aggregates row must name a network and level of the
     bundle, and every int field must be an int; provenance holds one row
     per step, in order, and the row of each edge's step gives the edge's
-    class width w, which lies in 1..l(source)+1; and each edge was drawn at
-    the step of its target's level, for that step's task. Anything else is a
+    class width w, which lies in 1..l(source)+1; each edge was drawn at
+    the step of its target's level, for that step's task; and each
+    provenance row's copies of its tables and edges describe the stored
+    ones (`_check_provenance_copies`, run last). Anything else is a
     BundleError naming the row or edge at fault, so no row is dropped
     without a word. A row is named by its file and its place among the
     file's rows, blank lines not counted."""
@@ -288,11 +415,13 @@ def read_bundle(path: Path) -> ConstructionBundle:
     rat = functools.cache(rat_parse)
     try:
         tables: dict[tuple[int, int], DelayTable] = {}
+        level_rows_at: dict[tuple[int, int], dict] = {}
         for k, rec in enumerate(level_rows, 1):
             key = place(rec, "levels.jsonl", k)
             if key in tables:
                 raise BundleError(f"duplicate level record {key}")
             tables[key] = _table_from_record(rec, rat)
+            level_rows_at[key] = rec
         edges: list[ExtraEdge] = []  # in row order
         edges_by_net: dict[int, list[ExtraEdge]] = {}
         for k, rec in enumerate(edge_rows, 1):
@@ -420,6 +549,9 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 f"{task}'s step"
             )
 
+    _check_provenance_copies(
+        prov_rows, nets, tables, level_rows_at, edges, edge_rows, rat
+    )
     return ConstructionBundle(
         config=config,
         networks=nets,

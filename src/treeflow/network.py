@@ -501,13 +501,6 @@ class LevelAggregates:
         inflow = self.extra_inflow
         self.s_n = self.total_R - inflow if inflow else self.total_R
 
-    def to_record(self) -> dict:
-        return {
-            "total_R": rat_str(self.total_R),
-            "extra_inflow": rat_str(self.extra_inflow),
-            "s_n": rat_str(self.s_n),
-        }
-
 
 class ElementaryNetwork:
     """One network, built level by level by a construction driver.

@@ -1,12 +1,177 @@
-"""Bundle reading at the row level: the .jsonl loader against per-line
-json.loads, and faults anywhere in a bundle's bytes as bad input."""
+"""Bundles at the row level: the writer's formatted rows against the
+encoder, the .jsonl loader against per-line json.loads, and faults
+anywhere in a bundle's bytes as bad input."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from test_golden import FLIP_ROSTERS
 
-from treeflow.cli import BundleError, _canon, _load_jsonl, main
+from treeflow.bitseq import BitString
+from treeflow.cli import (
+    BundleError,
+    _aggregates_row,
+    _bundle_report,
+    _canon,
+    _edge_row,
+    _level_row,
+    _load_jsonl,
+    _pretty,
+    main,
+    write_bundle,
+)
+from treeflow.constructions import PRESETS, RunConfig, build
+from treeflow.cubes import Cube
+from treeflow.network import (
+    ConstructionError,
+    DelayTable,
+    ExtraEdge,
+    LevelAggregates,
+    rat_str,
+)
+
+# --- writing rows --------------------------------------------------------
+
+# Delays are 0 or 1/M; other rationals are any sign and size.
+big = st.integers(1, 2**300)
+delays = st.just(Fraction(0)) | big.map(lambda m: Fraction(1, m))
+rationals = st.builds(Fraction, st.integers(-(2**300), 2**300), big)
+
+
+def _bits(n):
+    return st.integers(0, 2**n - 1).map(lambda v: BitString(n, v))
+
+
+@st.composite
+def tables(draw):
+    """A delay table with vertex, suffix and subtree entries; an entry that
+    conflicts with one drawn before is left out."""
+    n = draw(st.integers(0, 6))
+    table = DelayTable(n, draw(delays))
+    for _ in range(draw(st.integers(0, 6))):
+        kind, v = draw(st.sampled_from(["vertex", "suffix", "subtree"])), draw(delays)
+        try:
+            if kind == "vertex":
+                table.set_vertex(draw(_bits(n)), v)
+            elif kind == "suffix":
+                pattern = draw(st.text("01*", min_size=n, max_size=n))
+                table.add_suffix([(Cube.from_pattern(pattern), v)])
+            else:
+                table.add_subtree(draw(_bits(draw(st.integers(0, n)))), v)
+        except ConstructionError:
+            pass
+    return table
+
+
+@st.composite
+def edges(draw):
+    source = draw(_bits(draw(st.integers(0, 8))))
+    target = source.concat(draw(_bits(draw(st.integers(2, 8)))))
+    ints = st.integers(0, 10**30)
+    return ExtraEdge(
+        source=source,
+        target=target,
+        q=draw(rationals),
+        task=draw(ints),
+        subtask=draw(st.none() | ints),
+        network_id=draw(ints),
+        step_drawn=draw(ints),
+    )
+
+
+def _reference_level(net_id, table):
+    return {"network": net_id, **table.to_record()}
+
+
+def _reference_aggregates(net_id, n, agg):
+    return {
+        "network": net_id,
+        "level": n,
+        "total_R": rat_str(agg.total_R),
+        "extra_inflow": rat_str(agg.extra_inflow),
+        "s_n": rat_str(agg.s_n),
+    }
+
+
+@given(tables(), st.integers(1, 10**30))
+def test_a_level_row_is_the_encoded_record(table, net_id):
+    row = _level_row(net_id, table.to_record())
+    assert row == _canon(_reference_level(net_id, table))
+
+
+@given(
+    rationals,
+    st.just(Fraction(0)) | rationals,
+    st.integers(1, 10**30),
+    st.integers(0, 10**30),
+)
+def test_an_aggregates_row_is_the_encoded_record(total, inflow, net_id, n):
+    agg = LevelAggregates(total, inflow)
+    want = _canon(_reference_aggregates(net_id, n, agg))
+    assert _aggregates_row(net_id, n, agg) == want
+
+
+@given(edges())
+def test_an_edge_row_is_the_encoded_record(e):
+    assert _edge_row(e.to_record()) == _canon(e.to_record())
+
+
+def _reference_write(bundle, outdir):
+    """The bundle's files with every row a dict through the encoder."""
+    outdir.mkdir()
+
+    def jsonl(name, rows):
+        (outdir / name).write_text("".join(_canon(r) + "\n" for r in rows))
+
+    (outdir / "config.json").write_text(_pretty(bundle.config.to_payload()))
+    nets = bundle.networks
+    jsonl(
+        "levels.jsonl",
+        [
+            _reference_level(net.network_id, net.tables[n])
+            for n in range(bundle.depth + 1)
+            for net in nets
+        ],
+    )
+    jsonl("edges.jsonl", [e.to_record() for net in nets for e in net.edges])
+    jsonl(
+        "aggregates.jsonl",
+        [
+            _reference_aggregates(net.network_id, n, agg)
+            for net in nets
+            for n, agg in enumerate(net.aggregates)
+        ],
+    )
+    jsonl("provenance.jsonl", bundle.provenance)
+    (outdir / "report.json").write_text(_pretty(_bundle_report(bundle)))
+
+
+WRITTEN = {
+    **{preset: RunConfig(preset=preset, depth=12) for preset in PRESETS},
+    **{
+        f"divisible flip {mode}": RunConfig(
+            preset="divisible", depth=12, discard_mode=mode, rosters=FLIP_ROSTERS
+        )
+        for mode in ("exclude", "reject")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN))
+def test_the_writer_writes_the_bytes_of_the_encoder(tmp_path, case):
+    bundle = build(WRITTEN[case])
+    write_bundle(bundle, tmp_path / "written")
+    _reference_write(bundle, tmp_path / "reference")
+    names = sorted(p.name for p in (tmp_path / "reference").iterdir())
+    assert sorted(p.name for p in (tmp_path / "written").iterdir()) == names
+    for name in names:
+        want = (tmp_path / "reference" / name).read_bytes()
+        assert (tmp_path / "written" / name).read_bytes() == want, name
+
+
+# --- reading rows --------------------------------------------------------
 
 JSON_SPACE = ["", " ", "\t", "  \t", " \t "]
 
@@ -128,8 +293,9 @@ def _build(tmp_path, preset, depth, *extra):
 
 def _edit_rows(path, edit):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    edit(rows)
+    result = edit(rows)
     path.write_text("".join(_canon(r) + "\n" for r in rows))
+    return result
 
 
 def _set_in_last_row(name, key, value):
@@ -186,6 +352,11 @@ def _at_first_edge_step(edit):
     return corrupt
 
 
+def _in_row(step, edit):
+    """Edit the provenance row of one step."""
+    return _edit_file("provenance.jsonl", lambda rows: edit(rows[step - 1]))
+
+
 def _first_discard(**changes):
     def edit(rows):
         next(d for r in rows for d in r["discards"]).update(changes)
@@ -199,6 +370,16 @@ FAMILY = ("family", 8, "--networks", "3")  # draws one discard at depth 8
 OUTSIDE = "is outside the bundle's networks 1..1 and levels 0..8"
 
 ZERO = "zero denominator in rational '1/0'"
+# nonstochastic-8's first edge
+EDGE_ROW = {
+    "from": "0",
+    "network": 1,
+    "q": "1/16",
+    "step": 4,
+    "subtask": None,
+    "task": 1,
+    "to": "0000",
+}
 
 # case -> (bundle, corruption, the words the error names, whether trace,
 # which only splits provenance.jsonl into rows, reads the fault)
@@ -372,6 +553,47 @@ FAULTS = {
         "step 4 for task 6, but lands on level 4, which is task 1's step",
         False,
     ),
+    # Provenance copies that describe what the bundle does not store: trace
+    # prints them as they are, while every reader refuses them.
+    "a provenance edge copy that is not the stored edge": (
+        NONSTOCHASTIC,
+        _in_row(4, lambda row: row["edges"][0].update({"to": "0111", "q": "1/2"})),
+        "provenance.jsonl row 4: edges differ from the edges that edges.jsonl "
+        "stores as drawn at step 4",
+        False,
+    ),
+    "a provenance edge copy missing": (
+        NONSTOCHASTIC,
+        _in_row(4, lambda row: row["edges"].pop()),
+        "provenance.jsonl row 4: edges differ",
+        False,
+    ),
+    "a provenance edge copy for a step that drew none": (
+        NONSTOCHASTIC,
+        _in_row(3, lambda row: row["edges"].append(dict(EDGE_ROW, step=3))),
+        "provenance.jsonl row 3: edges differ",
+        False,
+    ),
+    "a provenance table copy with another default": (
+        NONSTOCHASTIC,
+        _in_row(4, lambda row: row["tables"]["1"].update(default="1/3")),
+        "provenance.jsonl row 4: tables copy of network 1 differs from its "
+        "level-4 record in levels.jsonl",
+        False,
+    ),
+    "a provenance table copy that is no table": (
+        NONSTOCHASTIC,
+        _in_row(4, lambda row: row["tables"]["1"].pop("suffix")),
+        "provenance.jsonl row 4: tables copy of network 1 differs",
+        False,
+    ),
+    "a provenance row without one network's table copy": (
+        FAMILY,
+        _in_row(2, lambda row: row["tables"].pop("3")),
+        "provenance.jsonl row 2: tables does not hold one copy for each of "
+        "networks 1..3 and no other",
+        False,
+    ),
 }
 
 
@@ -449,9 +671,50 @@ def test_a_level_with_one_kind_of_exception_round_trips(tmp_path, drop):
     def edit(rows):
         [rec] = [r for r in rows if r["vertex"] and r["subtree"]]
         rec[drop] = []
+        return rec["level"]
 
-    _edit_rows(out / "levels.jsonl", edit)
+    level = _edit_rows(out / "levels.jsonl", edit)
+
+    def edit_copy(rows):
+        rows[level - 1]["tables"]["1"][drop] = []
+
+    # Provenance repeats the level's table, and must agree with it.
+    _edit_rows(out / "provenance.jsonl", edit_copy)
     copy = tmp_path / "copy"
     assert main(["export", str(out), "--out", str(copy)]) == 0
     for f in out.iterdir():
         assert (copy / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+# --- provenance copies ---------------------------------------------------
+
+
+def _unreduced(rat):
+    num, den = rat.split("/")
+    return f"{2 * int(num)}/{2 * int(den)}"
+
+
+def test_a_copy_spelled_otherwise_is_read_and_its_export_reads_back(tmp_path):
+    # Export writes the stored rows from their records and provenance as
+    # read, so a copy is compared as a record: it may spell its rationals
+    # otherwise than the stored row, and what export writes still reads.
+    out = _build(tmp_path, *NONSTOCHASTIC)
+    built = (out / "levels.jsonl").read_text()
+
+    def edit_level(rows):
+        rows[4]["default"] = _unreduced(rows[4]["default"])
+        rows[4]["subtree"][0][1] = _unreduced(rows[4]["subtree"][0][1])
+
+    def edit_copies(rows):
+        table, edge = rows[3]["tables"]["1"], rows[3]["edges"][0]
+        table["default"] = _unreduced(table["default"])
+        edge["q"] = _unreduced(edge["q"])
+
+    _edit_rows(out / "levels.jsonl", edit_level)
+    _edit_rows(out / "provenance.jsonl", edit_copies)
+    copy, again = tmp_path / "copy", tmp_path / "again"
+    assert main(["export", str(out), "--out", str(copy)]) == 0
+    assert (copy / "levels.jsonl").read_text() == built
+    assert main(["export", str(copy), "--out", str(again)]) == 0
+    for f in copy.iterdir():
+        assert (again / f.name).read_bytes() == f.read_bytes(), f.name

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from treeflow import network
-from treeflow.cli import main, read_bundle, write_bundle
-from treeflow.constructions import RunConfig, build, reference_roster_descriptors
+from treeflow.cli import main, read_bundle
+from treeflow.constructions import reference_roster_descriptors
 from treeflow.verify import run_checks
 
 BUNDLE_FILES = [
@@ -390,15 +390,14 @@ def test_overlapping_suffix_entries_are_impossible(tmp_path, capsys, same_delay)
     assert not (tmp_path / "copy").exists()
 
 
-def test_deep_atom_bundle_round_trips(tmp_path):
+def test_deep_atom_bundle_round_trips(tmp_path, deep_bundles):
     # Level 232 holds 14,175 suffix entries: the reload takes them in as one
     # batch, and conservation's held-mass walk builds their partition.
-    bundle = build(RunConfig(preset="atom", depth=232))
+    bundle, out = deep_bundles("atom", 240)
     assert len(bundle.network(1).tables[232].suffix) == 14175
-    write_bundle(bundle, tmp_path / "a")
-    assert main(["export", str(tmp_path / "a"), "--out", str(tmp_path / "b")]) == 0
+    assert main(["export", str(out), "--out", str(tmp_path / "b")]) == 0
     for name in BUNDLE_FILES:
-        a, b = (tmp_path / d / name for d in "ab")
+        a, b = out / name, tmp_path / "b" / name
         assert a.read_bytes() == b.read_bytes(), name
     [report] = run_checks(bundle, ["conservation"])
     assert report.passed, report.witness
@@ -419,6 +418,11 @@ def test_corrupted_edge_file_fails_the_crossing_check(tmp_path):
     }
     with (out / "edges.jsonl").open("a") as fh:
         fh.write(json.dumps(row, sort_keys=True) + "\n")
+    # Provenance repeats the edges drawn at each step, and must agree.
+    prov_path = out / "provenance.jsonl"
+    prov = [json.loads(line) for line in prov_path.read_text().splitlines()]
+    prov[6]["edges"].append(row)
+    prov_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in prov))
     report_path = tmp_path / "report.json"
     rc = main(
         ["verify", str(out), "--checks", "no-overlap", "--out", str(report_path)]

@@ -348,10 +348,10 @@ def test_hyperimmune_builds_to_depth_64_under_default_caps():
     assert [(r.name, r.witness) for r in reports if not r.passed] == []
 
 
-def test_family_builds_past_depth_228():
+def test_family_builds_past_depth_228(deep_bundles):
     # Level 232 writes 225 suffix pieces for each of 63 target classes;
     # checking each piece against every stored entry made this hang.
-    bundle = build(RunConfig(preset="family", depth=232))
+    bundle, _out = deep_bundles("family", 240)
     names = ["delay_form", "no_overlap", "sn_bound", "duplication", "discards"]
     reports = run_checks(bundle, names)
     assert [r.name for r in reports] == names

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from treeflow.cli import main, read_bundle, write_bundle
+from treeflow.cli import main, read_bundle
 from treeflow.constructions import RunConfig, build
 from treeflow.verify import dense_oracle, run_checks
 
@@ -280,16 +280,11 @@ def _frames_digest(bundle) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(
-    scope="module", params=sorted(DEEP_DIGESTS), ids=lambda key: f"{key[0]}-{key[1]}"
-)
-def deep_bundle(request, tmp_path_factory):
+@pytest.fixture(params=sorted(DEEP_DIGESTS), ids=lambda key: f"{key[0]}-{key[1]}")
+def deep_bundle(request, deep_bundles):
     """(preset, depth, built bundle, its folder), built once per session."""
     preset, depth = request.param
-    bundle = build(RunConfig(preset=preset, depth=depth))
-    out = tmp_path_factory.mktemp(f"{preset}-d{depth}")
-    write_bundle(bundle, out)
-    return preset, depth, bundle, out
+    return (preset, depth, *deep_bundles(preset, depth))
 
 
 def test_deep_bundle_bytes_match_recorded_digests(deep_bundle):

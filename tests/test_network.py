@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from treeflow import network
 from treeflow.bitseq import BitString
-from treeflow.cli import main, read_bundle, write_bundle
+from treeflow.cli import _aggregates_row, main, read_bundle, write_bundle
 from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.cubes import Cube
 from treeflow.network import (
@@ -439,7 +439,9 @@ def test_kept_share_is_fixed_when_the_record_is_made():
     agg = LevelAggregates(F(7, 8), F(1, 8))
     assert agg.s_n == F(3, 4)
     assert LevelAggregates(F(7, 8), F(0)).s_n == F(7, 8)
-    assert agg.to_record() == {"total_R": "7/8", "extra_inflow": "1/8", "s_n": "3/4"}
+    assert _aggregates_row(2, 5, agg) == (
+        '{"extra_inflow":"1/8","level":5,"network":2,"s_n":"3/4","total_R":"7/8"}'
+    )
 
 
 def _split(rng, items, rounds):
