@@ -9,8 +9,9 @@ with the reason.
 
 The verify reports are pinned the same way, as one digest per run over
 every report's payload without its runtime, and so are the deep
-`atom`-240 and `family`-240 bundles, with one digest over every frame of
-the built networks and one over every frame of their reload.
+`atom`-240, `family`-240 and `hyperimmune`-72 bundles, with one digest
+over every frame of the built networks and one over every frame of their
+reload.
 """
 
 import hashlib
@@ -245,7 +246,9 @@ def test_dense_oracle_reports_match_recorded_digests(preset):
 
 # The deep bundles: level 232 of atom-240 holds the largest suffix table
 # and frames of any preset, and family-240 the same shapes on three
-# networks. Frame digests cover the built push and the reloaded one.
+# networks. hyperimmune-72, the deepest build of that preset under the
+# default caps, prunes most candidates by target-network floors and draws
+# sparse edges too. Frame digests cover the built push and the reloaded one.
 DEEP_DIGESTS = {
     ("atom", 240): {
         "config.json": "d92e0117ca457681acea1e3f5710337d8c1abbf5d46a256f629c6b490e5d8220",
@@ -266,6 +269,16 @@ DEEP_DIGESTS = {
         "report.json": "295322b99fe3b884c24d9d20cf943b98eb3f4415cd8e40bcf0080229d1ee556a",
         "built frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
         "reloaded frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
+    },
+    ("hyperimmune", 72): {
+        "config.json": "3d15e0ff5d3363f6713c6409b58e4d224264eb4f7866f540400b3a85c1324a7f",
+        "levels.jsonl": "f4bab5523e66414400886230d0838a0bed583f2bc4c8ed857ca4a1d2c918d00d",
+        "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
+        "aggregates.jsonl": "bb6c1a1a32160ee8154243378df801a5f2d8fc14d9ce1f4a0763eeb5ebd8bf80",
+        "provenance.jsonl": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
+        "report.json": "a8fad5cf15aa061660837362e6acec988287c500b15ec2dc2497001c49fb13f6",
+        "built frames": "9a356e37ad6d2fafab3618051604925e2a89196176fe7cde460071f018565d74",
+        "reloaded frames": "9a356e37ad6d2fafab3618051604925e2a89196176fe7cde460071f018565d74",
     },
 }
 
