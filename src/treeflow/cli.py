@@ -305,10 +305,10 @@ def _check_provenance_copies(
 ) -> None:
     """Each provenance row repeats the tables of its level, one per network,
     and the edges drawn at its step; a copy that describes anything else
-    is a BundleError naming the row. A copy equal to the stored rows (less
-    a table row's network) agrees at once; any other is compared as a
-    record. Export writes the stored rows from their records and
-    provenance as read, so an accepted bundle's export reads back. The
+    is a BundleError naming the row. A copy equal to the stored row, which
+    `read_bundle` holds without its network, agrees at once; any other is
+    compared as a record. Export writes the stored rows from their records
+    and provenance as read, so an accepted bundle's export reads back. The
     step's edges are taken by network, in stored order within one network,
     as export writes them."""
     drawn: dict[int, list[int]] = {}
@@ -325,10 +325,8 @@ def _check_provenance_copies(
             )
         for name, net_id in names:
             copy = copies[name]
-            if type(copy) is dict:
-                copy = {**copy, "network": net_id}
-                if copy == level_rows_at[net_id, k]:
-                    continue
+            if copy == level_rows_at[net_id, k]:
+                continue
             if not _copy_agrees(
                 copy,
                 lambda c: _table_from_record(c, rat).to_record(),
@@ -421,6 +419,8 @@ def read_bundle(path: Path) -> ConstructionBundle:
             if key in tables:
                 raise BundleError(f"duplicate level record {key}")
             tables[key] = _table_from_record(rec, rat)
+            # A provenance copy of the row is the row without its network.
+            del rec["network"]
             level_rows_at[key] = rec
         edges: list[ExtraEdge] = []  # in row order
         edges_by_net: dict[int, list[ExtraEdge]] = {}
@@ -643,9 +643,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    rows = _load_jsonl(Path(args.bundle) / "provenance.jsonl")
     kept = []
-    for row in rows:
+    for row in read_bundle(args.bundle).provenance:
         if args.task is not None and row.get("task") != args.task:
             continue
         if args.subtask is not None and row.get("subtask") != args.subtask:

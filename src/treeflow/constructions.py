@@ -30,7 +30,6 @@ from treeflow.network import (
     Rational,
     mass_in,
     rat_str,
-    restrict,
 )
 from treeflow.operators import (
     FunctionRoster,
@@ -195,7 +194,11 @@ class ConstructionBundle:
 
 
 class LengthPredicate(EdgePredicate):
-    """Targets whose operator image outgrows the source's code number."""
+    """Targets whose operator image outgrows the source's code number.
+
+    Only a source whose index_of(x) + task stays below the longest image
+    the operator can emit may qualify, which caps the enumeration at a
+    fixed code number and shuts every level whose first vertex is past it."""
 
     def __init__(self, ctx: StepContext, operator, task: int):
         super().__init__(ctx)
@@ -203,14 +206,17 @@ class LengthPredicate(EdgePredicate):
         self.task = task
         self._reach = min(operator.max_image_len(ctx.n), ctx.n)
 
+    def _passable(self, level: int) -> int:
+        """How many sources of the level, from value 0 up, may qualify:
+        index_of(x) + task must stay below the achievable image length,
+        and index_of(x) is 2^level - 1 + the value of x."""
+        return max(0, min(1 << level, self._reach - self.task - (1 << level) + 1))
+
+    def level_open(self, level):
+        return super().level_open(level) and self._passable(level) > 0
+
     def iter_sources(self, cube, level):
-        # Only sources with index_of(x) + task < achievable image length
-        # can qualify, which caps the enumeration at a fixed code number.
-        base = (1 << level) - 1
-        top = self._reach - self.task
-        for value in range(1 << level):
-            if base + value >= top:
-                break
+        for value in range(self._passable(level)):
             x = BitString(level, value)
             if cube.contains(x):
                 yield x
@@ -339,14 +345,14 @@ class TargetMassPredicate(EdgePredicate):
             # The image is a prefix of the target, so the pattern region
             # always contains the target itself; the value pushed anywhere
             # below the worst members alone exceeds the bound.
-            floor = self._floor_over(worst.extend(n - worst.length))
+            floor = self.target.pattern_floor(n, worst.extend(n - worst.length))
             return floor is not None and exceeds_dyadic(floor, e)
         if self.w >= 2:
             # Patterns leave positions 1..w-1 free, so every region meets
             # both halves of the level; a fully-live half already carries
             # more than the bound per vertex.
             for b in (0, 1):
-                floor = self._floor_over(Cube.subtree(BitString(1, b), n))
+                floor = self.target.pattern_floor(n, Cube.subtree(BitString(1, b), n))
                 if floor is not None and exceeds_dyadic(floor, e):
                     return True
         return False
@@ -358,20 +364,6 @@ class TargetMassPredicate(EdgePredicate):
         # piece; ruling it out rules out the piece without enumerating it.
         if not self._ruled_out(worst, allowance_exponent(worst.representative())):
             yield from super().iter_sources(cube, level)
-
-    def _floor_over(self, region: Cube) -> Optional[Rational]:
-        """Least value the pending frame pushes anywhere into `region`,
-        or None when part of it is dead (so zero-mass hits are possible)."""
-        best = None
-        covered = 0
-        for inter, v in restrict(self.target.pre_frame(self.ctx.n), region):
-            if v == 0:
-                return None
-            covered += inter.count()
-            best = v if best is None else min(best, v)
-        if covered != region.count():
-            return None
-        return best
 
     def beta(self, x):
         worst = self._worst_member(x)

@@ -9,7 +9,7 @@ vertex. Everything is a Fraction; there is no floating point anywhere.
 A frame, the values R(x) of one level, is a cube map (`Items`): a list of
 (cube, value) pairs whose cubes are pairwise disjoint, where a vertex in
 no cube holds 0. The engine builds and combines these maps only through
-the operations below: `value_at`, `items_total`, `mass_in`, `restrict`,
+the operations below: `value_at`, `items_total`, `mass_in`, `floor_in`,
 `overlay`, `push_down` and `coalesce`; which cubes of two lists meet is
 answered by one join, `meets`, for push-downs, delay partitions and suffix
 writes. Committed frames hold no zero values and are coalesced, so no
@@ -29,6 +29,15 @@ alone, total * (1 - s), and its frame is made when something reads it,
 from the nearest made level above, and checked against that total. Most
 levels of a build are clean, and most steps read no frame.
 
+The same scale answers a step's questions about the pending level, the
+one being built: the mass in a cube (`pattern_mass`) and the least value
+over a region (`pattern_floor`). When the last level has a single delay
+part, the pending level is the nearest made frame with its values scaled
+and its cubes given free low bits, so both are read off that frame and
+no level is pushed; the one scale, kept and extended level by level, is
+`_scale`. A step that needs the pending items themselves reads
+`pre_frame`, which pushes the level down.
+
 Every sum of value times vertex count is grouped by value. The
 integer counts of the items that share a value are added up first, and
 the distinct values are then added in one sum over a common denominator:
@@ -47,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from treeflow.bitseq import BitString
 from treeflow.cubes import Cube, subtract_many
@@ -139,12 +148,20 @@ def value_at(items: Items, x: BitString) -> Fraction:
     return ZERO
 
 
-def restrict(items: Items, cube: Cube) -> Iterator[tuple[Cube, Fraction]]:
-    """The map's pieces inside cube."""
+def floor_in(items: Items, cube: Cube) -> Optional[Fraction]:
+    """Least value of the map on the vertices of cube, or None when some
+    vertex of cube holds 0."""
+    best = None
+    covered = 0
     for c, v in items:
-        inter = c.intersect(cube)
-        if inter is not None:
-            yield inter, v
+        k = c.overlap(cube)
+        if k:
+            if not v:
+                return None
+            covered += k
+            if best is None or v < best:
+                best = v
+    return best if covered == cube.count() else None
 
 
 def overlay(items: Items, cube: Cube, delta: Fraction) -> Items:
@@ -509,11 +526,12 @@ class ElementaryNetwork:
     no frame is needed for, and is pushed by `_push`, the one path that
     runs the conservation ledger. A clean level is pushed by its parent's
     total, and `_make` makes its frame when something reads it: `frames`,
-    `frame_eval`, `pre_frame`, or an edge's source in `_push`. Any other
-    level is made as it is pushed: the push-down, the landing edges, the
-    ledger and `coalesce`. `commit_level` records and pushes at once; a
-    reloaded bundle only records, and `frames` pushes and makes its
-    levels, in order, when a frame is first read."""
+    `frame_eval`, `pre_frame`, an edge's source in `_push`, or
+    `pattern_mass` and `pattern_floor` when the last level has several
+    delay parts. Any other level is made as it is pushed: the push-down,
+    the landing edges, the ledger and `coalesce`. `commit_level` records
+    and pushes at once; a reloaded bundle only records, and `frames`
+    pushes and makes its levels, in order, when a frame is first read."""
 
     def __init__(self, network_id: int = 1):
         self.network_id = network_id
@@ -533,6 +551,8 @@ class ElementaryNetwork:
         # The edges landing on each recorded level not yet pushed.
         self._landing: dict[int, list[ExtraEdge]] = {}
         self._pre: Optional[tuple[int, Items, Fraction]] = None
+        # The last `_scale` answer: (level, m, num, den).
+        self._scaled: Optional[tuple[int, int, int, int]] = None
 
     @property
     def frames(self) -> list[Items]:
@@ -586,7 +606,48 @@ class ElementaryNetwork:
         """Sum of R over the cube's vertices in the pending pre-commit frame
         (n must be depth+1: the frame pushed from below with no level-n
         edges yet)."""
-        return mass_in(self.pre_frame(n), cube)
+        scaled = self._scaled_pending(n, cube)
+        if scaled is None:
+            return mass_in(self.pre_frame(n), cube)
+        items, top, num, den, free = scaled
+        mass = mass_in(items, top)
+        return Fraction(mass.numerator * (num << free), mass.denominator * den)
+
+    def pattern_floor(self, n: int, region: Cube) -> Optional[Fraction]:
+        """Least value of the pending pre-commit frame (n = depth+1, as for
+        `pattern_mass`) on the region's vertices, or None when some vertex
+        of the region holds 0."""
+        scaled = self._scaled_pending(n, region)
+        if scaled is None:
+            return floor_in(self.pre_frame(n), region)
+        items, top, num, den, _free = scaled
+        floor = floor_in(items, top) if num else None
+        if floor is None:
+            return None
+        return Fraction(floor.numerator * num, floor.denominator * den)
+
+    def _scaled_pending(self, n: int, cube: Cube):
+        """The pending level n read off frame m, when level n - 1 has a
+        single delay part: the pending frame is then frame m with every
+        value times num/den (`_scale`) and every cube given k = n - m free
+        low bits, which is what `_make` would make. Returned as (frame m,
+        the cube's top m positions, num, den, free), where a frame-m cube
+        shares with `cube` its overlap with the top times 2^free, free
+        being the number of low positions the cube leaves free. None when
+        level n - 1 has several parts, when the pre-frame is held already,
+        or before level n - 1 is pushed: the queries then read
+        `pre_frame(n)`."""
+        if n != self.depth + 1 or len(self._frames) < n:
+            return None
+        if self._pre is not None and self._pre[0] == n:
+            return None
+        if len(self.tables[n - 1].s_partition()) != 1:
+            return None
+        m, num, den = self._scale(n)
+        k = n - m
+        top = Cube(m, cube.care >> k, cube.value >> k)
+        free = k - (cube.care & ((1 << k) - 1)).bit_count()
+        return self._frames[m], top, num, den, free
 
     # -- construction ----------------------------------------------------
 
@@ -689,21 +750,14 @@ class ElementaryNetwork:
         return LevelAggregates(total, inflow)
 
     def _make(self, n: int) -> Items:
-        """Make the frame of pushed level n from the nearest made level m
-        above it. Levels m + 1 .. n are clean, so each cube gains the n - m
+        """Make the frame of pushed level n from a made level m above it,
+        as `_scale` gives it. Levels m + 1 .. n are clean, so each cube gains the n - m
         free low bits in between and each value object is scaled once by
         the product of (1 - s)/2 over the single delay parts of levels
         m .. n - 1: the frame n - m push-downs would make, item for item.
-        The ledger checks the frame's total against the one `_push` gave
-        the level."""
-        m = n - 1
-        while self._frames[m] is None:
-            m -= 1
-        num = den = 1
-        for table in self.tables[m:n]:
-            ((_, s),) = table.s_partition()
-            num *= s.denominator - s.numerator
-            den *= 2 * s.denominator
+        The ledger checks the frame's total against the one
+        `_push` gave the level."""
+        m, num, den = self._scale(n)
         items: Items = []
         if num:
             scaled: dict[int, Fraction] = {}
@@ -721,6 +775,39 @@ class ElementaryNetwork:
         self._frames[n] = items
         del self._unmade[n]
         return items
+
+    def _scale(self, n: int) -> tuple[int, int, int]:
+        """(m, num, den) for a level n, pushed or pending, whose parent
+        has a single delay part: a made level m above n with only clean
+        levels in between, and num/den the product of (1 - s)/2 over the
+        single delay parts of levels m .. n - 1.
+
+        Worked out afresh, m is the nearest made level. The last answer is
+        kept and, when level n - 1 is not made, extended by the levels
+        past it while none of them is made; its m may then lie above the
+        nearest made level, which `_make` made from frame m by the same
+        product, so either frame gives the same values. Making frames in
+        order, as `frames` does, finds level n - 1 made and reads no kept
+        answer."""
+        m = n - 1
+        kept = self._scaled
+        if (
+            self._frames[m] is None
+            and kept is not None
+            and kept[0] <= n
+            and self._frames[kept[0] : n].count(None) == n - kept[0]
+        ):
+            start, m, num, den = kept
+        else:
+            while self._frames[m] is None:
+                m -= 1
+            start, num, den = m, 1, 1
+        for table in self.tables[start:n]:
+            ((_, s),) = table.s_partition()
+            num *= s.denominator - s.numerator
+            den *= 2 * s.denominator
+        self._scaled = (n, m, num, den)
+        return m, num, den
 
     def commit_level(
         self, table: DelayTable, edges: Iterable[ExtraEdge] = ()

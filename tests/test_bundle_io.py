@@ -381,39 +381,35 @@ EDGE_ROW = {
     "to": "0000",
 }
 
-# case -> (bundle, corruption, the words the error names, whether trace,
-# which only splits provenance.jsonl into rows, reads the fault)
+# case -> (bundle, corruption, the words the error names)
 FAULTS = {
     "zero denominator in a level default": (
-        NONSTOCHASTIC, _set_in_last_row("levels.jsonl", "default", "1/0"), ZERO, False
+        NONSTOCHASTIC, _set_in_last_row("levels.jsonl", "default", "1/0"), ZERO
     ),
     "zero denominator in an aggregate": (
-        NONSTOCHASTIC, _set_in_last_row("aggregates.jsonl", "total_R", "1/0"), ZERO, False
+        NONSTOCHASTIC, _set_in_last_row("aggregates.jsonl", "total_R", "1/0"), ZERO
     ),
-    "zero denominator in a discard bound": (FAMILY, _zero_bound, ZERO, False),
+    "zero denominator in a discard bound": (FAMILY, _zero_bound, ZERO),
     "a number for a rational": (
         NONSTOCHASTIC,
         _set_in_last_row("aggregates.jsonl", "extra_inflow", 0),
         "rational 0 is not a string",
-        False,
     ),
     "edges that are not UTF-8": (
-        NONSTOCHASTIC, _latin1("edges.jsonl", b'"to"'), "edges.jsonl is not UTF-8 text", False
+        NONSTOCHASTIC, _latin1("edges.jsonl", b'"to"'), "edges.jsonl is not UTF-8 text"
     ),
     "a config that is not UTF-8": (
         NONSTOCHASTIC,
         _latin1("config.json", b'"preset"'),
         "config.json is not UTF-8 text",
-        False,
     ),
     "provenance that is not UTF-8": (
         NONSTOCHASTIC,
         _latin1("provenance.jsonl", b'"note"'),
         "provenance.jsonl is not UTF-8 text",
-        True,
     ),
     "a provenance row that is not an object": (
-        NONSTOCHASTIC, _array_row, "row is not a JSON object", True
+        NONSTOCHASTIC, _array_row, "row is not a JSON object"
     ),
     # Rows that name no network or level of the bundle: each was dropped
     # without a word, so the export was not the input.
@@ -421,121 +417,102 @@ FAULTS = {
         NONSTOCHASTIC,
         _append_copy("levels.jsonl", network=2),
         f"levels.jsonl row 10: network 2, level 8 {OUTSIDE}",
-        False,
     ),
     "a level row past the depth": (
         NONSTOCHASTIC,
         _append_copy("levels.jsonl", level=9),
         f"levels.jsonl row 10: network 1, level 9 {OUTSIDE}",
-        False,
     ),
     "an aggregate row for a network the bundle lacks": (
         NONSTOCHASTIC,
         _append_copy("aggregates.jsonl", network=2),
         f"aggregates.jsonl row 10: network 2, level 8 {OUTSIDE}",
-        False,
     ),
     "a second aggregate row for one level": (
         NONSTOCHASTIC,
         _append_copy("aggregates.jsonl"),
         "duplicate aggregate record (1, 8)",
-        False,
     ),
     "a discard held by a network the bundle lacks": (
-        FAMILY, _first_discard(network=0), "discard references unknown network 0", False
+        FAMILY, _first_discard(network=0), "discard references unknown network 0"
     ),
     # Fields of the wrong type.
     "an edge source that is not a string": (
         NONSTOCHASTIC,
         _set_in_last_row("edges.jsonl", "from", 7),
         "bit string 7 is not a string",
-        False,
     ),
     "an aggregate level that is not an int": (
         NONSTOCHASTIC,
         _set_in_last_row("aggregates.jsonl", "level", ""),
         "aggregates.jsonl row 9: level '' is not an int",
-        False,
     ),
     "a level row's network that is a bool": (
         NONSTOCHASTIC,
         _set_in_last_row("levels.jsonl", "network", True),
         "levels.jsonl row 9: network True is not an int",
-        False,
     ),
     "an edge task that is a string": (
         NONSTOCHASTIC,
         _set_in_last_row("edges.jsonl", "task", "1"),
         "edges.jsonl row 2: task '1' is not an int",
-        False,
     ),
     "an edge subtask that is a string": (
         NONSTOCHASTIC,
         _set_in_last_row("edges.jsonl", "subtask", "1"),
         "edges.jsonl row 2: subtask '1' is not an int or null",
-        False,
     ),
     "an edge network that is a bool": (
         NONSTOCHASTIC,
         _set_in_last_row("edges.jsonl", "network", True),
         "edges.jsonl row 2: network True is not an int",
-        False,
     ),
     "an edge step that is a float": (
         NONSTOCHASTIC,
         _set_in_last_row("edges.jsonl", "step", 4.0),
         "edges.jsonl row 2: step 4.0 is not an int",
-        False,
     ),
     "provenance discards that are not a list": (
         NONSTOCHASTIC,
         _set_in_last_row("provenance.jsonl", "discards", 5),
         "provenance.jsonl row 8: discards 5 is not a list",
-        False,
     ),
     # Provenance that does not cover the steps and their edges.
     "a provenance row too few": (
         ATOM,
         _edit_file("provenance.jsonl", lambda rows: rows.pop()),
         "provenance.jsonl holds 9 rows for 10 steps",
-        False,
     ),
     "provenance rows out of order": (
         ATOM,
         _edit_file("provenance.jsonl", lambda rows: rows.insert(0, rows.pop(1))),
         "provenance.jsonl row 1: step 2 is not 1",
-        False,
     ),
     "a provenance step that is a string": (
         ATOM,
         _set_in_last_row("provenance.jsonl", "step", "10"),
         "provenance.jsonl row 10: step '10' is not an int",
-        False,
     ),
     "a provenance row without w": (
         ATOM,
         _at_first_edge_step(lambda row: row.pop("w")),
         "provenance.jsonl row 7 has no w",
-        False,
     ),
     "a w that is a string": (
         ATOM,
         _set_in_last_row("provenance.jsonl", "w", "1"),
         "provenance.jsonl row 10: w '1' is not an int or null",
-        False,
     ),
     "a null w on an edge's step": (
         ATOM,
         _at_first_edge_step(lambda row: row.update(w=None)),
         "edge 0 -> 0000000 of network 1 was drawn at step 7, which has no "
         "provenance row with an int w",
-        False,
     ),
     "an edge drawn at step 0": (
         ATOM,
         _set_in_last_row("edges.jsonl", "step", 0),
         "was drawn at step 0, which has no provenance row",
-        False,
     ),
     # An edge the engine never writes: it draws each edge at the step of
     # its target's level, for that step's task.
@@ -544,71 +521,61 @@ FAULTS = {
         _set_in_last_row("edges.jsonl", "step", 2),
         "edges.jsonl row 2: edge 1 -> 1000 of network 1 is stored as drawn at "
         "step 2 for task 1, but lands on level 4, which is task 1's step",
-        False,
     ),
     "an edge stored with another step's task": (
         NONSTOCHASTIC,
         _set_in_last_row("edges.jsonl", "task", 6),
         "edges.jsonl row 2: edge 1 -> 1000 of network 1 is stored as drawn at "
         "step 4 for task 6, but lands on level 4, which is task 1's step",
-        False,
     ),
-    # Provenance copies that describe what the bundle does not store: trace
-    # prints them as they are, while every reader refuses them.
+    # Provenance copies that describe what the bundle does not store.
     "a provenance edge copy that is not the stored edge": (
         NONSTOCHASTIC,
         _in_row(4, lambda row: row["edges"][0].update({"to": "0111", "q": "1/2"})),
         "provenance.jsonl row 4: edges differ from the edges that edges.jsonl "
         "stores as drawn at step 4",
-        False,
     ),
     "a provenance edge copy missing": (
         NONSTOCHASTIC,
         _in_row(4, lambda row: row["edges"].pop()),
         "provenance.jsonl row 4: edges differ",
-        False,
     ),
     "a provenance edge copy for a step that drew none": (
         NONSTOCHASTIC,
         _in_row(3, lambda row: row["edges"].append(dict(EDGE_ROW, step=3))),
         "provenance.jsonl row 3: edges differ",
-        False,
     ),
     "a provenance table copy with another default": (
         NONSTOCHASTIC,
         _in_row(4, lambda row: row["tables"]["1"].update(default="1/3")),
         "provenance.jsonl row 4: tables copy of network 1 differs from its "
         "level-4 record in levels.jsonl",
-        False,
     ),
     "a provenance table copy that is no table": (
         NONSTOCHASTIC,
         _in_row(4, lambda row: row["tables"]["1"].pop("suffix")),
         "provenance.jsonl row 4: tables copy of network 1 differs",
-        False,
     ),
     "a provenance row without one network's table copy": (
         FAMILY,
         _in_row(2, lambda row: row["tables"].pop("3")),
         "provenance.jsonl row 2: tables does not hold one copy for each of "
         "networks 1..3 and no other",
-        False,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(FAULTS))
 def test_a_fault_in_a_bundle_file_is_bad_input_for_every_reader(tmp_path, capsys, case):
-    (preset, depth, *extra), corrupt, named, trace_reads_it = FAULTS[case]
+    (preset, depth, *extra), corrupt, named = FAULTS[case]
     out = _build(tmp_path, preset, depth, *extra)
     corrupt(out)
     commands = [
         ["export", str(out), "--out", str(tmp_path / "copy")],
         ["verify", str(out)],
         ["mltest", str(out)],
+        ["trace", str(out)],
     ]
-    if trace_reads_it:
-        commands.append(["trace", str(out)])
     for argv in commands:
         capsys.readouterr()
         assert main(argv) == 2, argv

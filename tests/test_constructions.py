@@ -19,7 +19,7 @@ from treeflow.constructions import (
     union_mass,
 )
 from treeflow.cubes import Cube
-from treeflow.network import ONE, ElementaryNetwork, Rational, mass_in
+from treeflow.network import ONE, ElementaryNetwork, Rational, floor_in, mass_in
 from treeflow.operators import (
     FunctionRoster,
     LinearFunction,
@@ -372,6 +372,9 @@ class PendingFrame:
     def pattern_mass(self, n, cube):
         return mass_in(self.items, cube)
 
+    def pattern_floor(self, n, region):
+        return floor_in(self.items, region)
+
 
 @st.composite
 def search_scenes(draw):
@@ -575,6 +578,46 @@ def test_image_mass_gate_yields_what_the_full_enumeration_draws(piece, op, data)
     pred = ImageMassPredicate(ctx, op, data.draw(st.sampled_from(["exclude", "reject"])))
     assert candidates(ctx, pred, [m]) == _scan_oracle(pred.holds, cube, n)
     if op.prefix_image_only():
+        assert net.tables.reads == 0
+
+
+def _length_sources_by_scan(pred, cube, level):
+    """LengthPredicate's sources found by scanning the level's values from
+    0 up and stopping at the first whose index_of(x) + task reaches the
+    longest image: the enumeration as written before the level gate."""
+    base = (1 << level) - 1
+    top = pred._reach - pred.task
+    for value in range(1 << level):
+        if base + value >= top:
+            break
+        x = BitString(level, value)
+        if cube.contains(x):
+            yield x
+
+
+DEFAULT_OPERATORS, _ = RunConfig(preset="nonstochastic", depth=1).validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    level_pieces(12),
+    st.integers(1, 12),
+    st.integers(1, 5).map(DEFAULT_OPERATORS.operator_for) | image_operators(),
+)
+def test_a_length_gate_shuts_exactly_the_levels_whose_scan_yields_nothing(
+    piece, task, op
+):
+    n, m, cube = piece
+    ctx, net = _gate_context(n, task, [], m, cube)
+    pred = LengthPredicate(ctx, op, task)
+    for level in range(n - 1):
+        scan = list(_length_sources_by_scan(pred, Cube.whole_level(level), level))
+        assert pred.level_open(level) == bool(scan), level
+    if pred.level_open(m):
+        want = list(_length_sources_by_scan(pred, cube, m))
+        assert list(pred.iter_sources(cube, m)) == want
+    else:
+        assert candidates(ctx, pred, [m]) == []
         assert net.tables.reads == 0
 
 

@@ -13,7 +13,7 @@ MAP_OPERATIONS = {
     "value_at",
     "items_total",
     "mass_in",
-    "restrict",
+    "floor_in",
     "overlay",
     "meets",
     "push_down",

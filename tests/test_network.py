@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treeflow import network
 from treeflow.bitseq import BitString
@@ -683,6 +683,108 @@ def test_a_build_pushes_down_only_the_levels_that_are_not_clean(monkeypatch):
     ]
     assert pushed_levels == dirty
     assert len(dirty) == 8
+
+
+def test_a_family_build_reads_its_target_floors_without_pushing(monkeypatch):
+    # Most family steps draw nothing: the target network's floors and
+    # masses come from its nearest made frame, scaled, so a step that
+    # reads no more pushes nothing down. Pushing the target's pending
+    # level on every step takes 77 push-downs here.
+    calls = 0
+    push_down = network.push_down
+
+    def counting(items, parts):
+        nonlocal calls
+        calls += 1
+        return push_down(items, parts)
+
+    monkeypatch.setattr(network, "push_down", counting)
+    build(RunConfig(preset="family", depth=128))
+    assert calls <= 8
+
+
+def _random_level(rng, net, n):
+    """A level-n table and the edges that land on it: one delay part of
+    0, 1/M or 1, or several, with dead (s = 1) vertices and subtrees
+    among them; from level 3 on, sometimes edges from live sources."""
+    kind = rng.choice(["zero", "small", "small", "one", "parts", "parts"])
+    default = {"zero": F(0), "one": F(1)}.get(kind, F(1, rng.randrange(2, 9)))
+    table = DelayTable(n, default)
+    if kind == "parts":
+        for _ in range(rng.randrange(1, 4)):
+            x = BitString(n, rng.randrange(1 << n))
+            if x not in table.vertex:
+                table.set_vertex(x, rng.choice([F(1), F(0), F(1, 3)]))
+        if n >= 2 and rng.random() < 0.6:
+            k = rng.randrange(1, n)
+            root = BitString(k, rng.randrange(1 << k))
+            table.add_subtree(root, rng.choice([F(1), F(1, 4)]))
+    edges = []
+    for _ in range(rng.randrange(3) if n >= 3 and rng.random() < 0.3 else 0):
+        m = rng.randrange(1, n - 1)
+        x = BitString(m, rng.randrange(1 << m))
+        s = net.delay(x)
+        if s and net.outgoing_edge(x) is None and all(e.source != x for e in edges):
+            y = x.concat(BitString(n - m, rng.randrange(1 << (n - m))))
+            edges.append(ExtraEdge(x, y, s, 1, None, net.network_id, n))
+    return table, edges
+
+
+def _random_region(rng, n):
+    """A level-n cube: random pins, a half, the whole level, a vertex, or
+    pins on the top positions only."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Cube(n, 1 << (n - 1), rng.randrange(2) << (n - 1))
+    if kind == 1:
+        return Cube.whole_level(n)
+    if kind == 2:
+        return Cube.vertex(BitString(n, rng.randrange(1 << n)))
+    care = rng.randrange(1 << n)
+    if kind == 3:
+        care &= ~((1 << rng.randrange(n + 1)) - 1)
+    return Cube(n, care, rng.randrange(1 << n) & care)
+
+
+def _longhand_floor(items, region):
+    values, covered = [], 0
+    for c, v in items:
+        inter = c.intersect(region)
+        if inter is not None:
+            values.append(v)
+            covered += inter.count()
+    if covered != region.count() or not all(values):
+        return None
+    return min(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_pending_queries_match_the_pushed_pre_frame(depth, rng):
+    # Network a answers pending-level queries from its nearest made frame
+    # where it can, with random frame reads and pre-frame reads between
+    # the commits; its twin b pushes every pending level down first.
+    a, b = ElementaryNetwork(), ElementaryNetwork()
+    for n in range(1, depth + 1):
+        table, edges = _random_level(rng, a, n)
+        a.commit_level(table, edges)
+        b.commit_level(table, edges)
+        if rng.random() < 0.3:
+            k = rng.randrange(n + 1)
+            a.frame_eval(BitString(k, rng.randrange(1 << k)))
+        if rng.random() < 0.3:
+            continue  # no query: the next one extends the scale further
+        if rng.random() < 0.2:
+            a.pre_frame(n + 1)
+        pre = b.pre_frame(n + 1)
+        for _ in range(4):
+            region = _random_region(rng, n + 1)
+            assert a.pattern_mass(n + 1, region) == mass_in(pre, region)
+            want = _longhand_floor(pre, region)
+            assert a.pattern_floor(n + 1, region) == want
+            assert b.pattern_floor(n + 1, region) == want
+    assert a.aggregates == b.aggregates
+    assert a.frames == b.frames
 
 
 def _assert_ledger_trips_on_first_read(tmp_path, capsys, skew):
