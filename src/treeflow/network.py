@@ -626,7 +626,9 @@ class ElementaryNetwork:
             return None
         return Fraction(floor.numerator * num, floor.denominator * den)
 
-    def _scaled_pending(self, n: int, cube: Cube):
+    def _scaled_pending(
+        self, n: int, cube: Cube
+    ) -> Optional[tuple[Items, Cube, int, int, int]]:
         """The pending level n read off frame m, when level n - 1 has a
         single delay part: the pending frame is then frame m with every
         value times num/den (`_scale`) and every cube given k = n - m free
