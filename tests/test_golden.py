@@ -7,6 +7,9 @@ provenance row or report shows up here as a mismatch. Depth 48 is where
 If a change is meant to alter bundles, record the new digests together
 with the reason.
 
+The output of `treeflow trace` with no filter is pinned beside the
+files, under "trace".
+
 The verify reports are pinned the same way, as one digest per run over
 every report's payload without its runtime, and so are the deep
 `atom`-240, `family`-240 and `hyperimmune`-72 bundles, with one digest
@@ -32,6 +35,7 @@ DIGESTS = {
         "edges.jsonl": "ca7fbb13acd62591f034e7eb9be9cffb26889f7af893f9160531d4e1313a8a10",
         "aggregates.jsonl": "bcf816bc2c6ace9916fc0b4b2e101a8d8b527dcf9697f25551bdd1707b21c069",
         "provenance.jsonl": "cab7249f64b1300b3184f1fa76d208fc7fb165a408438a463a40fca2a239fd47",
+        "trace": "cab7249f64b1300b3184f1fa76d208fc7fb165a408438a463a40fca2a239fd47",
         "report.json": "7416b31310bc20aad4022c94af64eccc2ea319e8fb23d14ed5d782050c52e4ba",
     },
     ("nonstochastic", 48): {
@@ -40,6 +44,7 @@ DIGESTS = {
         "edges.jsonl": "2a656195364bc814941568584b04569c71482b9dfe830543c8a7f3ad5c032e50",
         "aggregates.jsonl": "87d5512006e13383f1e75defb987f23d2d8ec09a6812ad6797dc54cd440c30a4",
         "provenance.jsonl": "e0d4b60fce492d40195fccaa79e25137addd4eded8a30beec7d6fe57017cfce1",
+        "trace": "e0d4b60fce492d40195fccaa79e25137addd4eded8a30beec7d6fe57017cfce1",
         "report.json": "bf5918ebd413c58c3bc394516f656c3a6e42402adf66ec967cd500da337529f0",
     },
     ("divisible", 12): {
@@ -48,6 +53,7 @@ DIGESTS = {
         "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aggregates.jsonl": "f15b4b5fd2bf8adb83767932c4cbe8e299370ae1655eb6329b596cb119103fbd",
         "provenance.jsonl": "a8db1c1e3e18703f2053e6d565cf23e5366bb8d1614b37640023fa249b0306ad",
+        "trace": "a8db1c1e3e18703f2053e6d565cf23e5366bb8d1614b37640023fa249b0306ad",
         "report.json": "0031ca841fc92f3fb973a546aaeea0c2ab42fbe01b75a7bb34343e8cf86d1115",
     },
     ("divisible", 48): {
@@ -56,6 +62,7 @@ DIGESTS = {
         "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aggregates.jsonl": "74a1b7767f5bfd9570766769a5f5ba93293357b1bc810660213ce5491b702c01",
         "provenance.jsonl": "50d4b5c4f2570a02cff0423d4946f184a001d0c5f1ae3a14868cb82002c97d7c",
+        "trace": "50d4b5c4f2570a02cff0423d4946f184a001d0c5f1ae3a14868cb82002c97d7c",
         "report.json": "e55b395aaedc11db014ee41927757bb1beecfde83d2ad9d8ce6efb83b7b6ec61",
     },
     ("atom", 12): {
@@ -64,6 +71,7 @@ DIGESTS = {
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "7051684c5e95f59fdd49a8070362d1115f00b8762853ad42e16308be83a5e74b",
         "provenance.jsonl": "d0efc57e58f97a8dd6da81d0d23fb99a876c73f07cf400305bc120882115fb3a",
+        "trace": "d0efc57e58f97a8dd6da81d0d23fb99a876c73f07cf400305bc120882115fb3a",
         "report.json": "f18cd7e2801dfc3cf6ddb3c5e2bbdc13d7f82ef1c9b493fcbbcfc53396528afe",
     },
     ("atom", 48): {
@@ -72,6 +80,7 @@ DIGESTS = {
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "0f31cb3d6db3ce1450fdca92f16322f54ccda6e81de591faaf2bdd62c5039004",
         "provenance.jsonl": "087291b659dc45d4b1b1dc58bfcdc68b5ca2d4265423ba5b2b6993758a5a21d0",
+        "trace": "087291b659dc45d4b1b1dc58bfcdc68b5ca2d4265423ba5b2b6993758a5a21d0",
         "report.json": "a3013e5d7ba5484a95b488d745829625f3f96ba86e4004c35e6f6e9b5d160e9e",
     },
     ("family", 12): {
@@ -80,6 +89,7 @@ DIGESTS = {
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "6addb2c544910f3d8810a2ae58acf8713884954de65f48ee77346eed4f732d81",
         "provenance.jsonl": "1d4c51fd8171c799e7ecdcab58c9749cee50dd09d11c46b1faaf068f3005f45d",
+        "trace": "1d4c51fd8171c799e7ecdcab58c9749cee50dd09d11c46b1faaf068f3005f45d",
         "report.json": "5574c65c33df724a57520a133da035f50f73fb441834f47a4655149b401c11fc",
     },
     ("family", 48): {
@@ -88,6 +98,7 @@ DIGESTS = {
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "61424e78f4da4c2ffa78efdd86b94252dd44dee4daaa2c4727c7f79f5a65e734",
         "provenance.jsonl": "880a41ddc0ccd08b19313ef77f0a3b3348663da04da08a07b12865dcf9e6ff1c",
+        "trace": "880a41ddc0ccd08b19313ef77f0a3b3348663da04da08a07b12865dcf9e6ff1c",
         "report.json": "574aa414125a38331892e6296efae40bf0d4ea6fe7cc8d3f78cf7390659b354e",
     },
     ("hyperimmune", 12): {
@@ -96,6 +107,7 @@ DIGESTS = {
         "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aggregates.jsonl": "3c578ace9493af7d1a75f77e41b7490cb6f4db29b26471da47653f7c3ebdf3d8",
         "provenance.jsonl": "fc800d7ef346e824debd00e6605ee15b233cbc116de8378f811f67bbf1dc050c",
+        "trace": "fc800d7ef346e824debd00e6605ee15b233cbc116de8378f811f67bbf1dc050c",
         "report.json": "e2fb4cf5441c48fd26e22f29ae49e7f406bdad9571da8c0be4ee34b653b4ba21",
     },
     ("hyperimmune", 48): {
@@ -104,6 +116,7 @@ DIGESTS = {
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "4b75cbd38d2fc5eb714c0bb148016931bd1c9474a4690d7e5644a46e076c1e75",
         "provenance.jsonl": "db6f4a49d553fab256dd4985f2af3ae4afe77f1efc7b53e2f61909ac7e35c4dd",
+        "trace": "db6f4a49d553fab256dd4985f2af3ae4afe77f1efc7b53e2f61909ac7e35c4dd",
         "report.json": "579078dae612cb0aa670e3864191ff6a74203fc8a6f14fb85d7e9d08976f3e77",
     },
     ("hyperimmune", 64): {
@@ -112,6 +125,7 @@ DIGESTS = {
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "25f63f8a7a707b5c9e2b04013bcfd51706060f3523b081834227326f3a11af89",
         "provenance.jsonl": "619a25055ec2d46c271f5de0e515476721ccebd2eedee0169ab2aa350a853315",
+        "trace": "619a25055ec2d46c271f5de0e515476721ccebd2eedee0169ab2aa350a853315",
         "report.json": "b5cf178354d0815c4b8cc8f243a169629ceea5a4567befe39aeec690bd441214",
     },
     ("hyperimmune", 72): {
@@ -120,6 +134,7 @@ DIGESTS = {
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "bb6c1a1a32160ee8154243378df801a5f2d8fc14d9ce1f4a0763eeb5ebd8bf80",
         "provenance.jsonl": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
+        "trace": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
         "report.json": "a8fad5cf15aa061660837362e6acec988287c500b15ec2dc2497001c49fb13f6",
     },
 }
@@ -146,6 +161,7 @@ FLIP_DIGESTS = {
         "edges.jsonl": "40e94aea7440faf61bd30adeb7cc60cda5049909ba86e760953d23988db4c851",
         "aggregates.jsonl": "a06c0c19d07764aa9787b65c44d15c7e25793ebb937da250ba4717d73680f9e9",
         "provenance.jsonl": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
+        "trace": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
         "report.json": "8a324e73b5e47246c60dc2a6dbcbeecf3a47ff14f6697030d859160f103cba0c",
     },
     "reject": {
@@ -154,6 +170,7 @@ FLIP_DIGESTS = {
         "edges.jsonl": "40e94aea7440faf61bd30adeb7cc60cda5049909ba86e760953d23988db4c851",
         "aggregates.jsonl": "a06c0c19d07764aa9787b65c44d15c7e25793ebb937da250ba4717d73680f9e9",
         "provenance.jsonl": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
+        "trace": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
         "report.json": "8a324e73b5e47246c60dc2a6dbcbeecf3a47ff14f6697030d859160f103cba0c",
     },
 }
@@ -163,13 +180,23 @@ def _digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
+def _bundle_digests(out, want, tmp_path) -> dict:
+    """The digest of each bundle file that want names, and of what
+    `treeflow trace` prints for the bundle with no filter."""
+    trace = tmp_path / "trace.jsonl"
+    assert main(["trace", str(out), "--out", str(trace)]) == 0
+    files = _digests(out, [name for name in want if "." in name])
+    return {**files, "trace": hashlib.sha256(trace.read_bytes()).hexdigest()}
+
+
 @pytest.mark.parametrize("preset,depth", sorted(DIGESTS))
 def test_bundle_bytes_match_recorded_digests(tmp_path, preset, depth):
     out = tmp_path / f"{preset}-d{depth}"
     extra = ["--networks", "3"] if preset in MULTI_NETWORK else []
     argv = ["build", "--preset", preset, "--depth", str(depth), *extra]
     assert main([*argv, "--out", str(out)]) == 0
-    assert _digests(out, DIGESTS[(preset, depth)]) == DIGESTS[(preset, depth)]
+    want = DIGESTS[(preset, depth)]
+    assert _bundle_digests(out, want, tmp_path) == want
 
 
 @pytest.mark.parametrize("mode", sorted(FLIP_DIGESTS))
@@ -182,7 +209,7 @@ def test_flip_roster_divisible_bytes_match_recorded_digests(tmp_path, mode):
     )
     out = tmp_path / f"divisible-flip-{mode}"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 0
-    assert _digests(out, FLIP_DIGESTS[mode]) == FLIP_DIGESTS[mode]
+    assert _bundle_digests(out, FLIP_DIGESTS[mode], tmp_path) == FLIP_DIGESTS[mode]
 
 
 def _payload_digest(payloads) -> str:
@@ -256,6 +283,7 @@ DEEP_DIGESTS = {
         "edges.jsonl": "ce460dd3eed875c213642e69fe087eabe08d017c8d4e7a291d8c965e3c029a05",
         "aggregates.jsonl": "4754433848e62e940160f031d88e94ccf938e7ca1748ef80c2534a694f04d5fe",
         "provenance.jsonl": "65bd2559f766b310b46ac2d333cdfcd93412362e9f3063f3b4ac9ca624ddaaa6",
+        "trace": "65bd2559f766b310b46ac2d333cdfcd93412362e9f3063f3b4ac9ca624ddaaa6",
         "report.json": "6efd888ef48bc6a2b72e24cd8dd672e3acd0f016a703eeea69a0082ece28a908",
         "built frames": "1d22179cfd9dc8b235f2dde760edee098401ab046a5afa28aa2ec9be8fd2e11e",
         "reloaded frames": "1d22179cfd9dc8b235f2dde760edee098401ab046a5afa28aa2ec9be8fd2e11e",
@@ -266,6 +294,7 @@ DEEP_DIGESTS = {
         "edges.jsonl": "ce460dd3eed875c213642e69fe087eabe08d017c8d4e7a291d8c965e3c029a05",
         "aggregates.jsonl": "dfe66ce9f24b675d28a877f9bbf9dc69a290d4fd8bf69778d66c42f7b7b821bb",
         "provenance.jsonl": "215d4c4104bb792511ec6584abe5919f312b35e971caa204934ce60df4929af8",
+        "trace": "215d4c4104bb792511ec6584abe5919f312b35e971caa204934ce60df4929af8",
         "report.json": "295322b99fe3b884c24d9d20cf943b98eb3f4415cd8e40bcf0080229d1ee556a",
         "built frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
         "reloaded frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
@@ -276,6 +305,7 @@ DEEP_DIGESTS = {
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "bb6c1a1a32160ee8154243378df801a5f2d8fc14d9ce1f4a0763eeb5ebd8bf80",
         "provenance.jsonl": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
+        "trace": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
         "report.json": "a8fad5cf15aa061660837362e6acec988287c500b15ec2dc2497001c49fb13f6",
         "built frames": "9a356e37ad6d2fafab3618051604925e2a89196176fe7cde460071f018565d74",
         "reloaded frames": "9a356e37ad6d2fafab3618051604925e2a89196176fe7cde460071f018565d74",
@@ -300,10 +330,10 @@ def deep_bundle(request, deep_bundles):
     return (preset, depth, *deep_bundles(preset, depth))
 
 
-def test_deep_bundle_bytes_match_recorded_digests(deep_bundle):
+def test_deep_bundle_bytes_match_recorded_digests(tmp_path, deep_bundle):
     preset, depth, _bundle, out = deep_bundle
-    files = {k: v for k, v in DEEP_DIGESTS[(preset, depth)].items() if "." in k}
-    assert _digests(out, files) == files
+    want = {k: v for k, v in DEEP_DIGESTS[(preset, depth)].items() if "frames" not in k}
+    assert _bundle_digests(out, want, tmp_path) == want
 
 
 def test_deep_built_frames_match_recorded_digest(deep_bundle):
