@@ -9,7 +9,7 @@ strings):
     levels.jsonl       per network per level: default delay + exceptions
     edges.jsonl        drawn edges, grouped by network in draw order
     aggregates.jsonl   per network per level: total mass, inflow, kept share
-    provenance.jsonl   one record per step: case, w, edges, discards, tables
+    provenance.jsonl   one record per step: task, case, w, discards, note
     report.json        run summary (counts and final kept shares)
 
 Exit codes are a stable contract: 0 success, 1 check failure, 2 bad
@@ -23,8 +23,7 @@ is not a JSON object, a rational that is not "numerator/denominator"
 or has a zero denominator, a row for a network or level the bundle
 lacks, an int field that is not an int, provenance that is not one
 row per step with an int w in 1..l(source)+1 on every edge's step, and a
-provenance row whose copies of its level's tables or of the edges drawn
-at its step describe anything other than what levels.jsonl and
+provenance row that carries tables or edges, which only levels.jsonl and
 edges.jsonl store. A cap (an enumeration limit, or a depth beyond what
 the dense oracle replays) says only that the work was cut off, not that
 the construction is impossible, so it gets its own code.
@@ -207,7 +206,8 @@ def _edge_row(rec: dict) -> str:
 def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
     """Write the bundle's six files into outdir. Levels, aggregates and
     edges rows are formatted from their fields, each equal to `_canon` of
-    its record; provenance rows go out as the run holds them."""
+    its record; provenance rows go out as the run holds them. Each table
+    and each edge is written once, in levels.jsonl and edges.jsonl."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_text(outdir / "config.json", _pretty(bundle.config.to_payload()))
@@ -278,79 +278,6 @@ def _edge_from_record(
     )
 
 
-def _copy_agrees(copy, read: Callable, want) -> bool:
-    """Whether read(copy), the record of a provenance copy, is want. A copy
-    that does not read describes nothing the bundle stores."""
-    try:
-        return read(copy) == want
-    except (
-        BundleError,
-        ConstructionError,
-        KeyError,
-        ValueError,
-        TypeError,
-        IndexError,
-    ):
-        return False
-
-
-def _check_provenance_copies(
-    prov_rows: list[dict],
-    nets: list[ElementaryNetwork],
-    tables: dict[tuple[int, int], DelayTable],
-    level_rows_at: dict[tuple[int, int], dict],
-    edges: list[ExtraEdge],
-    edge_rows: list[dict],
-    rat: Callable[[str], Fraction],
-) -> None:
-    """Each provenance row repeats the tables of its level, one per network,
-    and the edges drawn at its step; a copy that describes anything else
-    is a BundleError naming the row. A copy equal to the stored row, which
-    `read_bundle` holds without its network, agrees at once; any other is
-    compared as a record. Export writes the stored rows from their records
-    and provenance as read, so an accepted bundle's export reads back. The
-    step's edges are taken by network, in stored order within one network,
-    as export writes them."""
-    drawn: dict[int, list[int]] = {}
-    for j, e in enumerate(edges):
-        drawn.setdefault(e.step_drawn, []).append(j)
-    names = [(str(net.network_id), net.network_id) for net in nets]
-    name_set = {name for name, _ in names}
-    for k, row in enumerate(prov_rows, 1):
-        copies = row.get("tables")
-        if type(copies) is not dict or copies.keys() != name_set:
-            raise BundleError(
-                f"provenance.jsonl row {k}: tables does not hold one copy for "
-                f"each of networks 1..{len(nets)} and no other"
-            )
-        for name, net_id in names:
-            copy = copies[name]
-            if copy == level_rows_at[net_id, k]:
-                continue
-            if not _copy_agrees(
-                copy,
-                lambda c: _table_from_record(c, rat).to_record(),
-                tables[net_id, k].to_record(),
-            ):
-                raise BundleError(
-                    f"provenance.jsonl row {k}: tables copy of network {net_id} "
-                    f"differs from its level-{k} record in levels.jsonl"
-                )
-        at = drawn.get(k, [])
-        if len(at) > 1:
-            at = sorted(at, key=lambda j: edges[j].network_id)
-        copy = row.get("edges")
-        if copy != [edge_rows[j] for j in at] and not _copy_agrees(
-            copy,
-            lambda c: [_edge_from_record(r, rat, "").to_record() for r in c],
-            [edges[j].to_record() for j in at],
-        ):
-            raise BundleError(
-                f"provenance.jsonl row {k}: edges differ from the edges that "
-                f"edges.jsonl stores as drawn at step {k}"
-            )
-
-
 def read_bundle(path: Path) -> ConstructionBundle:
     """Rebuild a run from its files.
 
@@ -370,13 +297,12 @@ def read_bundle(path: Path) -> ConstructionBundle:
     Every levels and aggregates row must name a network and level of the
     bundle, and every int field must be an int; provenance holds one row
     per step, in order, and the row of each edge's step gives the edge's
-    class width w, which lies in 1..l(source)+1; each edge was drawn at
-    the step of its target's level, for that step's task; and each
-    provenance row's copies of its tables and edges describe the stored
-    ones (`_check_provenance_copies`, run last). Anything else is a
-    BundleError naming the row or edge at fault, so no row is dropped
-    without a word. A row is named by its file and its place among the
-    file's rows, blank lines not counted."""
+    class width w, which lies in 1..l(source)+1; no provenance row
+    carries tables or edges, which levels.jsonl and edges.jsonl store; and
+    each edge was drawn at the step of its target's level, for that step's
+    task. Anything else is a BundleError naming the row or edge at fault,
+    so no row is dropped without a word. A row is named by its file and
+    its place among the file's rows, blank lines not counted."""
     path = Path(path)
     if not path.is_dir():
         raise BundleError(f"{path} is not a bundle directory")
@@ -413,15 +339,11 @@ def read_bundle(path: Path) -> ConstructionBundle:
     rat = functools.cache(rat_parse)
     try:
         tables: dict[tuple[int, int], DelayTable] = {}
-        level_rows_at: dict[tuple[int, int], dict] = {}
         for k, rec in enumerate(level_rows, 1):
             key = place(rec, "levels.jsonl", k)
             if key in tables:
                 raise BundleError(f"duplicate level record {key}")
             tables[key] = _table_from_record(rec, rat)
-            # A provenance copy of the row is the row without its network.
-            del rec["network"]
-            level_rows_at[key] = rec
         edges: list[ExtraEdge] = []  # in row order
         edges_by_net: dict[int, list[ExtraEdge]] = {}
         for k, rec in enumerate(edge_rows, 1):
@@ -492,6 +414,12 @@ def read_bundle(path: Path) -> ConstructionBundle:
         if _int_field(row, "step", where) != k:
             raise BundleError(f"{where}: step {row['step']} is not {k}")
         _int_field(row, "w", where, null=True)
+        for key in ("tables", "edges"):
+            if key in row:
+                raise BundleError(
+                    f"{where} carries {key}, which only levels.jsonl and "
+                    "edges.jsonl store"
+                )
         recs = row.get("discards", [])
         if not isinstance(recs, list):
             raise BundleError(f"{where}: discards {recs!r} is not a list")
@@ -548,10 +476,6 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 f"task {e.task}, but lands on level {step}, which is task "
                 f"{task}'s step"
             )
-
-    _check_provenance_copies(
-        prov_rows, nets, tables, level_rows_at, edges, edge_rows, rat
-    )
     return ConstructionBundle(
         config=config,
         networks=nets,
@@ -643,15 +567,27 @@ def cmd_export(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    """Print the provenance rows the filters keep, each joined with its
+    level's tables, one per network, and the edges drawn at its step,
+    grouped by network in stored order."""
+    bundle = read_bundle(args.bundle)
+    drawn: dict[int, list[dict]] = {}
+    for net in bundle.networks:
+        for e in net.edges:
+            drawn.setdefault(e.step_drawn, []).append(e.to_record())
     kept = []
-    for row in read_bundle(args.bundle).provenance:
+    for step, row in enumerate(bundle.provenance, 1):
         if args.task is not None and row.get("task") != args.task:
             continue
         if args.subtask is not None and row.get("subtask") != args.subtask:
             continue
-        if args.level is not None and row.get("step") != args.level:
+        if args.level is not None and step != args.level:
             continue
-        kept.append(row)
+        tables = {
+            str(net.network_id): net.tables[step].to_record()
+            for net in bundle.networks
+        }
+        kept.append({**row, "tables": tables, "edges": drawn.get(step, [])})
     _emit("".join(_canon(r) + "\n" for r in kept), args.out)
     return 0
 

@@ -16,6 +16,7 @@ together, so frames, aggregates, and the edge history stay in lockstep.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -328,6 +329,17 @@ class TargetMassPredicate(EdgePredicate):
                 return False
         return True
 
+    @functools.cached_property
+    def _image_mass(self) -> Optional[Rational]:
+        """For a length-determined operator, the target's mass in the region
+        of the one image that every member and target of the step has, or
+        None when that image pins more than the level. The step writes no
+        level of the target, so one evaluation serves the whole step."""
+        n = self.ctx.n
+        img = apply_modified(self.operator, BitString(n, 0))
+        pat = family_pattern(img, self.w, n)
+        return None if pat is None else self.target.pattern_mass(n, pat)
+
     def _ruled_out(self, worst: Cube, e: int) -> bool:
         """True when no source whose worst class member lies in `worst` can
         have a target, because even the loosest of their member bounds,
@@ -335,12 +347,8 @@ class TargetMassPredicate(EdgePredicate):
         keep deep sources from being enumerated or searched at all."""
         n = self.ctx.n
         if self.operator.length_determined():
-            # Same image for every member and every target.
-            img = apply_modified(self.operator, BitString(n, 0))
-            pat = family_pattern(img, self.w, n)
-            return pat is not None and exceeds_dyadic(
-                self.target.pattern_mass(n, pat), e
-            )
+            mass = self._image_mass
+            return mass is not None and exceeds_dyadic(mass, e)
         if self.operator.prefix_image_only():
             # The image is a prefix of the target, so the pattern region
             # always contains the target itself; the value pushed anywhere
@@ -528,7 +536,7 @@ def _discard_record(d: DiscardRecord) -> dict:
     }
 
 
-def _prov(out: StepOutcome, tables: dict[int, DelayTable]) -> dict:
+def _prov(out: StepOutcome) -> dict:
     return {
         "step": out.step,
         "task": out.task,
@@ -537,9 +545,7 @@ def _prov(out: StepOutcome, tables: dict[int, DelayTable]) -> dict:
         "case": out.case_taken,
         "w": out.w,
         "wk": out.wk,
-        "edges": [e.to_record() for e in out.edges],
         "discards": [_discard_record(d) for d in out.discards],
-        "tables": {str(net_id): t.to_record() for net_id, t in sorted(tables.items())},
         "note": out.note,
     }
 
@@ -677,7 +683,7 @@ def build(config: RunConfig) -> ConstructionBundle:
         for e in out.edges:
             state.record_edge(e.task, e.subtask, len(e.target))
         discards.extend(out.discards)
-        provenance.append(_prov(out, tables))
+        provenance.append(_prov(out))
     return ConstructionBundle(
         config=config,
         networks=nets,

@@ -380,7 +380,6 @@ class DelayTable:
         self.suffix: Items = []
         self.subtree: dict[BitString, Fraction] = {}
         self._partition: Optional[Items] = None
-        self._record: Optional[dict] = None
 
     def set_vertex(self, x: BitString, v: Fraction) -> None:
         v = _check_delay_value(v)
@@ -390,7 +389,7 @@ class DelayTable:
         if old is not None and old != v:
             raise ConstructionError(f"conflicting vertex delays at {x}: {old} vs {v}")
         self.vertex[x] = v
-        self._partition = self._record = None
+        self._partition = None
 
     def add_suffix(self, entries: Items) -> None:
         """Add pairwise disjoint (cube, delay) entries. Each keeps only what
@@ -410,7 +409,7 @@ class DelayTable:
             holes.setdefault(i, []).append(have)
         for i, (cube, v) in enumerate(entries):
             self.suffix += [(p, v) for p in subtract_many(cube, holes.get(i, []))]
-        self._partition = self._record = None
+        self._partition = None
 
     def add_subtree(self, root: BitString, v: Fraction) -> None:
         v = _check_delay_value(v)
@@ -428,7 +427,7 @@ class DelayTable:
                     f"nested subtree delay roots {have} and {root}"
                 )
         self.subtree[root] = v
-        self._partition = self._record = None
+        self._partition = None
 
     def delay(self, x: BitString) -> Fraction:
         if len(x) != self.level:
@@ -456,12 +455,8 @@ class DelayTable:
         return parts
 
     def to_record(self) -> dict:
-        """The table as its bundle record. The dict is cached until the
-        next write, which drops it for a new one and never edits it, so a
-        record handed out earlier keeps the table as it was."""
-        if self._record is not None:
-            return self._record
-        self._record = {
+        """The table as its bundle record, a new dict on each call."""
+        return {
             "level": self.level,
             "default": rat_str(self.default),
             "vertex": [[str(x), rat_str(v)] for x, v in sorted(self.vertex.items())],
@@ -470,7 +465,6 @@ class DelayTable:
                 [str(r), rat_str(v)] for r, v in sorted(self.subtree.items())
             ],
         }
-        return self._record
 
 
 @dataclass(frozen=True)

@@ -293,9 +293,8 @@ def _build(tmp_path, preset, depth, *extra):
 
 def _edit_rows(path, edit):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    result = edit(rows)
+    edit(rows)
     path.write_text("".join(_canon(r) + "\n" for r in rows))
-    return result
 
 
 def _set_in_last_row(name, key, value):
@@ -370,16 +369,16 @@ FAMILY = ("family", 8, "--networks", "3")  # draws one discard at depth 8
 OUTSIDE = "is outside the bundle's networks 1..1 and levels 0..8"
 
 ZERO = "zero denominator in rational '1/0'"
-# nonstochastic-8's first edge
-EDGE_ROW = {
-    "from": "0",
-    "network": 1,
-    "q": "1/16",
-    "step": 4,
-    "subtask": None,
-    "task": 1,
-    "to": "0000",
-}
+# nonstochastic-8's provenance row 4 as bundles wrote it when each row
+# repeated its level's tables and the edges drawn at its step.
+OLD_ROW_4 = json.loads(
+    '{"case":2,"discards":[],"edges":[{"from":"0","network":1,"q":"1/16",'
+    '"step":4,"subtask":null,"task":1,"to":"0000"},{"from":"1","network":1,'
+    '"q":"1/16","step":4,"subtask":null,"task":1,"to":"1000"}],"network":1,'
+    '"note":"","step":4,"subtask":null,"tables":{"1":{"default":"0/1",'
+    '"level":4,"subtree":[["0","1/15"],["1","1/15"]],"suffix":[],'
+    '"vertex":[["0000","0/1"],["1000","0/1"]]}},"task":1,"w":1,"wk":null}'
+)
 
 # case -> (bundle, corruption, the words the error names)
 FAULTS = {
@@ -528,39 +527,19 @@ FAULTS = {
         "edges.jsonl row 2: edge 1 -> 1000 of network 1 is stored as drawn at "
         "step 4 for task 6, but lands on level 4, which is task 1's step",
     ),
-    # Provenance copies that describe what the bundle does not store.
-    "a provenance edge copy that is not the stored edge": (
+    # Each table and edge is stored once, so a row that still carries a
+    # copy, as rows did before, is refused.
+    "a provenance table copy": (
         NONSTOCHASTIC,
-        _in_row(4, lambda row: row["edges"][0].update({"to": "0111", "q": "1/2"})),
-        "provenance.jsonl row 4: edges differ from the edges that edges.jsonl "
-        "stores as drawn at step 4",
+        _in_row(4, lambda row: row.update(tables=OLD_ROW_4["tables"])),
+        "provenance.jsonl row 4 carries tables, which only levels.jsonl and "
+        "edges.jsonl store",
     ),
-    "a provenance edge copy missing": (
+    "a provenance edge copy": (
         NONSTOCHASTIC,
-        _in_row(4, lambda row: row["edges"].pop()),
-        "provenance.jsonl row 4: edges differ",
-    ),
-    "a provenance edge copy for a step that drew none": (
-        NONSTOCHASTIC,
-        _in_row(3, lambda row: row["edges"].append(dict(EDGE_ROW, step=3))),
-        "provenance.jsonl row 3: edges differ",
-    ),
-    "a provenance table copy with another default": (
-        NONSTOCHASTIC,
-        _in_row(4, lambda row: row["tables"]["1"].update(default="1/3")),
-        "provenance.jsonl row 4: tables copy of network 1 differs from its "
-        "level-4 record in levels.jsonl",
-    ),
-    "a provenance table copy that is no table": (
-        NONSTOCHASTIC,
-        _in_row(4, lambda row: row["tables"]["1"].pop("suffix")),
-        "provenance.jsonl row 4: tables copy of network 1 differs",
-    ),
-    "a provenance row without one network's table copy": (
-        FAMILY,
-        _in_row(2, lambda row: row["tables"].pop("3")),
-        "provenance.jsonl row 2: tables does not hold one copy for each of "
-        "networks 1..3 and no other",
+        _in_row(4, lambda row: row.update(edges=OLD_ROW_4["edges"])),
+        "provenance.jsonl row 4 carries edges, which only levels.jsonl and "
+        "edges.jsonl store",
     ),
 }
 
@@ -638,22 +617,15 @@ def test_a_level_with_one_kind_of_exception_round_trips(tmp_path, drop):
     def edit(rows):
         [rec] = [r for r in rows if r["vertex"] and r["subtree"]]
         rec[drop] = []
-        return rec["level"]
 
-    level = _edit_rows(out / "levels.jsonl", edit)
-
-    def edit_copy(rows):
-        rows[level - 1]["tables"]["1"][drop] = []
-
-    # Provenance repeats the level's table, and must agree with it.
-    _edit_rows(out / "provenance.jsonl", edit_copy)
+    _edit_rows(out / "levels.jsonl", edit)
     copy = tmp_path / "copy"
     assert main(["export", str(out), "--out", str(copy)]) == 0
     for f in out.iterdir():
         assert (copy / f.name).read_bytes() == f.read_bytes(), f.name
 
 
-# --- provenance copies ---------------------------------------------------
+# --- rationals spelled otherwise ----------------------------------------
 
 
 def _unreduced(rat):
@@ -661,10 +633,9 @@ def _unreduced(rat):
     return f"{2 * int(num)}/{2 * int(den)}"
 
 
-def test_a_copy_spelled_otherwise_is_read_and_its_export_reads_back(tmp_path):
-    # Export writes the stored rows from their records and provenance as
-    # read, so a copy is compared as a record: it may spell its rationals
-    # otherwise than the stored row, and what export writes still reads.
+def test_a_level_rational_spelled_otherwise_is_read_and_exported_reduced(tmp_path):
+    # A levels row may spell its rationals otherwise than the writer does;
+    # export writes the rows from their records, and what it writes reads.
     out = _build(tmp_path, *NONSTOCHASTIC)
     built = (out / "levels.jsonl").read_text()
 
@@ -672,13 +643,7 @@ def test_a_copy_spelled_otherwise_is_read_and_its_export_reads_back(tmp_path):
         rows[4]["default"] = _unreduced(rows[4]["default"])
         rows[4]["subtree"][0][1] = _unreduced(rows[4]["subtree"][0][1])
 
-    def edit_copies(rows):
-        table, edge = rows[3]["tables"]["1"], rows[3]["edges"][0]
-        table["default"] = _unreduced(table["default"])
-        edge["q"] = _unreduced(edge["q"])
-
     _edit_rows(out / "levels.jsonl", edit_level)
-    _edit_rows(out / "provenance.jsonl", edit_copies)
     copy, again = tmp_path / "copy", tmp_path / "again"
     assert main(["export", str(out), "--out", str(copy)]) == 0
     assert (copy / "levels.jsonl").read_text() == built

@@ -8,6 +8,7 @@ from treeflow.constructions import (
     ConfigError,
     ImageMassPredicate,
     LengthPredicate,
+    PRESETS,
     RunConfig,
     SparsityPredicate,
     TargetMassPredicate,
@@ -158,6 +159,15 @@ def test_family_records_discards_in_provenance():
     assert len(step7["discards"]) == 1
     assert step7["discards"][0]["network"] == 2
     assert step7["discards"][0]["bound"] == "1/16"
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_a_provenance_row_holds_its_step_and_case_only(preset):
+    # Tables and edges are stored once, in their own files; a provenance
+    # row says which case of the template its step took.
+    b = build(RunConfig(preset=preset, depth=12))
+    keys = {"step", "task", "subtask", "network", "case", "w", "wk", "discards", "note"}
+    assert [set(row) for row in b.provenance] == [keys] * 12
 
 
 def test_family_wrap_collision_goes_inert():

@@ -8,7 +8,11 @@ If a change is meant to alter bundles, record the new digests together
 with the reason.
 
 The output of `treeflow trace` with no filter is pinned beside the
-files, under "trace".
+files, under "trace". Provenance rows once repeated their level's tables
+and the edges drawn at their step; the provenance digests were recorded
+anew when the copies were dropped, and `trace`, which joins them back
+from levels.jsonl and edges.jsonl, still prints the bytes that
+provenance.jsonl held before, so each "trace" digest is that old one.
 
 The verify reports are pinned the same way, as one digest per run over
 every report's payload without its runtime, and so are the deep
@@ -34,7 +38,7 @@ DIGESTS = {
         "levels.jsonl": "9d35b23fc14853abf88d838bedc913842ff3ce883b058236ee3a3b77f97ec8a2",
         "edges.jsonl": "ca7fbb13acd62591f034e7eb9be9cffb26889f7af893f9160531d4e1313a8a10",
         "aggregates.jsonl": "bcf816bc2c6ace9916fc0b4b2e101a8d8b527dcf9697f25551bdd1707b21c069",
-        "provenance.jsonl": "cab7249f64b1300b3184f1fa76d208fc7fb165a408438a463a40fca2a239fd47",
+        "provenance.jsonl": "aa3a4daf3609208418d89ca6fe15e992adca4a888730cfa7bc7fdf8935085356",
         "trace": "cab7249f64b1300b3184f1fa76d208fc7fb165a408438a463a40fca2a239fd47",
         "report.json": "7416b31310bc20aad4022c94af64eccc2ea319e8fb23d14ed5d782050c52e4ba",
     },
@@ -43,7 +47,7 @@ DIGESTS = {
         "levels.jsonl": "e639c68096ddd510d2d4ad8ff24f14777d9054122eff648b1b0196cf5d79de68",
         "edges.jsonl": "2a656195364bc814941568584b04569c71482b9dfe830543c8a7f3ad5c032e50",
         "aggregates.jsonl": "87d5512006e13383f1e75defb987f23d2d8ec09a6812ad6797dc54cd440c30a4",
-        "provenance.jsonl": "e0d4b60fce492d40195fccaa79e25137addd4eded8a30beec7d6fe57017cfce1",
+        "provenance.jsonl": "dbf9bc927c4b3bf5d9720ae7549e51a956fa78e1e071c2bac2a62b80ca85bc38",
         "trace": "e0d4b60fce492d40195fccaa79e25137addd4eded8a30beec7d6fe57017cfce1",
         "report.json": "bf5918ebd413c58c3bc394516f656c3a6e42402adf66ec967cd500da337529f0",
     },
@@ -52,7 +56,7 @@ DIGESTS = {
         "levels.jsonl": "083e8d1b3bc43ea303a3c8eac79bb2ddc29f4a23dead40fad6d6f782082a6176",
         "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aggregates.jsonl": "f15b4b5fd2bf8adb83767932c4cbe8e299370ae1655eb6329b596cb119103fbd",
-        "provenance.jsonl": "a8db1c1e3e18703f2053e6d565cf23e5366bb8d1614b37640023fa249b0306ad",
+        "provenance.jsonl": "cc3035b736c53707d3313ec59924a4aaa1417bdc64487dc13ae0cfd1f3aae13e",
         "trace": "a8db1c1e3e18703f2053e6d565cf23e5366bb8d1614b37640023fa249b0306ad",
         "report.json": "0031ca841fc92f3fb973a546aaeea0c2ab42fbe01b75a7bb34343e8cf86d1115",
     },
@@ -61,7 +65,7 @@ DIGESTS = {
         "levels.jsonl": "c157c4b353f4232c60b6ba7dd816f30b83e1a91b112125e8d0e8dad0998ca695",
         "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aggregates.jsonl": "74a1b7767f5bfd9570766769a5f5ba93293357b1bc810660213ce5491b702c01",
-        "provenance.jsonl": "50d4b5c4f2570a02cff0423d4946f184a001d0c5f1ae3a14868cb82002c97d7c",
+        "provenance.jsonl": "baf47aa82e08e1f927ef4744bf365aef5f56d24c117199f202e7c3f97905c15b",
         "trace": "50d4b5c4f2570a02cff0423d4946f184a001d0c5f1ae3a14868cb82002c97d7c",
         "report.json": "e55b395aaedc11db014ee41927757bb1beecfde83d2ad9d8ce6efb83b7b6ec61",
     },
@@ -70,7 +74,7 @@ DIGESTS = {
         "levels.jsonl": "d38e7e8f6f7c1ce3127c9f101b672909c7d04f8b51c9a7a8cf4754455aa5d9c7",
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "7051684c5e95f59fdd49a8070362d1115f00b8762853ad42e16308be83a5e74b",
-        "provenance.jsonl": "d0efc57e58f97a8dd6da81d0d23fb99a876c73f07cf400305bc120882115fb3a",
+        "provenance.jsonl": "857ecf84ef501200e7522fe584aba42aa23badda0304da50ca1604f847ddaf18",
         "trace": "d0efc57e58f97a8dd6da81d0d23fb99a876c73f07cf400305bc120882115fb3a",
         "report.json": "f18cd7e2801dfc3cf6ddb3c5e2bbdc13d7f82ef1c9b493fcbbcfc53396528afe",
     },
@@ -79,7 +83,7 @@ DIGESTS = {
         "levels.jsonl": "f5bec282b4e1d4fb67c08e1c3df41ce28c88564819aae239749c748e6f80767b",
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "0f31cb3d6db3ce1450fdca92f16322f54ccda6e81de591faaf2bdd62c5039004",
-        "provenance.jsonl": "087291b659dc45d4b1b1dc58bfcdc68b5ca2d4265423ba5b2b6993758a5a21d0",
+        "provenance.jsonl": "07392fef9002fe82ebf4f6969ecce9c65b81ad935e742d36d4b438ec9b42dea1",
         "trace": "087291b659dc45d4b1b1dc58bfcdc68b5ca2d4265423ba5b2b6993758a5a21d0",
         "report.json": "a3013e5d7ba5484a95b488d745829625f3f96ba86e4004c35e6f6e9b5d160e9e",
     },
@@ -88,7 +92,7 @@ DIGESTS = {
         "levels.jsonl": "a979a082de1479bad469a7681d0f49b03c3ef7f595b80d4e96fda16e13c2030b",
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "6addb2c544910f3d8810a2ae58acf8713884954de65f48ee77346eed4f732d81",
-        "provenance.jsonl": "1d4c51fd8171c799e7ecdcab58c9749cee50dd09d11c46b1faaf068f3005f45d",
+        "provenance.jsonl": "a3173f06a63e54eac51b6eba55ac5cf1778beb8a5ef1fa4c59257dc9237c1e8e",
         "trace": "1d4c51fd8171c799e7ecdcab58c9749cee50dd09d11c46b1faaf068f3005f45d",
         "report.json": "5574c65c33df724a57520a133da035f50f73fb441834f47a4655149b401c11fc",
     },
@@ -97,7 +101,7 @@ DIGESTS = {
         "levels.jsonl": "54fb58e1f7a0c453e0b1fef13e0ffe9e7fc494644c1dcf6ad22e0ea17b337739",
         "edges.jsonl": "83f9fec9aea9454e342cad249daaae6e9425882857d3b42e1cdda5d3929a4904",
         "aggregates.jsonl": "61424e78f4da4c2ffa78efdd86b94252dd44dee4daaa2c4727c7f79f5a65e734",
-        "provenance.jsonl": "880a41ddc0ccd08b19313ef77f0a3b3348663da04da08a07b12865dcf9e6ff1c",
+        "provenance.jsonl": "bfb376e43b16269a926894a15e6344468d6dfcde020377a6f027e00d57c71c0e",
         "trace": "880a41ddc0ccd08b19313ef77f0a3b3348663da04da08a07b12865dcf9e6ff1c",
         "report.json": "574aa414125a38331892e6296efae40bf0d4ea6fe7cc8d3f78cf7390659b354e",
     },
@@ -106,7 +110,7 @@ DIGESTS = {
         "levels.jsonl": "578bd13f804c5496742ff1042053830f0c864e5d4b1860787ce21a27b0b316c5",
         "edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aggregates.jsonl": "3c578ace9493af7d1a75f77e41b7490cb6f4db29b26471da47653f7c3ebdf3d8",
-        "provenance.jsonl": "fc800d7ef346e824debd00e6605ee15b233cbc116de8378f811f67bbf1dc050c",
+        "provenance.jsonl": "ead9cdd175dd1f8e8cc39041aa310458171b24e46ad0d402ff0b30103995144e",
         "trace": "fc800d7ef346e824debd00e6605ee15b233cbc116de8378f811f67bbf1dc050c",
         "report.json": "e2fb4cf5441c48fd26e22f29ae49e7f406bdad9571da8c0be4ee34b653b4ba21",
     },
@@ -115,7 +119,7 @@ DIGESTS = {
         "levels.jsonl": "25b2195a92318b0abbcb773b2b29ce472f2c306e921bad7986aace403ca7e5f7",
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "4b75cbd38d2fc5eb714c0bb148016931bd1c9474a4690d7e5644a46e076c1e75",
-        "provenance.jsonl": "db6f4a49d553fab256dd4985f2af3ae4afe77f1efc7b53e2f61909ac7e35c4dd",
+        "provenance.jsonl": "d6f45c0d0b02d539ecc83ce2fa71da1cb6833b03d171d656e50d3d5fd88a97b1",
         "trace": "db6f4a49d553fab256dd4985f2af3ae4afe77f1efc7b53e2f61909ac7e35c4dd",
         "report.json": "579078dae612cb0aa670e3864191ff6a74203fc8a6f14fb85d7e9d08976f3e77",
     },
@@ -124,7 +128,7 @@ DIGESTS = {
         "levels.jsonl": "319d0f40117cd6f47c92ac6d979e65a09c5cbf1ed9c5bf0086f93c5e104fab53",
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "25f63f8a7a707b5c9e2b04013bcfd51706060f3523b081834227326f3a11af89",
-        "provenance.jsonl": "619a25055ec2d46c271f5de0e515476721ccebd2eedee0169ab2aa350a853315",
+        "provenance.jsonl": "43e0389392d903a4cfc6b4caf3da79090c8d072338a910022e929d7604937452",
         "trace": "619a25055ec2d46c271f5de0e515476721ccebd2eedee0169ab2aa350a853315",
         "report.json": "b5cf178354d0815c4b8cc8f243a169629ceea5a4567befe39aeec690bd441214",
     },
@@ -133,7 +137,7 @@ DIGESTS = {
         "levels.jsonl": "f4bab5523e66414400886230d0838a0bed583f2bc4c8ed857ca4a1d2c918d00d",
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "bb6c1a1a32160ee8154243378df801a5f2d8fc14d9ce1f4a0763eeb5ebd8bf80",
-        "provenance.jsonl": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
+        "provenance.jsonl": "fe5750c0bebdc03202634902561c37501446e7dffaba1e61eda6a01ba96ff207",
         "trace": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
         "report.json": "a8fad5cf15aa061660837362e6acec988287c500b15ec2dc2497001c49fb13f6",
     },
@@ -160,7 +164,7 @@ FLIP_DIGESTS = {
         "levels.jsonl": "e75a9a0386130b4ca156df887fd3edc6db02ee19183979d222f5e22335c90a11",
         "edges.jsonl": "40e94aea7440faf61bd30adeb7cc60cda5049909ba86e760953d23988db4c851",
         "aggregates.jsonl": "a06c0c19d07764aa9787b65c44d15c7e25793ebb937da250ba4717d73680f9e9",
-        "provenance.jsonl": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
+        "provenance.jsonl": "2dc5211fcb4570187b7d50e43259528fc2fdc6b7367be60127cb393d72cc66b3",
         "trace": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
         "report.json": "8a324e73b5e47246c60dc2a6dbcbeecf3a47ff14f6697030d859160f103cba0c",
     },
@@ -169,7 +173,7 @@ FLIP_DIGESTS = {
         "levels.jsonl": "e75a9a0386130b4ca156df887fd3edc6db02ee19183979d222f5e22335c90a11",
         "edges.jsonl": "40e94aea7440faf61bd30adeb7cc60cda5049909ba86e760953d23988db4c851",
         "aggregates.jsonl": "a06c0c19d07764aa9787b65c44d15c7e25793ebb937da250ba4717d73680f9e9",
-        "provenance.jsonl": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
+        "provenance.jsonl": "2dc5211fcb4570187b7d50e43259528fc2fdc6b7367be60127cb393d72cc66b3",
         "trace": "4ebdd664d9fe1d45560ba76d82b373a11776b78a89f2c7693631606db79968a2",
         "report.json": "8a324e73b5e47246c60dc2a6dbcbeecf3a47ff14f6697030d859160f103cba0c",
     },
@@ -282,7 +286,7 @@ DEEP_DIGESTS = {
         "levels.jsonl": "8f6180d8584c1eef33a41562181bbd5679748691c41dccbb25149f9e87386562",
         "edges.jsonl": "ce460dd3eed875c213642e69fe087eabe08d017c8d4e7a291d8c965e3c029a05",
         "aggregates.jsonl": "4754433848e62e940160f031d88e94ccf938e7ca1748ef80c2534a694f04d5fe",
-        "provenance.jsonl": "65bd2559f766b310b46ac2d333cdfcd93412362e9f3063f3b4ac9ca624ddaaa6",
+        "provenance.jsonl": "46cb0db062b0789dfd16fc68a1a2edac7e4113f06e10ee04d8a4c90c158dd53d",
         "trace": "65bd2559f766b310b46ac2d333cdfcd93412362e9f3063f3b4ac9ca624ddaaa6",
         "report.json": "6efd888ef48bc6a2b72e24cd8dd672e3acd0f016a703eeea69a0082ece28a908",
         "built frames": "1d22179cfd9dc8b235f2dde760edee098401ab046a5afa28aa2ec9be8fd2e11e",
@@ -293,7 +297,7 @@ DEEP_DIGESTS = {
         "levels.jsonl": "54e5e7283f5aabcc568ee192153cc1e542c62dc4012b90e0f5f9b1e63025578f",
         "edges.jsonl": "ce460dd3eed875c213642e69fe087eabe08d017c8d4e7a291d8c965e3c029a05",
         "aggregates.jsonl": "dfe66ce9f24b675d28a877f9bbf9dc69a290d4fd8bf69778d66c42f7b7b821bb",
-        "provenance.jsonl": "215d4c4104bb792511ec6584abe5919f312b35e971caa204934ce60df4929af8",
+        "provenance.jsonl": "186c5bc5e7e35c7cfc244e0874d467e94f1e5265eb2d36ce0a70f900399bc2d5",
         "trace": "215d4c4104bb792511ec6584abe5919f312b35e971caa204934ce60df4929af8",
         "report.json": "295322b99fe3b884c24d9d20cf943b98eb3f4415cd8e40bcf0080229d1ee556a",
         "built frames": "f5f84f45f214ee3255c416bcc1189bd4115876dc8c5fabe1b3971ec565bdb758",
@@ -304,7 +308,7 @@ DEEP_DIGESTS = {
         "levels.jsonl": "f4bab5523e66414400886230d0838a0bed583f2bc4c8ed857ca4a1d2c918d00d",
         "edges.jsonl": "4cca032516a78a354756cae59fe8825f4cac9d10998e4393ba21a95d6f92d134",
         "aggregates.jsonl": "bb6c1a1a32160ee8154243378df801a5f2d8fc14d9ce1f4a0763eeb5ebd8bf80",
-        "provenance.jsonl": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
+        "provenance.jsonl": "fe5750c0bebdc03202634902561c37501446e7dffaba1e61eda6a01ba96ff207",
         "trace": "6d560f3c19b1f74394a0a00ee49d030fc67c188a96533682fdb5023e91a45cb9",
         "report.json": "a8fad5cf15aa061660837362e6acec988287c500b15ec2dc2497001c49fb13f6",
         "built frames": "9a356e37ad6d2fafab3618051604925e2a89196176fe7cde460071f018565d74",
