@@ -184,13 +184,32 @@ def _level_row(net_id: int, rec: dict) -> str:
     )
 
 
-def _aggregates_row(net_id: int, n: int, agg: LevelAggregates) -> str:
-    """The aggregates.jsonl row of network net_id's level n."""
+def _aggregates_row(
+    net_id: int, n: int, agg: LevelAggregates, rat: Callable[[Fraction], str]
+) -> str:
+    """The aggregates.jsonl row of network net_id's level n, with each
+    rational formatted by rat, which must give `rat_str`'s text."""
     return (
-        f'{{"extra_inflow":"{rat_str(agg.extra_inflow)}","level":{n},'
-        f'"network":{net_id},"s_n":"{rat_str(agg.s_n)}",'
-        f'"total_R":"{rat_str(agg.total_R)}"}}'
+        f'{{"extra_inflow":"{rat(agg.extra_inflow)}","level":{n},'
+        f'"network":{net_id},"s_n":"{rat(agg.s_n)}",'
+        f'"total_R":"{rat(agg.total_R)}"}}'
     )
+
+
+def _rat_memo() -> Callable[[Fraction], str]:
+    """A `rat_str` that formats each value object once. It is keyed by
+    id(v), which costs no Fraction work, so it is sound only while every
+    value it has seen stays alive: the caller must hold them all for as
+    long as it uses the memo, as `write_bundle` holds the bundle."""
+    texts: dict[int, str] = {}
+
+    def rat(v: Fraction) -> str:
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = rat_str(v)
+        return text
+
+    return rat
 
 
 def _edge_row(rec: dict) -> str:
@@ -207,7 +226,13 @@ def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
     """Write the bundle's six files into outdir. Levels, aggregates and
     edges rows are formatted from their fields, each equal to `_canon` of
     its record; provenance rows go out as the run holds them. Each table
-    and each edge is written once, in levels.jsonl and edges.jsonl."""
+    and each edge is written once, in levels.jsonl and edges.jsonl.
+
+    The aggregates rows share one `_rat_memo`, so each distinct value
+    object is turned into decimal once per write: a run of clean levels
+    at s = 0 shares one total object, which is also each row's s_n, as
+    nothing flows in, and it is formatted once for the whole run. The
+    bundle holds every value for the length of the write."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_text(outdir / "config.json", _pretty(bundle.config.to_payload()))
@@ -220,8 +245,9 @@ def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
     _write_lines(outdir / "levels.jsonl", levels)
     edges = [_edge_row(e.to_record()) for net in nets for e in net.edges]
     _write_lines(outdir / "edges.jsonl", edges)
+    rat = _rat_memo()
     aggregates = [
-        _aggregates_row(net.network_id, n, agg)
+        _aggregates_row(net.network_id, n, agg, rat)
         for net in nets
         for n, agg in enumerate(net.aggregates)
     ]
@@ -292,7 +318,11 @@ def read_bundle(path: Path) -> ConstructionBundle:
     command that reads no frame (`export`, `mltest`) pushes none, and a
     broken ledger surfaces, as a ConstructionError, where a frame is
     first read. Stored aggregates are kept as the independent record the
-    checks compare against.
+    checks compare against. Each distinct rational string is parsed once
+    per read. A row's kept share is checked as a string first: with no
+    inflow, an s_n equal to the row's total_R string is exact, and the
+    row formats nothing; any other s_n is compared with the lowest-terms
+    form of total_R - extra_inflow.
 
     Every levels and aggregates row must name a network and level of the
     bundle, and every int field must be an int; provenance holds one row
@@ -354,10 +384,16 @@ def read_bundle(path: Path) -> ConstructionBundle:
         for k, rec in enumerate(agg_rows, 1):
             net_id, n = place(rec, "aggregates.jsonl", k)
             agg = LevelAggregates(rat(rec["total_R"]), rat(rec["extra_inflow"]))
-            # The stored share is read as a Fraction only when its string
-            # is not the share's lowest-terms form, as a writer gives it.
+            # With no inflow, a stored share equal to the stored total as a
+            # string is s_n = total_R exactly, and no value is formatted.
+            # Any other share is formatted, and read as a Fraction only when
+            # its string is not the share's lowest-terms form.
             stored = rec["s_n"]
-            if stored != rat_str(agg.s_n) and rat_parse(stored) != agg.s_n:
+            if (
+                (stored != rec["total_R"] or agg.extra_inflow)
+                and stored != rat_str(agg.s_n)
+                and rat_parse(stored) != agg.s_n
+            ):
                 raise BundleError(
                     f"aggregate record for network {net_id} level {n} "
                     "does not add up"

@@ -24,6 +24,9 @@ from typing import Iterator, Optional
 from treeflow.bitseq import BitString
 
 _PATTERN = re.compile(r"[01*]*")
+# The `str.translate` table of `Cube.pattern`: a position's octal digit
+# "3", "2" or "0" (by code point) -> its character "1", "0" or "*".
+_PATTERN_DIGITS = {0x33: "1", 0x32: "0", 0x30: "*"}
 
 
 class Cube:
@@ -58,11 +61,14 @@ class Cube:
         )
 
     def pattern(self) -> str:
-        # The leading 1 keeps format() from dropping leading zeros.
+        # Each mask's bits are spread one per octal digit, care doubled, so
+        # a position's digit is 3 pinned to 1, 2 pinned to 0, 0 free. The
+        # leading 1 of each mask keeps format() from dropping leading
+        # zeros, and its digit 3 is dropped.
         top = 1 << self.length
-        care = format(self.care | top, "b")[1:]
-        value = format(self.value | top, "b")[1:]
-        return "".join(v if c == "1" else "*" for c, v in zip(care, value))
+        care = int(format(self.care | top, "b"), 8)
+        value = int(format(self.value | top, "b"), 8)
+        return format(care << 1 | value, "o")[1:].translate(_PATTERN_DIGITS)
 
     def __repr__(self):
         return f"Cube({self.pattern()!r})"

@@ -25,9 +25,12 @@ when a frame is first read. Both go through one push path, so a frame
 and its conservation ledger come out the same either way. A push that
 needs no frame makes none: a clean level, one whose parent has a single
 delay part s and on which no edge lands, is pushed by its parent's total
-alone, total * (1 - s), and its frame is made when something reads it,
-from the nearest made level above, and checked against that total. Most
-levels of a build are clean, and most steps read no frame.
+alone, and its frame is made when something reads it, from the nearest
+made level above, and checked against that total. Most levels of a build
+are clean, and most clean levels have s = 0: such a level takes its
+parent's total object as its own, so it costs no Fraction work, and a
+run of them shares one total. Only s != 0 multiplies the total by
+(1 - s). Most steps read no frame.
 
 The same scale answers a step's questions about the pending level, the
 one being built: the mass in a cube (`pattern_mass`) and the least value
@@ -438,15 +441,17 @@ class DelayTable:
         """Disjoint (cube, s) cover of the whole level. Each tier, in
         rising precedence, rewrites the parts it meets: a part keeps its
         peel around each entry in turn, and the entry's piece takes the
-        entry's delay."""
+        entry's delay. A tier with no entries is passed over before its
+        list is built, so a table with no exceptions is the one part
+        (Cube(n), default), with no sort and no join."""
         if self._partition is not None:
             return self._partition
-        n = self.level
-        parts: Items = [(Cube.whole_level(n), self.default)]
+        n, subtree, vertex = self.level, self.subtree, self.vertex
+        parts: Items = [(Cube(n), self.default)]
         for tier in (
-            [(Cube.subtree(r, n), v) for r, v in sorted(self.subtree.items())],
+            subtree and [(Cube.subtree(r, n), v) for r, v in sorted(subtree.items())],
             self.suffix,
-            [(Cube.vertex(x), v) for x, v in sorted(self.vertex.items())],
+            vertex and [(Cube.vertex(x), v) for x, v in sorted(vertex.items())],
         ):
             if tier:
                 pairs = meets([c for c, _ in parts], [c for c, _ in tier])
@@ -700,11 +705,12 @@ class ElementaryNetwork:
         second read fails the same way.
 
         A clean level, one whose parent has a single delay part s and on
-        which no edge lands, is pushed by the parent's total alone: its
-        total is the parent's times (1 - s), and its frame is left to
-        `_make`, whose ledger checks the frame against that total. If a
-        step has read the level's pre-frame already, those items are kept.
-        Any other level is made here. The edges' q * R(source) are summed
+        which no edge lands, is pushed by the parent's total alone: at
+        s = 0 its total is the parent's total object itself, and otherwise
+        the parent's times (1 - s). Its frame is left to `_make`, whose
+        ledger checks the frame against that total. If a step has read
+        the level's pre-frame already, those items are kept. Any other
+        level is made here. The edges' q * R(source) are summed
         per target vertex, and that vertex map is coalesced, so a draw
         replicated over equal source values lands as one cube of its
         targets, one overlay each."""
@@ -714,7 +720,8 @@ class ElementaryNetwork:
         inflow = ZERO
         if clean and (self._pre is None or self._pre[0] != n):
             items = None
-            total = self._unmade[n] = self._total * (1 - parts[0][1])
+            s = parts[0][1]
+            total = self._unmade[n] = self._total * (1 - s) if s else self._total
         else:
             items, pushed = self._pushed(n)
             if edges:

@@ -187,11 +187,14 @@ def check_delay_form(bundle) -> CheckReport:
     for net in bundle.networks:
         for table in net.tables:
             entries = [("default", None, table.default)]
-            entries += [("vertex", str(x), v) for x, v in table.vertex.items()]
-            entries += [("suffix", c.pattern(), v) for c, v in table.suffix]
-            entries += [("subtree", str(r), v) for r, v in table.subtree.items()]
+            entries += [("vertex", x, v) for x, v in table.vertex.items()]
+            entries += [("suffix", c, v) for c, v in table.suffix]
+            entries += [("subtree", r, v) for r, v in table.subtree.items()]
             for kind, where, v in entries:
                 if bad(Fraction(v)):
+                    # Only the entry reported is formatted.
+                    if where is not None:
+                        where = where.pattern() if kind == "suffix" else str(where)
                     raise CheckFailed({
                         "network": net.network_id,
                         "level": table.level,

@@ -19,6 +19,7 @@ from treeflow.cli import (
     _level_row,
     _load_jsonl,
     _pretty,
+    _rat_memo,
     main,
     write_bundle,
 )
@@ -106,11 +107,19 @@ def test_a_level_row_is_the_encoded_record(table, net_id):
     st.just(Fraction(0)) | rationals,
     st.integers(1, 10**30),
     st.integers(0, 10**30),
+    st.booleans(),
 )
-def test_an_aggregates_row_is_the_encoded_record(total, inflow, net_id, n):
+def test_an_aggregates_row_is_the_encoded_record(total, inflow, net_id, n, memo):
+    # The writer's memoizing formatter, or rat_str. The second row is a
+    # quiet level below the first: it takes the first's total object as
+    # its own, with no inflow, so its s_n is that same object.
+    rat = _rat_memo() if memo else rat_str
     agg = LevelAggregates(total, inflow)
-    want = _canon(_reference_aggregates(net_id, n, agg))
-    assert _aggregates_row(net_id, n, agg) == want
+    quiet = LevelAggregates(agg.total_R, Fraction(0))
+    assert quiet.s_n is quiet.total_R is agg.total_R
+    for k, row in enumerate([agg, quiet]):
+        want = _canon(_reference_aggregates(net_id, n + k, row))
+        assert _aggregates_row(net_id, n + k, row, rat) == want
 
 
 @given(edges())
@@ -156,6 +165,9 @@ WRITTEN = {
         )
         for mode in ("exclude", "reject")
     },
+    # Long runs of quiet levels, whose aggregates rows share one total.
+    "nonstochastic-128": RunConfig(preset="nonstochastic", depth=128),
+    "family-128": RunConfig(preset="family", depth=128, networks=3),
 }
 
 

@@ -132,6 +132,29 @@ def test_pattern_round_trip(pat):
     assert hash(Cube.from_pattern(pat)) == hash(c)
 
 
+def ref_pattern(c):
+    """The pattern written one position at a time from the two masks."""
+    top = 1 << c.length
+    care = format(c.care | top, "b")[1:]
+    value = format(c.value | top, "b")[1:]
+    return "".join(v if k == "1" else "*" for k, v in zip(care, value))
+
+
+@st.composite
+def long_cubes(draw):
+    """Cubes of lengths up to 240, drawn as masks, as deep builds hold."""
+    n = draw(st.integers(0, 240))
+    care = draw(st.integers(0, (1 << n) - 1))
+    return Cube(n, care, draw(st.integers(0, (1 << n) - 1)) & care)
+
+
+@given(long_cubes())
+def test_pattern_matches_the_positionwise_reference(c):
+    pat = c.pattern()
+    assert pat == ref_pattern(c)
+    assert Cube.from_pattern(pat) == c
+
+
 @given(patterns)
 def test_count_matches_membership(pat):
     c = Cube.from_pattern(pat)

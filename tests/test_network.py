@@ -436,7 +436,7 @@ def test_kept_share_is_fixed_when_the_record_is_made():
     agg = LevelAggregates(F(7, 8), F(1, 8))
     assert agg.s_n == F(3, 4)
     assert LevelAggregates(F(7, 8), F(0)).s_n == F(7, 8)
-    assert _aggregates_row(2, 5, agg) == (
+    assert _aggregates_row(2, 5, agg, rat_str) == (
         '{"extra_inflow":"1/8","level":5,"network":2,"s_n":"3/4","total_R":"7/8"}'
     )
 

@@ -29,6 +29,7 @@ from treeflow.verify import (
     _stream_task,
     _unhalved,
     check_conservation,
+    check_delay_form,
     check_discards,
     check_extension_shadow,
     check_ratio_identity,
@@ -317,6 +318,35 @@ def test_poked_delay_value_trips_only_delay_form():
     rep = _assert_only_fails(run_checks(b), "delay_form")
     assert rep.witness["value"] == "2/5"
     assert rep.witness["level"] == 12
+
+
+POKED_PLACES = {
+    "default": None,
+    "vertex": "000000000101",
+    "suffix": "*1**********",
+    "subtree": "110",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POKED_PLACES))
+def test_a_poked_delay_is_reported_with_its_kind_and_place(kind):
+    b = build(RunConfig(preset="nonstochastic", depth=12))
+    table = b.network(1).tables[-1]
+    where, bad = POKED_PLACES[kind], Fraction(2, 5)
+    if kind == "default":
+        table.default = bad
+    elif kind == "vertex":
+        table.vertex[BitString.from_str(where)] = bad
+    elif kind == "suffix":
+        table.suffix.append((Cube.from_pattern(where), bad))
+    else:
+        table.subtree[BitString.from_str(where)] = bad
+    table._partition = None
+    rep = check_delay_form(b)
+    assert not rep.passed
+    assert rep.witness == {
+        "network": 1, "level": 12, "kind": kind, "where": where, "value": "2/5"
+    }
 
 
 def test_nested_edge_pair_trips_only_no_overlap():
