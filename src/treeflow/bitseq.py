@@ -73,12 +73,6 @@ class BitString:
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
 
-    def bit(self, pos: int) -> int:
-        """Bit at 1-based position pos, counted from the most significant end."""
-        if not 1 <= pos <= self.length:
-            raise IndexError(f"position {pos} out of range 1..{self.length}")
-        return (self.value >> (self.length - pos)) & 1
-
     def child(self, b: int) -> "BitString":
         return BitString(self.length + 1, (self.value << 1) | (b & 1))
 

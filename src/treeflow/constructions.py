@@ -279,15 +279,14 @@ def exceeds_dyadic(value: Rational, e: int) -> bool:
     return value > Rational(1, 1 << e)
 
 
-def family_pattern(img: BitString, w: int, level: int) -> Optional[Cube]:
+def family_pattern(img: BitString, w: int, level: int) -> Cube:
     """Level vertices agreeing with the image at positions w..l(image).
 
-    An image longer than the level pins positions no level vertex has, so
-    the region is empty and None comes back."""
+    The image is never longer than the level: every caller passes the
+    budgeted image of a level vertex, which is no longer than its input,
+    or the search's image, which stops at the level."""
     if len(img) < w:
         return Cube.whole_level(level)
-    if len(img) > level:
-        return None
     return Cube.suffix_pattern(level, w, img.suffix_from(w))
 
 
@@ -310,10 +309,7 @@ class TargetMassPredicate(EdgePredicate):
 
     def _member_ok(self, member, tail, n) -> bool:
         img = apply_modified(self.operator, member.concat(tail))
-        cube = family_pattern(img, self.w, n)
-        if cube is None:
-            return True
-        mass = self.target.pattern_mass(n, cube)
+        mass = self.target.pattern_mass(n, family_pattern(img, self.w, n))
         return not exceeds_dyadic(mass, allowance_exponent(member))
 
     def holds(self, x, y):
@@ -330,15 +326,14 @@ class TargetMassPredicate(EdgePredicate):
         return True
 
     @functools.cached_property
-    def _image_mass(self) -> Optional[Rational]:
+    def _image_mass(self) -> Rational:
         """For a length-determined operator, the target's mass in the region
-        of the one image that every member and target of the step has, or
-        None when that image pins more than the level. The step writes no
-        level of the target, so one evaluation serves the whole step."""
+        of the one image that every member and target of the step has. The
+        step writes no level of the target, so one evaluation serves the
+        whole step."""
         n = self.ctx.n
         img = apply_modified(self.operator, BitString(n, 0))
-        pat = family_pattern(img, self.w, n)
-        return None if pat is None else self.target.pattern_mass(n, pat)
+        return self.target.pattern_mass(n, family_pattern(img, self.w, n))
 
     def _ruled_out(self, worst: Cube, e: int) -> bool:
         """True when no source whose worst class member lies in `worst` can
@@ -347,8 +342,7 @@ class TargetMassPredicate(EdgePredicate):
         keep deep sources from being enumerated or searched at all."""
         n = self.ctx.n
         if self.operator.length_determined():
-            mass = self._image_mass
-            return mass is not None and exceeds_dyadic(mass, e)
+            return exceeds_dyadic(self._image_mass, e)
         if self.operator.prefix_image_only():
             # The image is a prefix of the target, so the pattern region
             # always contains the target itself; the value pushed anywhere
@@ -405,7 +399,6 @@ class TargetSearch:
         self.x = x
         self.n = pred.ctx.n
         self.w = pred.w
-        self.rules = pred.operator.rules
         self.start = (pred.operator.start, 0, 0)
         self.items = pred.target.pre_frame(self.n)
         self.gap = self.n - len(x)
@@ -415,21 +408,9 @@ class TargetSearch:
         self.visited = 0
 
     def advance(self, machine, value: int, count: int):
-        """The machine (state, image length, image value) after reading
-        the `count` bits of `value`, most significant first; the state is
-        None once a missing rule halted it. The image stops at n bits,
-        where apply_modified truncates it."""
-        state, length, img = machine
-        for p in range(count - 1, -1, -1):
-            rule = None if state is None else self.rules.get((state, (value >> p) & 1))
-            if rule is None:
-                return None, length, img
-            state, emit = rule
-            for bit in emit:
-                if length < self.n:
-                    img = (img << 1) | bit
-                    length += 1
-        return state, length, img
+        """The transducer's `advance` with the image capped at n bits,
+        where the budgeted image of a level-n target stops."""
+        return self.operator.advance(machine, value, count, self.n)
 
     def floor(self, machine, pattern: Cube, mass: Rational, depth: int) -> Rational:
         """A floor on the mass at every leaf below a node `depth` bits deep
@@ -621,18 +602,13 @@ def _step_family(config, n, nets, state, ops, fns):
     tables[base_id] = table
     records = []
     for e in out.edges:
-        img = apply_modified(op, e.target)
-        cube = family_pattern(img, w, n)
+        cube = family_pattern(apply_modified(op, e.target), w, n)
         # Edges in one class share an image suffix, so their patterns
         # coincide; `add_suffix` keeps only what is not stored yet, so a
         # repeat writes nothing, while every edge still books its own
-        # allowance. An image past the truncation depth leaves nothing to
-        # silence yet.
-        if cube is not None:
-            tables[target_id].add_suffix([(cube, ONE)])
-        records.append(
-            DiscardRecord.behind(e, target_id, (cube,) if cube is not None else ())
-        )
+        # allowance.
+        tables[target_id].add_suffix([(cube, ONE)])
+        records.append(DiscardRecord.behind(e, target_id, (cube,)))
     if records:
         out = dataclasses.replace(out, discards=tuple(records))
     return tables, out

@@ -30,23 +30,33 @@ class DenseFailure(Exception):
     """The literal mirror hit a state the construction must never reach."""
 
 
-def strings(n: int) -> list[BitString]:
-    return [BitString(n, v) for v in range(1 << n)]
+def strings(n: int) -> tuple[BitString, ...]:
+    """Every vertex of level n in numeric order."""
+    return tuple(BitString(n, v) for v in range(1 << n))
+
+
+class Levels(dict):
+    """`strings(n)` of each level n read so far, built on the first read."""
+
+    def __missing__(self, n: int) -> tuple[BitString, ...]:
+        level = self[n] = strings(n)
+        return level
 
 
 def agrees(v: BitString, pattern: BitString, start: int) -> bool:
-    """True when v matches pattern on positions start..len(pattern)."""
-    if len(pattern) > len(v):
+    """True when v matches pattern on positions start..len(pattern), the
+    pattern's low len(pattern) - start + 1 bits."""
+    gap = len(v) - len(pattern)
+    if gap < 0:
         return False
-    for pos in range(start, len(pattern) + 1):
-        if v.bit(pos) != pattern.bit(pos):
-            return False
-    return True
+    mask = (1 << (len(pattern) - start + 1)) - 1
+    return ((v.value >> gap) ^ pattern.value) & mask == 0
 
 
 class DenseNet:
-    def __init__(self, net_id: int):
+    def __init__(self, net_id: int, levels: Levels):
         self.id = net_id
+        self.levels = levels
         root = BitString(0, 0)
         self.s: list[dict[BitString, Fraction]] = [{root: ZERO}]
         self.R: list[dict[BitString, Fraction]] = [{root: ONE}]
@@ -82,7 +92,7 @@ class DenseNet:
             moved = e["q"] * self.R[len(src)][src]
             frame[e["target"]] += moved
             inflow += moved
-        full = {z: s_table.get(z, ZERO) for z in strings(n)}
+        full = {z: s_table.get(z, ZERO) for z in self.levels[n]}
         for v in full.values():
             if v < 0 or v > 1:
                 raise DenseFailure("delay outside [0, 1]")
@@ -106,8 +116,9 @@ class DenseNet:
 class DenseRun:
     def __init__(self, config):
         self.config = config
+        self.levels = Levels()
         self.nets: dict[int, DenseNet] = {
-            m + 1: DenseNet(m + 1) for m in range(config.networks)
+            m + 1: DenseNet(m + 1, self.levels) for m in range(config.networks)
         }
         self.cases: list[dict] = []
 
@@ -182,7 +193,7 @@ class _Driver:
 
     def install(self, n: int) -> dict[BitString, Fraction]:
         v = Fraction(1, (n + self.config.rho_base) ** 2)
-        return {z: v for z in strings(n)}
+        return {z: v for z in self.run.levels[n]}
 
     def record(self, n: int, i: int, k, net_id: int, case: int, note: str = ""):
         self.run.cases.append(
@@ -214,7 +225,7 @@ class _Driver:
             if sx == ONE:
                 continue
             value = sx / (1 - sx)
-            for z in strings(n):
+            for z in self.run.levels[n]:
                 if x.is_prefix_of(z) and z != y:
                     if z in claimed:
                         raise DenseFailure(f"{z} inside two drawn subtrees")
@@ -239,7 +250,7 @@ class _Driver:
 
         cands = []
         for m in self.task_levels(i, w, n):
-            for x in strings(m):
+            for x in self.run.levels[m]:
                 if net.s[m][x] <= 0 or x in net.edge_by_source:
                     continue
                 y = self.literal_beta(x, n, holds)
@@ -270,10 +281,10 @@ class _Driver:
         if self.config.discard_mode == "reject":
             if comparable:
                 return None
-            return [z for z in strings(n) if img.is_prefix_of(z)]
+            return [z for z in self.run.levels[n] if img.is_prefix_of(z)]
         return [
             z
-            for z in strings(n)
+            for z in self.run.levels[n]
             if img.is_prefix_of(z) and not x.is_prefix_of(z)
         ]
 
@@ -331,7 +342,7 @@ class _Driver:
         return {1: table}, [edge]
 
     def class_members(self, x: BitString, w: int) -> list[BitString]:
-        return [m for m in strings(len(x)) if agrees(m, x, w)]
+        return [m for m in self.run.levels[len(x)] if agrees(m, x, w)]
 
     def t2_draws(self, n: int, i: int, k: int, net: DenseNet, holds):
         """Run the subtree-replicated step; returns (case, table, edges)."""
@@ -350,7 +361,7 @@ class _Driver:
         for m in self.sub_levels(i, k, wk, n):
             if len(z0) > m:
                 continue
-            for x in strings(m):
+            for x in self.run.levels[m]:
                 if not z0.is_prefix_of(x):
                     continue
                 if net.s[m][x] <= 0 or x in net.edge_by_source:
@@ -365,7 +376,7 @@ class _Driver:
         desc_claims: dict[BitString, int] = {}
         targets_all: set[BitString] = set()
         for idx_c, (x, y) in enumerate(cands):
-            for v in strings(n):
+            for v in self.run.levels[n]:
                 if agrees(v, y, w):
                     if v in target_claims and target_claims[v] != idx_c:
                         raise DenseFailure(f"{v} targeted by two classes")
@@ -392,7 +403,7 @@ class _Driver:
             if sx == ONE:
                 continue
             value = sx / (1 - sx)
-            for v in strings(n):
+            for v in self.run.levels[n]:
                 if agrees(v, x, w) and v not in targets_all:
                     if v in desc_claims and desc_claims[v] != idx_c:
                         raise DenseFailure(f"{v} under two drawn classes")
@@ -415,10 +426,10 @@ class _Driver:
 
     def family_pattern_vertices(self, img: BitString, w: int, n: int):
         if len(img) < w:
-            return list(strings(n))
+            return list(self.run.levels[n])
         if len(img) > n:
             return []
-        return [v for v in strings(n) if agrees(v, img, w)]
+        return [v for v in self.run.levels[n] if agrees(v, img, w)]
 
     def family_step(self, n: int, i: int, k: int, triple_index: int):
         base_raw, target_raw, op_num = restricted_triple(triple_index)
@@ -530,7 +541,7 @@ def compare_runs(bundle, run: DenseRun) -> list[str]:
                     f"net {net_id} level {n}: inflow "
                     f"{stats.extra_inflow} vs {dense.inflows[n]}"
                 )
-            for x in strings(n):
+            for x in run.levels[n]:
                 if sparse.delay(x) != dense.s[n][x]:
                     problems.append(f"net {net_id} delay differs at {x}")
                 if sparse.frame_eval(x) != dense.R[n][x]:

@@ -635,12 +635,9 @@ class ElementaryNetwork:
         the cube's top m positions, num, den, free), where a frame-m cube
         shares with `cube` its overlap with the top times 2^free, free
         being the number of low positions the cube leaves free. None when
-        level n - 1 has several parts, when the pre-frame is held already,
-        or before level n - 1 is pushed: the queries then read
-        `pre_frame(n)`."""
+        level n - 1 has several parts or is not pushed yet: the queries
+        then read `pre_frame(n)`."""
         if n != self.depth + 1 or len(self._frames) < n:
-            return None
-        if self._pre is not None and self._pre[0] == n:
             return None
         if len(self.tables[n - 1].s_partition()) != 1:
             return None
@@ -708,17 +705,16 @@ class ElementaryNetwork:
         which no edge lands, is pushed by the parent's total alone: at
         s = 0 its total is the parent's total object itself, and otherwise
         the parent's times (1 - s). Its frame is left to `_make`, whose
-        ledger checks the frame against that total. If a step has read
-        the level's pre-frame already, those items are kept. Any other
-        level is made here. The edges' q * R(source) are summed
-        per target vertex, and that vertex map is coalesced, so a draw
-        replicated over equal source values lands as one cube of its
-        targets, one overlay each."""
+        ledger checks the frame against that total, even when a step has
+        read the level's pre-frame: `_make` gives the same items. Any
+        other level is made here and coalesced. The edges' q * R(source)
+        are summed per target vertex, and that vertex map is coalesced, so
+        a draw replicated over equal source values lands as one cube of
+        its targets, one overlay each."""
         parts = self.tables[n - 1].s_partition()
         edges = self._landing.get(n)
-        clean = not edges and len(parts) == 1
         inflow = ZERO
-        if clean and (self._pre is None or self._pre[0] != n):
+        if not edges and len(parts) == 1:
             items = None
             s = parts[0][1]
             total = self._unmade[n] = self._total * (1 - s) if s else self._total
@@ -740,12 +736,7 @@ class ElementaryNetwork:
                     f"conservation ledger broken at level {n}: "
                     f"{total} != {pushed} + {inflow}"
                 )
-            if not clean:
-                # A clean level needs no coalesce. The parent frame is
-                # coalesced; one part scales every value by the same
-                # injective factor (1 - s)/2 and every cube gains the same
-                # free bit, so the child has no mergeable pair either.
-                items = coalesce(items)
+            items = coalesce(items)
         self._frames.append(items)
         self._total = total
         self._landing.pop(n, None)

@@ -73,7 +73,10 @@ class TransducerOperator:
 
     rules maps (state, bit) to (next_state, emitted bits). A missing rule
     halts the machine with no further output. The graph entry for input x is
-    (x, emitted(x), len(x)), plus the mandatory (empty, empty, 0).
+    (x, emitted(x), len(x)), plus the mandatory (empty, empty, 0). `advance`
+    is the one interpreter: `image` runs it over the whole input with the
+    image capped at the input's length, and the edge-target search runs it
+    a node at a time with the image capped at the level.
     """
 
     def __init__(self, rules: dict[tuple[str, int], tuple[str, tuple[int, ...]]],
@@ -85,23 +88,26 @@ class TransducerOperator:
             if b not in (0, 1) or any(e not in (0, 1) for e in emit):
                 raise OperatorError(f"bad rule ({state}, {b}) -> ({nxt}, {emit})")
 
-    def run(self, x: BitString) -> BitString:
-        state = self.start
-        out_len = 0
-        out_val = 0
-        for p in range(1, len(x) + 1):
-            rule = self.rules.get((state, x.bit(p)))
+    def advance(self, machine, value: int, count: int, limit: int):
+        """The machine (state, image length, image value) after reading
+        the `count` bits of `value`, most significant first; the state is
+        None once a missing rule halted it. The image keeps the first
+        `limit` bits emitted and drops the rest."""
+        state, length, img = machine
+        for p in range(count - 1, -1, -1):
+            rule = None if state is None else self.rules.get((state, (value >> p) & 1))
             if rule is None:
-                break
+                return None, length, img
             state, emit = rule
-            for e in emit:
-                out_val = (out_val << 1) | e
-                out_len += 1
-        return BitString(out_len, out_val)
+            for bit in emit:
+                if length < limit:
+                    img = (img << 1) | bit
+                    length += 1
+        return state, length, img
 
     def image(self, x: BitString) -> BitString:
-        y = self.run(x)
-        return y.truncate(min(len(y), len(x)))
+        _state, length, img = self.advance((self.start, 0, 0), x.value, len(x), len(x))
+        return BitString(length, img)
 
     def max_image_len(self, budget: int) -> int:
         return min(self.max_emission(self.start, budget), budget)

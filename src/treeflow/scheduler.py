@@ -128,7 +128,13 @@ class ScheduleState:
         )
 
     def start(self, key: tuple[int, ...], n: int) -> Optional[int]:
-        """The first step of `key` past its barrier, if it is at most n."""
+        """The first step of `key` past its barrier, if it is at most n.
+
+        A step engine asks at a step n that the stream types with `key`,
+        while every recorded edge was drawn at an earlier step and lands
+        on that step's level. The barrier then lies below n, which is one
+        of the key's steps, so the answer is a step of at most n, never
+        None."""
         steps = self.steps(key)
         pos = bisect_right(steps, self.barrier(key))
         if pos < len(steps) and steps[pos] <= n:
@@ -150,7 +156,10 @@ def candidates(
     A candidate x sits at one of `levels` (the candidate levels of a
     session or subsession), inside the subtree of `root` when one is
     given, has s(x) > 0, no outgoing extra edge, and a defined edge target
-    beta(x). The predicate supplies the level gate, the source
+    beta(x). No level lies above the root: t1_step keeps only the
+    designated vertex's level, and t2_step's levels start at the
+    subsession's start, which is at least the session's start, the
+    root's length. The predicate supplies the level gate, the source
     enumeration (it may prune by its own viability bounds) and beta. A
     level the gate shuts is not read, not enumerated and counts against
     no cap, and beta is asked only for sources on open levels. More than
@@ -163,11 +172,7 @@ def candidates(
     for m in levels:
         if not predicate.level_open(m):
             continue
-        region_filter = None
-        if root is not None:
-            if len(root) > m:
-                continue
-            region_filter = Cube.subtree(root, m)
+        region_filter = None if root is None else Cube.subtree(root, m)
         for cube, s in net.tables[m].s_partition():
             if s == 0:
                 continue

@@ -193,8 +193,6 @@ def t1_step(
     """
     n, i, net, state = ctx.n, ctx.i, ctx.net, ctx.state
     w = state.start((i,), n)
-    if w is None:
-        return DelayTable(n), ctx.outcome(3, note="no session start yet")
     if w == n:
         table = DelayTable(n, default=ctx.install_value())
         return table, ctx.outcome(1, w=w)
@@ -268,15 +266,11 @@ def t2_step(ctx: StepContext, predicate: EdgePredicate):
     if k is None:
         raise ConstructionError("t2_step needs a subtask index")
     w = state.start((i,), n)
-    if w is None:
-        return DelayTable(n), ctx.outcome(3, note="no session start yet")
     if k > 2**w:
         return DelayTable(n), ctx.outcome(
             3, w=w, note="subsession index beyond subtree count"
         )
     wk = state.start((i, k), n)
-    if wk is None:
-        return DelayTable(n), ctx.outcome(3, w=w, note="no subsession start yet")
     if wk == n:
         table = DelayTable(n, default=ctx.install_value())
         return table, ctx.outcome(1, w=w, wk=wk)

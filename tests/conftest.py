@@ -1,9 +1,12 @@
 """Fixtures that several test modules share."""
 
+import time
+
 import pytest
 
 from treeflow.cli import write_bundle
-from treeflow.constructions import RunConfig, build
+from treeflow.constructions import PRESETS, RunConfig, build
+from treeflow.dense import dense_build
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +27,17 @@ def deep_bundles(tmp_path_factory):
         return made[preset, depth]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def replays12():
+    """({preset: (built bundle, mirror run)}, seconds taken): every preset
+    at depth 12 with its default networks, built by the engine and
+    replayed by the literal mirror once per session. The tests that
+    compare the two read both and change neither."""
+    t0 = time.monotonic()
+    runs = {}
+    for preset in PRESETS:
+        config = RunConfig(preset=preset, depth=12)
+        runs[preset] = build(config), dense_build(config)
+    return runs, time.monotonic() - t0

@@ -33,7 +33,7 @@ import pytest
 from treeflow.bitseq import BitString, index_of
 from treeflow.cli import read_bundle, write_bundle
 from treeflow.constructions import PRESETS, RunConfig, build, ml_test
-from treeflow.dense import compare_runs, dense_build
+from treeflow.dense import compare_runs
 from treeflow.network import ExtraEdge, rat_str
 from treeflow.operators import phi_bounded
 from treeflow.verify import (
@@ -88,15 +88,15 @@ def bundles48():
     return built, time.monotonic() - t0
 
 
-def test_c1_dense_replay_agreement(bundles12):
-    bundles, build_seconds = bundles12
+def test_c1_dense_replay_agreement(replays12):
+    replays, replay_seconds = replays12
     t0 = time.monotonic()
     problems = []
-    for name, b in sorted(bundles.items()):
-        diffs = compare_runs(b, dense_build(b.config))
+    for name, (b, run) in sorted(replays.items()):
+        diffs = compare_runs(b, run)
         if diffs:
             problems.append((name, diffs[:3]))
-    elapsed = build_seconds + (time.monotonic() - t0)
+    elapsed = replay_seconds + (time.monotonic() - t0)
     if elapsed >= 300:
         problems.append(f"took {elapsed:.1f}s, budget 300s")
     ok = not problems

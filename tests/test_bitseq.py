@@ -111,7 +111,7 @@ def test_bitstring_basics():
     x = BitString.from_str("0110")
     assert len(x) == 4
     assert str(x) == "0110"
-    assert [x.bit(p) for p in range(1, 5)] == [0, 1, 1, 0]
+    assert (x.length, x.value) == (4, 0b0110)
     assert x.truncate(2) == BitString.from_str("01")
     assert x.child(1) == BitString.from_str("01101")
     assert EMPTY.is_prefix_of(x)

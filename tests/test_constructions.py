@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from treeflow.constructions import (
     union_mass,
 )
 from treeflow.cubes import Cube
+from treeflow.dense import compare_runs, dense_build
 from treeflow.network import ONE, ElementaryNetwork, Rational, floor_in, mass_in
 from treeflow.operators import (
     FunctionRoster,
@@ -319,35 +321,61 @@ def test_discard_allowance_accumulates():
     assert 0 < total < Rational(1, 8)
 
 
+# A family base operator given by a table: its edge targets come from the
+# scan, which the reference rosters never reach.
+SWAP_TABLE = {
+    "operators": [{"kind": "table", "entries": [["0", "1", 1], ["1", "0", 1]]}],
+    "functions": reference_roster_descriptors()["functions"],
+}
+
+
+CAP_HITS = [
+    (
+        "hyperimmune",
+        44,
+        Caps(beta_scan=4),
+        "Caps.beta_scan = 4 exceeded at level 30, task 2, network 1: "
+        "edge-target search from 000",
+        None,
+    ),
+    (
+        "nonstochastic",
+        12,
+        Caps(candidates=1),
+        "Caps.candidates = 1 exceeded at level 4, task 1, network 1: "
+        "candidate enumeration from level 1",
+        None,
+    ),
+    (
+        "hyperimmune",
+        24,
+        Caps(class_members=1),
+        "Caps.class_members = 1 exceeded at level 18, task 3, network 1: "
+        "class *****0 has 32 members",
+        None,
+    ),
+    (
+        "family",
+        8,
+        Caps(beta_scan=4),
+        "Caps.beta_scan = 4 exceeded at level 7, task 1, network 1: "
+        "edge-target scan from 0",
+        SWAP_TABLE,
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "preset, depth, caps, message",
-    [
-        (
-            "hyperimmune",
-            44,
-            Caps(beta_scan=4),
-            "Caps.beta_scan = 4 exceeded at level 30, task 2, network 1: "
-            "edge-target search from 000",
-        ),
-        (
-            "nonstochastic",
-            12,
-            Caps(candidates=1),
-            "Caps.candidates = 1 exceeded at level 4, task 1, network 1: "
-            "candidate enumeration from level 1",
-        ),
-        (
-            "hyperimmune",
-            24,
-            Caps(class_members=1),
-            "Caps.class_members = 1 exceeded at level 18, task 3, network 1: "
-            "class *****0 has 32 members",
-        ),
-    ],
+    "preset, depth, caps, message, rosters",
+    CAP_HITS,
+    # A case's id leaves its rosters out.
+    ids=[f"{p}-{d}-caps{k}-{m}" for k, (p, d, _c, m, _r) in enumerate(CAP_HITS)],
 )
-def test_cap_hits_name_the_cap_level_task_and_network(preset, depth, caps, message):
+def test_cap_hits_name_the_cap_level_task_and_network(
+    preset, depth, caps, message, rosters
+):
     with pytest.raises(ResourceLimit) as hit:
-        build(RunConfig(preset=preset, depth=depth, caps=caps))
+        build(RunConfig(preset=preset, depth=depth, caps=caps, rosters=rosters))
     assert str(hit.value) == message
 
 
@@ -366,6 +394,79 @@ def test_family_builds_past_depth_228(deep_bundles):
     reports = run_checks(bundle, names)
     assert [r.name for r in reports] == names
     assert [(r.name, r.witness) for r in reports if not r.passed] == []
+
+
+def _count_beta_paths(monkeypatch) -> Counter:
+    """Count, by the path taken, the answers of TargetMassPredicate.beta:
+    the transducer search, the scan, or neither. An answer that takes
+    neither is the vertex-level rule-out when it is None and the
+    length-determined first extension otherwise."""
+    paths: Counter = Counter()
+    beta, search, scan = TargetMassPredicate.beta, TargetSearch.target, EdgePredicate.beta
+
+    def counted(name, fn):
+        def wrapper(*args):
+            paths[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def counted_beta(self, x):
+        before = paths["search"] + paths["scan"]
+        y = beta(self, x)
+        if paths["search"] + paths["scan"] == before:
+            paths["ruled out" if y is None else "first extension"] += 1
+        return y
+
+    monkeypatch.setattr(TargetSearch, "target", counted("search", search))
+    monkeypatch.setattr(EdgePredicate, "beta", counted("scan", scan))
+    monkeypatch.setattr(TargetMassPredicate, "beta", counted_beta)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "operator, path",
+    [
+        ({"kind": "const", "bits": "1111"}, "first extension"),
+        ({"kind": "table", "entries": [["", "111111111111", 1]]}, "scan"),
+    ],
+    ids=["length-determined", "table"],
+)
+def test_a_family_target_path_draws_what_the_mirror_draws(monkeypatch, operator, path):
+    # A const operator's image region carries little mass at level 12, so
+    # its one target is the source's first extension; a table's targets
+    # come from the scan. Both draw an edge here.
+    paths = _count_beta_paths(monkeypatch)
+    config = RunConfig(
+        preset="family",
+        depth=12,
+        rosters={"operators": [operator], "functions": SWAP_TABLE["functions"]},
+    )
+    bundle = build(config)
+    assert paths[path] >= 1
+    assert _all_edges(bundle)
+    assert compare_runs(bundle, dense_build(config)) == []
+
+
+def test_a_source_can_be_ruled_out_where_its_region_is_not():
+    # The region 1* at level 2 is tested at its loosest bound, that of 10
+    # (2^-8), and is not ruled out: the image 1111111 pins a region of two
+    # level-8 vertices holding 3/2^10 in all. Its member 11 has the bound
+    # 2^-9, which that mass exceeds, so beta rules it out on its own,
+    # where the scan finds no target either.
+    n = 8
+    ctx = StepContext(
+        n=n, i=1, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n)
+    )
+    items = [(Cube.whole_level(n), Fraction(3, 1 << 11))]
+    op = TransducerOperator({("a", 0): ("b", (1,) * 7), ("a", 1): ("b", (1,) * 7)}, "a")
+    pred = TargetMassPredicate(ctx, op, PendingFrame(items), 1)
+    assert op.length_determined()
+    assert list(pred.iter_sources(Cube.subtree(B("1"), 2), 2)) == [B("10"), B("11")]
+    assert not pred._ruled_out(Cube.vertex(B("10")), 8)
+    assert pred._ruled_out(Cube.vertex(B("11")), 9)
+    assert pred.beta(B("10")) == EdgePredicate.beta(pred, B("10")) == B("10000000")
+    assert pred.beta(B("11")) is EdgePredicate.beta(pred, B("11")) is None
 
 
 class PendingFrame:

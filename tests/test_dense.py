@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treeflow.bitseq import BitString
-from treeflow.constructions import RunConfig, build
+from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.dense import DenseFailure, compare_runs, dense_build, strings
 
 FLIP_FIRST = [
@@ -13,26 +13,23 @@ FLIP_FIRST = [
 ]
 
 
-CONFIGS = [
-    RunConfig(preset="nonstochastic", depth=12),
-    RunConfig(preset="divisible", depth=12),
-    RunConfig(preset="atom", depth=12),
-    RunConfig(preset="family", depth=12, networks=3),
-    RunConfig(preset="hyperimmune", depth=12, networks=3),
-]
-
-
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.preset)
-def test_engine_matches_literal_mirror(config):
-    bundle = build(config)
-    run = dense_build(config)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_engine_matches_literal_mirror(preset, replays12):
+    bundle, run = replays12[0][preset]
+    assert bundle.config == RunConfig(preset=preset, depth=12)
     assert compare_runs(bundle, run) == []
 
 
-def _flip_config(**kw):
+@pytest.mark.parametrize("preset", PRESETS)
+def test_engine_matches_literal_mirror_at_depth_14(preset):
+    config = RunConfig(preset=preset, depth=14)
+    assert compare_runs(build(config), dense_build(config)) == []
+
+
+def _flip_config(depth=12, **kw):
     return RunConfig(
         preset="divisible",
-        depth=12,
+        depth=depth,
         rosters={
             "operators": FLIP_FIRST,
             "functions": [{"kind": "linear", "name": "double-plus-two", "a": 2, "b": 2}],
@@ -57,6 +54,12 @@ def test_flip_roster_reject_mode_matches():
     bundle = build(config)
     run = dense_build(config)
     assert compare_runs(bundle, run) == []
+
+
+@pytest.mark.parametrize("mode", ["exclude", "reject"])
+def test_flip_roster_matches_at_depth_14(mode):
+    config = _flip_config(depth=14, discard_mode=mode)
+    assert compare_runs(build(config), dense_build(config)) == []
 
 
 def test_mirror_rebuilds_known_edges():

@@ -42,7 +42,7 @@ def test_silent_image_is_empty(x):
 def test_flip_image_flips_every_bit(x):
     y = apply_modified(flip_operator(), x)
     assert len(y) == len(x)
-    assert all(y.bit(p) == 1 - x.bit(p) for p in range(1, len(x) + 1))
+    assert str(y) == "".join("10"[int(c)] for c in str(x))
 
 
 @given(bits_st)
@@ -50,7 +50,7 @@ def test_doubler_image_truncates_to_budget(x):
     y = apply_modified(doubler_operator(), x)
     assert len(y) == len(x)
     # Doubled stream clipped at len(x): bit p of y is bit ceil(p/2) of x.
-    assert all(y.bit(p) == x.bit((p + 1) // 2) for p in range(1, len(x) + 1))
+    assert str(y) == "".join(c + c for c in str(x))[: len(x)]
 
 
 def test_const_operator_emits_then_halts():
@@ -227,3 +227,65 @@ def test_base_for_direct_indexing():
     assert roster.base_for(1) is roster.bases[0]
     assert roster.base_for(3) is roster.bases[2]
     assert roster.base_for(4) is roster.bases[0]
+
+
+@st.composite
+def transducers(draw):
+    """Transducers of 1-3 states: each (state, bit) rule may be missing,
+    and each present rule emits 0-3 bits."""
+    states = [f"q{k}" for k in range(draw(st.integers(1, 3)))]
+    rules = {}
+    for state in states:
+        for b in (0, 1):
+            if draw(st.booleans()):
+                emit = draw(st.lists(st.integers(0, 1), max_size=3))
+                rules[state, b] = (draw(st.sampled_from(states)), tuple(emit))
+    return TransducerOperator(rules, states[0])
+
+
+@st.composite
+def consistent_tables(draw):
+    """Tables of 0-5 entries whose outputs are all prefixes of one string,
+    so no two outputs are incomparable."""
+    out = draw(st.integers(0, 14).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(n, v))
+    ))
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        src = draw(bits_st)
+        dst = out.truncate(draw(st.integers(0, len(out))))
+        entries.append((src, dst, draw(st.integers(1, 14))))
+    return TableOperator(entries)
+
+
+bits12_st = st.integers(0, 12).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(n, v))
+)
+
+
+def run_then_truncate(op: TransducerOperator, x: BitString) -> BitString:
+    """Reference image: run the machine over all of x, keeping every bit
+    it emits, then cut the output to len(x) bits."""
+    state = op.start
+    out_len = 0
+    out_val = 0
+    for p in range(1, len(x) + 1):
+        rule = op.rules.get((state, (x.value >> (len(x) - p)) & 1))
+        if rule is None:
+            break
+        state, emit = rule
+        for e in emit:
+            out_val = (out_val << 1) | e
+            out_len += 1
+    y = BitString(out_len, out_val)
+    return y.truncate(min(len(y), len(x)))
+
+
+@given(transducers(), bits12_st)
+def test_transducer_image_is_the_run_cut_to_the_input_length(op, x):
+    assert op.image(x) == run_then_truncate(op, x)
+
+
+@given(st.one_of(transducers(), consistent_tables()), bits12_st)
+def test_an_image_is_never_longer_than_its_input(op, x):
+    assert len(op.image(x)) <= len(x)

@@ -217,7 +217,7 @@ def test_designated_processing():
     assert net.delay(B("0001")) == F(1, 3)
     for v in range(1 << 4):
         x = BitString(4, v)
-        if x.bit(1) == 1:
+        if str(x)[0] == "1":
             assert net.delay(x) == 0
     net.commit_level(DelayTable(5), [])
 
@@ -298,7 +298,7 @@ def test_class_cube_is_the_literal_suffix_class():
                 want = {
                     u
                     for u in level
-                    if all(u.bit(p) == x.bit(p) for p in range(w, length + 1))
+                    if str(u)[w - 1 :] == str(x)[w - 1 :]
                 }
                 assert set(class_cube(x, w).members()) == want
 
