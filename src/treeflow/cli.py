@@ -28,9 +28,10 @@ edges.jsonl store. A cap (an enumeration limit, or a depth beyond what
 the dense oracle replays) says only that the work was cut off, not that
 the construction is impossible, so it gets its own code.
 
-The levels, aggregates and edges rows are formatted from their fields,
-not through the JSON encoder; each must equal `_canon` of its record.
-Provenance, config and report rows, which hold free text, are encoded.
+Each levels, edges and aggregates row kind has one formatter, shared by
+the writer and `trace`, which writes `_canon`'s text from the fields;
+a write formats their rationals through one `_rat_memo`. Provenance,
+config and report rows, which hold free text, are encoded.
 """
 
 from __future__ import annotations
@@ -168,19 +169,22 @@ def _bundle_report(bundle: ConstructionBundle) -> dict:
 # cube patterns), which JSON writes unescaped, so the text is `_canon`'s.
 
 
-def _pairs(pairs: list) -> str:
-    """The JSON of a list of [string, string] pairs."""
-    if not pairs:
-        return "[]"
-    return '[["' + '"],["'.join([f'{a}","{b}' for a, b in pairs]) + '"]]'
+def _pairs(pairs, rat: Callable[[Fraction], str]) -> str:
+    """The JSON of a list of [key, rational] pairs: each key as its text,
+    each rational formatted by rat."""
+    texts = [f'{a}","{rat(v)}' for a, v in pairs]
+    return '[["' + '"],["'.join(texts) + '"]]' if texts else "[]"
 
 
-def _level_row(net_id: int, rec: dict) -> str:
-    """`_canon` of {"network": net_id, **rec} for a DelayTable record."""
+def _level_row(net_id: int, table: DelayTable, rat: Callable[[Fraction], str]) -> str:
+    """The levels.jsonl row of network net_id's table: vertex and subtree
+    entries sorted by vertex, suffix entries in stored order."""
+    suffix = [(c.pattern(), v) for c, v in table.suffix]
     return (
-        f'{{"default":"{rec["default"]}","level":{rec["level"]},'
-        f'"network":{net_id},"subtree":{_pairs(rec["subtree"])},'
-        f'"suffix":{_pairs(rec["suffix"])},"vertex":{_pairs(rec["vertex"])}}}'
+        f'{{"default":"{rat(table.default)}","level":{table.level},'
+        f'"network":{net_id},"subtree":{_pairs(sorted(table.subtree.items()), rat)},'
+        f'"suffix":{_pairs(suffix, rat)},'
+        f'"vertex":{_pairs(sorted(table.vertex.items()), rat)}}}'
     )
 
 
@@ -212,40 +216,40 @@ def _rat_memo() -> Callable[[Fraction], str]:
     return rat
 
 
-def _edge_row(rec: dict) -> str:
-    """`_canon` of an ExtraEdge record."""
-    subtask = "null" if rec["subtask"] is None else rec["subtask"]
+def _edge_row(e: ExtraEdge, rat: Callable[[Fraction], str]) -> str:
+    """The edges.jsonl row of edge e."""
+    subtask = "null" if e.subtask is None else e.subtask
     return (
-        f'{{"from":"{rec["from"]}","network":{rec["network"]},"q":"{rec["q"]}",'
-        f'"step":{rec["step"]},"subtask":{subtask},"task":{rec["task"]},'
-        f'"to":"{rec["to"]}"}}'
+        f'{{"from":"{e.source}","network":{e.network_id},"q":"{rat(e.q)}",'
+        f'"step":{e.step_drawn},"subtask":{subtask},"task":{e.task},'
+        f'"to":"{e.target}"}}'
     )
 
 
 def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
-    """Write the bundle's six files into outdir. Levels, aggregates and
-    edges rows are formatted from their fields, each equal to `_canon` of
-    its record; provenance rows go out as the run holds them. Each table
-    and each edge is written once, in levels.jsonl and edges.jsonl.
+    """Write the bundle's six files into outdir. Each levels, edges and
+    aggregates row is formatted by its row kind's one formatter, which
+    `trace` shares; provenance rows go out as the run holds them. Each
+    table and each edge is written once, in levels.jsonl and edges.jsonl.
 
-    The aggregates rows share one `_rat_memo`, so each distinct value
-    object is turned into decimal once per write: a run of clean levels
-    at s = 0 shares one total object, which is also each row's s_n, as
-    nothing flows in, and it is formatted once for the whole run. The
-    bundle holds every value for the length of the write."""
+    The three formatted row kinds share one `_rat_memo`, so each distinct
+    value object is turned into decimal once per write: a run of clean
+    levels at s = 0 shares one total object, which is also each row's
+    s_n, as nothing flows in, and it is formatted once for the whole run.
+    The bundle holds every value for the length of the write."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_text(outdir / "config.json", _pretty(bundle.config.to_payload()))
     nets = bundle.networks
+    rat = _rat_memo()
     levels = [
-        _level_row(net.network_id, net.tables[n].to_record())
+        _level_row(net.network_id, net.tables[n], rat)
         for n in range(bundle.depth + 1)
         for net in nets
     ]
     _write_lines(outdir / "levels.jsonl", levels)
-    edges = [_edge_row(e.to_record()) for net in nets for e in net.edges]
+    edges = [_edge_row(e, rat) for net in nets for e in net.edges]
     _write_lines(outdir / "edges.jsonl", edges)
-    rat = _rat_memo()
     aggregates = [
         _aggregates_row(net.network_id, n, agg, rat)
         for net in nets
@@ -482,36 +486,34 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 )
             )
 
+    # Each edge takes its class width w from the provenance row of its
+    # step; the engine draws an edge at the step of its target's level,
+    # for the task that the preset's stream runs at that step.
     state = ScheduleState(task_stream(config.preset), config.depth)
-    for net in nets:
-        for e in net.edges:
-            step = e.step_drawn
-            edge = f"edge {e.source} -> {e.target} of network {net.network_id}"
-            if not 1 <= step <= config.depth or prov_rows[step - 1]["w"] is None:
-                raise BundleError(
-                    f"{edge} was drawn at step {step}, which has no provenance "
-                    "row with an int w"
-                )
-            # The class of a source x keeps positions w..l(x) of x.
-            w = prov_rows[step - 1]["w"]
-            if not 1 <= w <= len(e.source) + 1:
-                raise BundleError(
-                    f"{edge}: provenance.jsonl row {step} gives w {w}, outside "
-                    f"1..{len(e.source) + 1}"
-                )
-            state.record_edge(e.task, e.subtask, len(e.target))
-    # The engine draws an edge at the step of its target's level, for the
-    # task that the preset's stream runs at that step.
     for k, e in enumerate(edges, 1):
-        step = len(e.target)
-        task = state.stream.task(step)
-        if (e.step_drawn, e.task) != (step, task):
+        step = e.step_drawn
+        edge = f"edge {e.source} -> {e.target} of network {e.network_id}"
+        if not 1 <= step <= config.depth or prov_rows[step - 1]["w"] is None:
             raise BundleError(
-                f"edges.jsonl row {k}: edge {e.source} -> {e.target} of network "
-                f"{e.network_id} is stored as drawn at step {e.step_drawn} for "
-                f"task {e.task}, but lands on level {step}, which is task "
-                f"{task}'s step"
+                f"{edge} was drawn at step {step}, which has no provenance "
+                "row with an int w"
             )
+        # The class of a source x keeps positions w..l(x) of x.
+        w = prov_rows[step - 1]["w"]
+        if not 1 <= w <= len(e.source) + 1:
+            raise BundleError(
+                f"{edge}: provenance.jsonl row {step} gives w {w}, outside "
+                f"1..{len(e.source) + 1}"
+            )
+        level = len(e.target)
+        task = state.stream.task(level)
+        if (step, e.task) != (level, task):
+            raise BundleError(
+                f"edges.jsonl row {k}: {edge} is stored as drawn at step "
+                f"{step} for task {e.task}, but lands on level {level}, which "
+                f"is task {task}'s step"
+            )
+        state.record_edge(e.task, e.subtask, level)
     return ConstructionBundle(
         config=config,
         networks=nets,
@@ -610,7 +612,9 @@ def cmd_trace(args) -> int:
     drawn: dict[int, list[dict]] = {}
     for net in bundle.networks:
         for e in net.edges:
-            drawn.setdefault(e.step_drawn, []).append(e.to_record())
+            drawn.setdefault(e.step_drawn, []).append(
+                _decode(_edge_row(e, rat_str))[0]
+            )
     kept = []
     for step, row in enumerate(bundle.provenance, 1):
         if args.task is not None and row.get("task") != args.task:
@@ -619,10 +623,11 @@ def cmd_trace(args) -> int:
             continue
         if args.level is not None and step != args.level:
             continue
-        tables = {
-            str(net.network_id): net.tables[step].to_record()
-            for net in bundle.networks
-        }
+        tables = {}
+        for net in bundle.networks:
+            table = _decode(_level_row(net.network_id, net.tables[step], rat_str))[0]
+            del table["network"]
+            tables[str(net.network_id)] = table
         kept.append({**row, "tables": tables, "edges": drawn.get(step, [])})
     _emit("".join(_canon(r) + "\n" for r in kept), args.out)
     return 0

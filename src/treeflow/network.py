@@ -459,18 +459,6 @@ class DelayTable:
         self._partition = parts
         return parts
 
-    def to_record(self) -> dict:
-        """The table as its bundle record, a new dict on each call."""
-        return {
-            "level": self.level,
-            "default": rat_str(self.default),
-            "vertex": [[str(x), rat_str(v)] for x, v in sorted(self.vertex.items())],
-            "suffix": [[c.pattern(), rat_str(v)] for c, v in self.suffix],
-            "subtree": [
-                [str(r), rat_str(v)] for r, v in sorted(self.subtree.items())
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ExtraEdge:
@@ -489,17 +477,6 @@ class ExtraEdge:
             )
         if len(self.target) - len(self.source) <= 1:
             raise ConstructionError("extra edges must skip at least one level")
-
-    def to_record(self) -> dict:
-        return {
-            "from": str(self.source),
-            "to": str(self.target),
-            "q": rat_str(self.q),
-            "task": self.task,
-            "subtask": self.subtask,
-            "network": self.network_id,
-            "step": self.step_drawn,
-        }
 
 
 @dataclass

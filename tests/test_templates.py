@@ -244,8 +244,6 @@ def test_discard_pieces_modes():
         prefix_root(p)  # every piece is a subtree region
     # Image below the source: nothing outside the source subtree remains.
     assert discard_pieces(B("00"), B("0"), 3, "exclude") == []
-    # Image longer than the level: nothing to kill yet.
-    assert discard_pieces(B("0000"), B("0"), 3, "exclude") == []
     # Reject mode refuses comparable pairs outright.
     assert discard_pieces(B("00"), B("0"), 3, "reject") is None
     assert discard_pieces(B("1"), B("0"), 3, "reject") == [Cube.subtree(B("1"), 3)]
