@@ -454,6 +454,7 @@ def read_bundle(path: Path) -> ConstructionBundle:
         if _int_field(row, "step", where) != k:
             raise BundleError(f"{where}: step {row['step']} is not {k}")
         _int_field(row, "w", where, null=True)
+        _int_field(row, "subtask", where, null=True)
         for key in ("tables", "edges"):
             if key in row:
                 raise BundleError(
@@ -488,7 +489,8 @@ def read_bundle(path: Path) -> ConstructionBundle:
 
     # Each edge takes its class width w from the provenance row of its
     # step; the engine draws an edge at the step of its target's level,
-    # for the task that the preset's stream runs at that step.
+    # for the task that the preset's stream runs at that step and the
+    # subtask that the step's provenance row names.
     state = ScheduleState(task_stream(config.preset), config.depth)
     for k, e in enumerate(edges, 1):
         step = e.step_drawn
@@ -512,6 +514,13 @@ def read_bundle(path: Path) -> ConstructionBundle:
                 f"edges.jsonl row {k}: {edge} is stored as drawn at step "
                 f"{step} for task {e.task}, but lands on level {level}, which "
                 f"is task {task}'s step"
+            )
+        subtask = prov_rows[step - 1]["subtask"]
+        if e.subtask != subtask:
+            raise BundleError(
+                f"edges.jsonl row {k}: {edge} is stored with subtask "
+                f"{json.dumps(e.subtask)}, but provenance.jsonl row {step} gives "
+                f"subtask {json.dumps(subtask)}"
             )
         state.record_edge(e.task, e.subtask, level)
     return ConstructionBundle(

@@ -368,6 +368,10 @@ class TargetMassPredicate(EdgePredicate):
             yield from super().iter_sources(cube, level)
 
     def beta(self, x):
+        """The least target of x, or None. A length-determined operator
+        gives every target one image, so the vertex-level rule-out decides
+        it alone: past it, the first extension is the target, with no
+        `holds` probe. Otherwise the rule-out only prunes the search."""
         worst = self._worst_member(x)
         if self._ruled_out(Cube.vertex(worst), allowance_exponent(worst)):
             return None

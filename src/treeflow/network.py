@@ -25,21 +25,22 @@ when a frame is first read. Both go through one push path, so a frame
 and its conservation ledger come out the same either way. A push that
 needs no frame makes none: a clean level, one whose parent has a single
 delay part s and on which no edge lands, is pushed by its parent's total
-alone, and its frame is made when something reads it, from the nearest
-made level above, and checked against that total. Most levels of a build
-are clean, and most clean levels have s = 0: such a level takes its
-parent's total object as its own, so it costs no Fraction work, and a
-run of them shares one total. Only s != 0 multiplies the total by
-(1 - s). Most steps read no frame.
+alone. Most levels of a build are clean, and most clean levels have
+s = 0: such a level takes its parent's total object as its own, so it
+costs no Fraction work, and a run of them shares one total. Only s != 0
+multiplies the total by (1 - s). Most steps read no frame.
 
-The same scale answers a step's questions about the pending level, the
-one being built: the mass in a cube (`pattern_mass`) and the least value
-over a region (`pattern_floor`). When the last level has a single delay
-part, the pending level is the nearest made frame with its values scaled
-and its cubes given free low bits, so both are read off that frame and
-no level is pushed; the one scale, kept and extended level by level, is
-`_scale`. A step that needs the pending items themselves reads
-`pre_frame`, which pushes the level down.
+The frame of a clean level is a made frame above it, scaled: its values
+times num/den and its cubes given free low bits. Its push keeps one
+record, (m, num, den, total), one step from its parent's (`_scale`): the
+parent's m, num and den, or (n - 1, 1, 1) for a made parent, times
+(1 - s)/2. When something reads the frame, `_make` builds it from frame
+m and checks it against the total, which the push worked out apart from
+the scale. The same step answers a step's questions about the pending
+level, the one being built: the mass in a cube (`pattern_mass`) and the
+least value over a region (`pattern_floor`) are read off frame m when
+the last level has a single delay part, and off `pre_frame`, which
+pushes the level down, when it has several.
 
 Every sum of value times vertex count is grouped by value. The
 integer counts of the items that share a value are added up first, and
@@ -501,13 +502,12 @@ class ElementaryNetwork:
     A level goes in through `record_level`, which checks and indexes what
     no frame is needed for, and is pushed by `_push`, the one path that
     runs the conservation ledger. A clean level is pushed by its parent's
-    total, and `_make` makes its frame when something reads it: `frames`,
-    `frame_eval`, `pre_frame`, an edge's source in `_push`, or
-    `pattern_mass` and `pattern_floor` when the last level has several
-    delay parts. Any other level is made as it is pushed: the push-down,
-    the landing edges, the ledger and `coalesce`. `commit_level` records
-    and pushes at once; a reloaded bundle only records, and `frames`
-    pushes and makes its levels, in order, when a frame is first read."""
+    total and its scale, and `_make` makes its frame when something reads
+    it: `frames`, `frame_eval`, `pre_frame` or an edge's source in
+    `_push`. Any other level is made as it is pushed: the push-down, the
+    landing edges, the ledger and `coalesce`. `commit_level` records and
+    pushes at once; a reloaded bundle only records, and `frames` pushes
+    and makes its levels, in order, when a frame is first read."""
 
     def __init__(self, network_id: int = 1):
         self.network_id = network_id
@@ -515,8 +515,9 @@ class ElementaryNetwork:
         self.tables: list[DelayTable] = [DelayTable(0)]
         # The frame of each pushed level, None for a clean level not made.
         self._frames: list[Optional[Items]] = [[(Cube.whole_level(0), ONE)]]
-        # The total of each pushed level not made yet: its frame's ledger.
-        self._unmade: dict[int, Fraction] = {}
+        # (m, num, den, total) of each pushed level not made yet: its
+        # frame is frame m scaled by num/den, and total is its ledger.
+        self._unmade: dict[int, tuple[int, int, int, Fraction]] = {}
         # The total of the last pushed level, as the push worked it out.
         self._total = ONE
         self.aggregates: list[LevelAggregates] = [LevelAggregates(ONE, ZERO)]
@@ -527,8 +528,6 @@ class ElementaryNetwork:
         # The edges landing on each recorded level not yet pushed.
         self._landing: dict[int, list[ExtraEdge]] = {}
         self._pre: Optional[tuple[int, Items, Fraction]] = None
-        # The last `_scale` answer: (level, m, num, den).
-        self._scaled: Optional[tuple[int, int, int, int]] = None
 
     @property
     def frames(self) -> list[Items]:
@@ -582,10 +581,7 @@ class ElementaryNetwork:
         """Sum of R over the cube's vertices in the pending pre-commit frame
         (n must be depth+1: the frame pushed from below with no level-n
         edges yet)."""
-        scaled = self._scaled_pending(n, cube)
-        if scaled is None:
-            return mass_in(self.pre_frame(n), cube)
-        items, top, num, den, free = scaled
+        items, top, num, den, free = self._pending(n, cube)
         mass = mass_in(items, top)
         return Fraction(mass.numerator * (num << free), mass.denominator * den)
 
@@ -593,36 +589,29 @@ class ElementaryNetwork:
         """Least value of the pending pre-commit frame (n = depth+1, as for
         `pattern_mass`) on the region's vertices, or None when some vertex
         of the region holds 0."""
-        scaled = self._scaled_pending(n, region)
-        if scaled is None:
-            return floor_in(self.pre_frame(n), region)
-        items, top, num, den, _free = scaled
+        items, top, num, den, _free = self._pending(n, region)
         floor = floor_in(items, top) if num else None
         if floor is None:
             return None
         return Fraction(floor.numerator * num, floor.denominator * den)
 
-    def _scaled_pending(
-        self, n: int, cube: Cube
-    ) -> Optional[tuple[Items, Cube, int, int, int]]:
-        """The pending level n read off frame m, when level n - 1 has a
-        single delay part: the pending frame is then frame m with every
-        value times num/den (`_scale`) and every cube given k = n - m free
-        low bits, which is what `_make` would make. Returned as (frame m,
-        the cube's top m positions, num, den, free), where a frame-m cube
-        shares with `cube` its overlap with the top times 2^free, free
-        being the number of low positions the cube leaves free. None when
-        level n - 1 has several parts or is not pushed yet: the queries
-        then read `pre_frame(n)`."""
-        if n != self.depth + 1 or len(self._frames) < n:
-            return None
-        if len(self.tables[n - 1].s_partition()) != 1:
-            return None
-        m, num, den = self._scale(n)
-        k = n - m
-        top = Cube(m, cube.care >> k, cube.value >> k)
-        free = k - (cube.care & ((1 << k) - 1)).bit_count()
-        return self._frames[m], top, num, den, free
+    def _pending(self, n: int, cube: Cube) -> tuple[Items, Cube, int, int, int]:
+        """The pending level n as (items, top, num, den, free): its values
+        on `cube` are those of items on top, times num/den, each counted
+        2^free times. When level n - 1 has a single delay part, items is
+        frame m of `_scale`, top the cube's top m positions, and free the
+        number of the n - m low positions the cube leaves free: what
+        `_make` would make. Otherwise, or when level n - 1 is not pushed
+        yet, it is (`pre_frame(n)`, cube, 1, 1, 0)."""
+        if n == self.depth + 1 and len(self._frames) >= n:
+            parts = self.tables[n - 1].s_partition()
+            if len(parts) == 1:
+                m, num, den = self._scale(n, parts[0][1])
+                k = n - m
+                top = Cube(m, cube.care >> k, cube.value >> k)
+                free = k - (cube.care & ((1 << k) - 1)).bit_count()
+                return self._frames[m], top, num, den, free
+        return self.pre_frame(n), cube, 1, 1, 0
 
     # -- construction ----------------------------------------------------
 
@@ -681,20 +670,22 @@ class ElementaryNetwork:
         A clean level, one whose parent has a single delay part s and on
         which no edge lands, is pushed by the parent's total alone: at
         s = 0 its total is the parent's total object itself, and otherwise
-        the parent's times (1 - s). Its frame is left to `_make`, whose
-        ledger checks the frame against that total, even when a step has
-        read the level's pre-frame: `_make` gives the same items. Any
-        other level is made here and coalesced. The edges' q * R(source)
-        are summed per target vertex, and that vertex map is coalesced, so
-        a draw replicated over equal source values lands as one cube of
-        its targets, one overlay each."""
+        the parent's times (1 - s). Its record in `_unmade` holds that
+        total and the scale `_scale` steps from the parent's, and its
+        frame is left to `_make`, even when a step has read the level's
+        pre-frame: `_make` gives the same items. Any other level is made
+        here and coalesced. The edges' q * R(source) are summed per target
+        vertex, and that vertex map is coalesced, so a draw replicated
+        over equal source values lands as one cube of its targets, one
+        overlay each."""
         parts = self.tables[n - 1].s_partition()
         edges = self._landing.get(n)
         inflow = ZERO
         if not edges and len(parts) == 1:
             items = None
             s = parts[0][1]
-            total = self._unmade[n] = self._total * (1 - s) if s else self._total
+            total = self._total * (1 - s) if s else self._total
+            self._unmade[n] = (*self._scale(n, s), total)
         else:
             items, pushed = self._pushed(n)
             if edges:
@@ -721,14 +712,14 @@ class ElementaryNetwork:
         return LevelAggregates(total, inflow)
 
     def _make(self, n: int) -> Items:
-        """Make the frame of pushed level n from a made level m above it,
-        as `_scale` gives it. Levels m + 1 .. n are clean, so each cube gains the n - m
-        free low bits in between and each value object is scaled once by
-        the product of (1 - s)/2 over the single delay parts of levels
-        m .. n - 1: the frame n - m push-downs would make, item for item.
-        The ledger checks the frame's total against the one
-        `_push` gave the level."""
-        m, num, den = self._scale(n)
+        """Make the frame of pushed level n from its record (m, num, den,
+        total): frame m is made and levels m + 1 .. n are clean, so each
+        cube gains the n - m free low bits in between and each value object
+        is scaled once by num/den, the frame n - m push-downs would make,
+        item for item. The ledger checks the frame's total against the
+        total `_push` worked out; the record is dropped only once it
+        passes, so a second read fails the same way."""
+        m, num, den, total = self._unmade[n]
         items: Items = []
         if num:
             scaled: dict[int, Fraction] = {}
@@ -737,48 +728,24 @@ class ElementaryNetwork:
                 if w is None:
                     w = scaled[id(v)] = Fraction(v.numerator * num, v.denominator * den)
                 items.append((c.extend(n - m), w))
-        total = items_total(items)
-        if total != self._unmade[n]:
+        made = items_total(items)
+        if made != total:
             raise ConstructionError(
                 f"conservation ledger broken at level {n}: "
-                f"made frame {total} != {self._unmade[n]}"
+                f"made frame {made} != {total}"
             )
         self._frames[n] = items
         del self._unmade[n]
         return items
 
-    def _scale(self, n: int) -> tuple[int, int, int]:
+    def _scale(self, n: int, s: Fraction) -> tuple[int, int, int]:
         """(m, num, den) for a level n, pushed or pending, whose parent
-        has a single delay part: a made level m above n with only clean
-        levels in between, and num/den the product of (1 - s)/2 over the
-        single delay parts of levels m .. n - 1.
-
-        Worked out afresh, m is the nearest made level. The last answer is
-        kept and, when level n - 1 is not made, extended by the levels
-        past it while none of them is made; its m may then lie above the
-        nearest made level, which `_make` made from frame m by the same
-        product, so either frame gives the same values. Making frames in
-        order, as `frames` does, finds level n - 1 made and reads no kept
-        answer."""
-        m = n - 1
-        kept = self._scaled
-        if (
-            self._frames[m] is None
-            and kept is not None
-            and kept[0] <= n
-            and self._frames[kept[0] : n].count(None) == n - kept[0]
-        ):
-            start, m, num, den = kept
-        else:
-            while self._frames[m] is None:
-                m -= 1
-            start, num, den = m, 1, 1
-        for table in self.tables[start:n]:
-            ((_, s),) = table.s_partition()
-            num *= s.denominator - s.numerator
-            den *= 2 * s.denominator
-        self._scaled = (n, m, num, den)
-        return m, num, den
+        n - 1 is pushed and has the single delay part s: the parent's
+        record, or (n - 1, 1, 1) when the parent is made, times (1 - s)/2.
+        Frame m is made, and levels m + 1 .. n - 1 were clean when pushed,
+        so level n is frame m with every value times num/den."""
+        m, num, den, _ = self._unmade.get(n - 1, (n - 1, 1, 1, None))
+        return m, num * (s.denominator - s.numerator), den * 2 * s.denominator
 
     def commit_level(
         self, table: DelayTable, edges: Iterable[ExtraEdge] = ()

@@ -561,6 +561,29 @@ FAULTS = {
         "edges.jsonl row 2: edge 1 -> 1000 of network 1 is stored as drawn at "
         "step 4 for task 6, but lands on level 4, which is task 1's step",
     ),
+    "an edge stored with a subtask its step's row lacks": (
+        NONSTOCHASTIC,
+        _edit_file("edges.jsonl", lambda rows: rows[0].update(subtask=7)),
+        "edges.jsonl row 1: edge 0 -> 0000 of network 1 is stored with "
+        "subtask 7, but provenance.jsonl row 4 gives subtask null",
+    ),
+    "an edge stored with no subtask on a subtask's step": (
+        ATOM,
+        _set_in_last_row("edges.jsonl", "subtask", None),
+        "edges.jsonl row 1: edge 0 -> 0000000 of network 1 is stored with "
+        "subtask null, but provenance.jsonl row 7 gives subtask 1",
+    ),
+    "an edge stored with another subtask": (
+        ATOM,
+        _set_in_last_row("edges.jsonl", "subtask", 7),
+        "edges.jsonl row 1: edge 0 -> 0000000 of network 1 is stored with "
+        "subtask 7, but provenance.jsonl row 7 gives subtask 1",
+    ),
+    "a provenance subtask that is a string": (
+        ATOM,
+        _set_in_last_row("provenance.jsonl", "subtask", "1"),
+        "provenance.jsonl row 10: subtask '1' is not an int or null",
+    ),
     # Each table and edge is stored once, so a row that still carries a
     # copy, as rows did before, is refused.
     "a provenance table copy": (

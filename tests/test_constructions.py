@@ -22,7 +22,7 @@ from treeflow.constructions import (
 )
 from treeflow.cubes import Cube
 from treeflow.dense import compare_runs, dense_build
-from treeflow.network import ONE, ElementaryNetwork, Rational, floor_in, mass_in
+from treeflow.network import ONE, DelayTable, ElementaryNetwork, Rational, floor_in, mass_in
 from treeflow.operators import (
     FunctionRoster,
     LinearFunction,
@@ -465,6 +465,27 @@ def test_a_source_can_be_ruled_out_where_its_region_is_not():
     assert pred._ruled_out(Cube.vertex(B("11")), 9)
     assert pred.beta(B("10")) == EdgePredicate.beta(pred, B("10")) == B("10000000")
     assert pred.beta(B("11")) is EdgePredicate.beta(pred, B("11")) is None
+
+
+def test_a_length_determined_operator_is_decided_by_the_rule_out():
+    # Under silent every image is empty, so every member's pattern region
+    # is the whole pending level, which carries nearly all of the target's
+    # mass, above every member bound. beta probes no target under a
+    # length-determined operator: the vertex-level rule-out alone answers.
+    n = 6
+    target = ElementaryNetwork(2)
+    for level in range(1, n):
+        target.commit_level(DelayTable(level, Fraction(1, 1 << (level + 5))))
+    assert Fraction(15, 16) < target.aggregates[-1].total_R < 1
+    ctx = StepContext(
+        n=n, i=1, net=ElementaryNetwork(), state=ScheduleState(TaskStream(), n)
+    )
+    for w in (1, 2):
+        pred = TargetMassPredicate(ctx, silent_operator(), target, w)
+        assert pred.operator.length_determined()
+        for x in (B("1"), B("01"), B("110")):
+            assert pred.beta(x) is None
+            assert EdgePredicate.beta(pred, x) is None
 
 
 class PendingFrame:

@@ -689,9 +689,9 @@ def test_a_build_pushes_down_only_the_levels_that_are_not_clean(monkeypatch):
 
 def test_a_family_build_reads_its_target_floors_without_pushing(monkeypatch):
     # Most family steps draw nothing: the target network's floors and
-    # masses come from its nearest made frame, scaled, so a step that
-    # reads no more pushes nothing down. Pushing the target's pending
-    # level on every step takes 77 push-downs here.
+    # masses come from a made frame above the pending level, scaled, so a
+    # step that reads no more pushes nothing down. Pushing the target's
+    # pending level on every step takes 77 push-downs here.
     calls = 0
     push_down = network.push_down
 
@@ -763,9 +763,10 @@ def _longhand_floor(items, region):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10), st.randoms(use_true_random=False))
 def test_pending_queries_match_the_pushed_pre_frame(depth, rng):
-    # Network a answers pending-level queries from its nearest made frame
-    # where it can, with random frame reads and pre-frame reads between
-    # the commits; its twin b pushes every pending level down first.
+    # Network a answers pending-level queries from a made frame above the
+    # pending level where it can, with random frame reads and pre-frame
+    # reads between the commits; its twin b pushes every pending level
+    # down first.
     a, b = ElementaryNetwork(), ElementaryNetwork()
     for n in range(1, depth + 1):
         table, edges = _random_level(rng, a, n)
@@ -775,7 +776,7 @@ def test_pending_queries_match_the_pushed_pre_frame(depth, rng):
             k = rng.randrange(n + 1)
             a.frame_eval(BitString(k, rng.randrange(1 << k)))
         if rng.random() < 0.3:
-            continue  # no query: the next one extends the scale further
+            continue  # no query: the next level's record steps from this one's
         if rng.random() < 0.2:
             a.pre_frame(n + 1)
         pre = b.pre_frame(n + 1)
@@ -787,6 +788,35 @@ def test_pending_queries_match_the_pushed_pre_frame(depth, rng):
             assert b.pattern_floor(n + 1, region) == want
     assert a.aggregates == b.aggregates
     assert a.frames == b.frames
+
+
+def test_levels_made_out_of_order_match_levels_made_in_order():
+    # Level 2 is made when level 3 is pushed, and level 3 as it is pushed
+    # (its parent has several parts); levels 4..10 are clean, so each
+    # record points at frame 3. Network a makes level 10 first, then
+    # shallower levels, so levels made after level 10 lie between it and
+    # the frame its record points at. Its twin b makes every level right
+    # after committing it, each from the level above.
+    level_2 = DelayTable(2, F(1, 3))
+    level_2.set_vertex(BitString.from_str("01"), F(1, 2))
+    level_2.add_subtree(BitString.from_str("1"), F(0))
+    tables = [DelayTable(1), level_2] + [
+        DelayTable(n, [F(0), F(1, 4), F(1, 2), F(0), F(1, 5)][n % 5])
+        for n in range(3, 11)
+    ]
+    a, b = ElementaryNetwork(), ElementaryNetwork()
+    for table in tables:
+        a.commit_level(table)
+        b.commit_level(table)
+        b.frames
+    assert sorted(a._unmade) == [1, *range(4, 11)]
+    assert {a._unmade[n][0] for n in range(4, 11)} == {3}
+    for n in (10, 7, 5, 9):
+        a.frame_eval(BitString(n, 0))
+    assert sorted(a._unmade) == [1, 4, 6, 8]
+    assert a.frames == b.frames
+    assert a._unmade == b._unmade == {}
+    assert a.aggregates == b.aggregates
 
 
 def _assert_ledger_trips_on_first_read(tmp_path, capsys, skew):
@@ -825,19 +855,13 @@ def test_a_wrong_clean_level_total_trips_the_ledger(monkeypatch, tmp_path, capsy
 
 
 def test_a_wrong_scale_in_make_trips_the_ledger(monkeypatch, tmp_path, capsys):
-    make = ElementaryNetwork._make
+    scale = ElementaryNetwork._scale
 
-    def skewed(self, n):
-        # The frame is made as if the parent's delay were another.
-        table = self.tables[n - 1]
-        s = table.s_partition()[0][1]
-        self.tables[n - 1] = DelayTable(n - 1, F(1, 2) if s != F(1, 2) else F(1, 3))
-        try:
-            return make(self, n)
-        finally:
-            self.tables[n - 1] = table
+    def skewed(self, n, s):
+        # The scale is worked out as if the parent's delay were another.
+        return scale(self, n, F(1, 2) if s != F(1, 2) else F(1, 3))
 
     def skew():
-        monkeypatch.setattr(ElementaryNetwork, "_make", skewed)
+        monkeypatch.setattr(ElementaryNetwork, "_scale", skewed)
 
     _assert_ledger_trips_on_first_read(tmp_path, capsys, skew)
