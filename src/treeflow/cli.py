@@ -28,10 +28,13 @@ edges.jsonl store. A cap (an enumeration limit, or a depth beyond what
 the dense oracle replays) says only that the work was cut off, not that
 the construction is impossible, so it gets its own code.
 
-Each levels, edges and aggregates row kind has one formatter, shared by
-the writer and `trace`, which writes `_canon`'s text from the fields;
-a write formats their rationals through one `_rat_memo`. Provenance,
-config and report rows, which hold free text, are encoded.
+Each levels, edges, aggregates and provenance row kind has one
+formatter, which writes `_canon`'s text from the fields; the writer and
+`trace` share the levels and edges ones, and a write formats rationals
+through one `_rat_memo`. A quiet row, a table of its default alone or a
+level whose share is its total, is one f-string. A provenance row that
+does not have the engine's shape, and config and report rows, are
+encoded.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from treeflow.network import (
     ExtraEdge,
     LevelAggregates,
     meets,
+    prefix_cubes_disjoint,
     rat_parse,
     rat_str,
 )
@@ -82,6 +86,8 @@ class BundleError(Exception):
 _canon = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), check_circular=False
 ).encode
+# The string escape `_canon` applies (it ensures ASCII): one C call.
+_escape = json.encoder.encode_basestring_ascii
 
 
 def _pretty(obj) -> str:
@@ -166,7 +172,8 @@ def _bundle_report(bundle: ConstructionBundle) -> dict:
 # The row formatters write keys in sorted order with "," and ":" and no
 # spaces, as `_canon` does. Every value in these rows is an int, null, or a
 # string of digits, "-", "/", "0", "1" and "*" (rationals, bit strings,
-# cube patterns), which JSON writes unescaped, so the text is `_canon`'s.
+# cube patterns), which JSON writes unescaped, so the text is `_canon`'s;
+# the one free-text value, a provenance note, is escaped as `_canon` does.
 
 
 def _pairs(pairs, rat: Callable[[Fraction], str]) -> str:
@@ -178,7 +185,13 @@ def _pairs(pairs, rat: Callable[[Fraction], str]) -> str:
 
 def _level_row(net_id: int, table: DelayTable, rat: Callable[[Fraction], str]) -> str:
     """The levels.jsonl row of network net_id's table: vertex and subtree
-    entries sorted by vertex, suffix entries in stored order."""
+    entries sorted by vertex, suffix entries in stored order. A table of
+    its default alone, as most are, is one f-string."""
+    if not (table.vertex or table.suffix or table.subtree):
+        return (
+            f'{{"default":"{rat(table.default)}","level":{table.level},'
+            f'"network":{net_id},"subtree":[],"suffix":[],"vertex":[]}}'
+        )
     suffix = [(c.pattern(), v) for c, v in table.suffix]
     return (
         f'{{"default":"{rat(table.default)}","level":{table.level},'
@@ -192,7 +205,15 @@ def _aggregates_row(
     net_id: int, n: int, agg: LevelAggregates, rat: Callable[[Fraction], str]
 ) -> str:
     """The aggregates.jsonl row of network net_id's level n, with each
-    rational formatted by rat, which must give `rat_str`'s text."""
+    rational formatted by rat, which must give `rat_str`'s text. A level
+    with no inflow whose share is its total object, as a quiet level's
+    is, formats one value."""
+    if agg.s_n is agg.total_R and not agg.extra_inflow:
+        total = rat(agg.total_R)
+        return (
+            f'{{"extra_inflow":"0/1","level":{n},"network":{net_id},'
+            f'"s_n":"{total}","total_R":"{total}"}}'
+        )
     return (
         f'{{"extra_inflow":"{rat(agg.extra_inflow)}","level":{n},'
         f'"network":{net_id},"s_n":"{rat(agg.s_n)}",'
@@ -226,17 +247,49 @@ def _edge_row(e: ExtraEdge, rat: Callable[[Fraction], str]) -> str:
     )
 
 
-def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
-    """Write the bundle's six files into outdir. Each levels, edges and
-    aggregates row is formatted by its row kind's one formatter, which
-    `trace` shares; provenance rows go out as the run holds them. Each
-    table and each edge is written once, in levels.jsonl and edges.jsonl.
+_PROV_KEYS = frozenset(
+    ("case", "discards", "network", "note", "step", "subtask", "task", "w", "wk")
+)
+_INT_OR_NULL = (int, type(None))
 
-    The three formatted row kinds share one `_rat_memo`, so each distinct
-    value object is turned into decimal once per write: a run of clean
-    levels at s = 0 shares one total object, which is also each row's
-    s_n, as nothing flows in, and it is formatted once for the whole run.
-    The bundle holds every value for the length of the write."""
+
+def _prov_row(row: dict) -> str:
+    """The provenance.jsonl row of row. A row of the engine's nine keys
+    with no discards, int fields that are ints (or null where the engine
+    writes null) and a note that is a string or null is one f-string; the
+    note is escaped by the function `_canon` escapes strings with. Any
+    other row, as `export` may read one, is encoded."""
+    if row.keys() == _PROV_KEYS and row["discards"] == []:
+        case, net_id, step, task = row["case"], row["network"], row["step"], row["task"]
+        subtask, w, wk, note = row["subtask"], row["w"], row["wk"], row["note"]
+        if (
+            type(case) is type(net_id) is type(step) is type(task) is int
+            and type(subtask) in _INT_OR_NULL
+            and type(w) in _INT_OR_NULL
+            and type(wk) in _INT_OR_NULL
+            and (note is None or type(note) is str)
+        ):
+            return (
+                f'{{"case":{case},"discards":[],"network":{net_id},'
+                f'"note":{"null" if note is None else _escape(note)},'
+                f'"step":{step},"subtask":{"null" if subtask is None else subtask},'
+                f'"task":{task},"w":{"null" if w is None else w},'
+                f'"wk":{"null" if wk is None else wk}}}'
+            )
+    return _canon(row)
+
+
+def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
+    """Write the bundle's six files into outdir. Each levels, edges,
+    aggregates and provenance row is formatted by its row kind's one
+    formatter; `trace` shares the levels and edges ones. Each table and
+    each edge is written once, in levels.jsonl and edges.jsonl.
+
+    The three row kinds that hold rationals share one `_rat_memo`, so
+    each distinct value object is turned into decimal once per write: a
+    run of clean levels at s = 0 shares one total object, which is also
+    each row's s_n, as nothing flows in, and it is formatted once for the
+    whole run. The bundle holds every value for the length of the write."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_text(outdir / "config.json", _pretty(bundle.config.to_payload()))
@@ -256,7 +309,7 @@ def write_bundle(bundle: ConstructionBundle, outdir: Path) -> None:
         for n, agg in enumerate(net.aggregates)
     ]
     _write_lines(outdir / "aggregates.jsonl", aggregates)
-    _write_lines(outdir / "provenance.jsonl", [_canon(r) for r in bundle.provenance])
+    _write_lines(outdir / "provenance.jsonl", [_prov_row(r) for r in bundle.provenance])
     _write_text(outdir / "report.json", _pretty(_bundle_report(bundle)))
 
 
@@ -272,10 +325,13 @@ def _table_from_record(rec: dict, rat: Callable[[str], Fraction]) -> DelayTable:
     suffix = [(Cube.from_pattern(pat), rat(v)) for pat, v in rec["suffix"]]
     table.add_suffix(suffix)  # checks delays and lengths, not disjointness
     cubes = [c for c, _ in suffix]
-    for i, j in meets(cubes, cubes):
-        if i != j:
-            where = f"network {rec['network']}, level {table.level}"
-            raise ConstructionError(f"{where}: suffix entries {i} and {j} overlap")
+    # Stored entries are mostly prefix cubes, which sorting clears; the
+    # join runs only when it cannot, and then names the first pair.
+    if not prefix_cubes_disjoint(cubes):
+        for i, j in meets(cubes, cubes):
+            if i != j:
+                where = f"network {rec['network']}, level {table.level}"
+                raise ConstructionError(f"{where}: suffix entries {i} and {j} overlap")
     for s, v in rec["subtree"]:
         table.add_subtree(BitString.from_str(s), rat(v))
     return table

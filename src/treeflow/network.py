@@ -241,6 +241,29 @@ def meets(a: list[Cube], b: list[Cube]) -> list[tuple[int, int]]:
     return out
 
 
+def prefix_cubes_disjoint(cubes: list[Cube]) -> bool:
+    """Whether the cubes, all of one level, are prefix cubes (positions
+    1..k pinned, the rest free) that pairwise share no vertex. A prefix
+    cube is the interval [value, value + count) of vertex values, and two
+    such intervals are nested or apart, so once sorted by lower end the
+    cubes are disjoint exactly when each starts at or after the end of the
+    one before. False when some cube is not a prefix cube, so that only
+    `meets` can tell."""
+    spans = []
+    for c in cubes:
+        free = c.care ^ ((1 << c.length) - 1)
+        if free & (free + 1):
+            return False
+        spans.append((c.value, c.value + free + 1))
+    spans.sort()
+    end = 0
+    for lo, hi in spans:
+        if lo < end:
+            return False
+        end = hi
+    return True
+
+
 def _carve(items: Items, cuts: Items, pairs) -> Items:
     """items rewritten by the pairwise disjoint cuts, given the pairs of
     `meets` between them: as if each cut in turn replaced every piece it

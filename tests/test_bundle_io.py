@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from test_golden import FLIP_ROSTERS
 
+from treeflow import cli
 from treeflow.bitseq import BitString
 from treeflow.cli import (
     BundleError,
@@ -19,6 +20,7 @@ from treeflow.cli import (
     _level_row,
     _load_jsonl,
     _pretty,
+    _prov_row,
     _rat_memo,
     main,
     write_bundle,
@@ -47,8 +49,11 @@ def _bits(n):
 
 @st.composite
 def tables(draw):
-    """A delay table with vertex, suffix and subtree entries; an entry that
-    conflicts with one drawn before is left out."""
+    """A delay table with vertex, suffix and subtree entries, where an
+    entry that conflicts with one drawn before is left out; or, as most
+    levels are, a table of its default alone at any level up to 128."""
+    if draw(st.booleans()):
+        return DelayTable(draw(st.integers(0, 128)), draw(delays))
     n = draw(st.integers(0, 6))
     table = DelayTable(n, draw(delays))
     for _ in range(draw(st.integers(0, 6))):
@@ -133,12 +138,17 @@ def test_a_level_row_is_the_encoded_record(table, net_id, memo):
 def test_an_aggregates_row_is_the_encoded_record(total, inflow, net_id, n, memo):
     # The writer's memoizing formatter, or rat_str. The second row is a
     # quiet level below the first: it takes the first's total object as
-    # its own, with no inflow, so its s_n is that same object.
+    # its own, with no inflow, so its s_n is that same object. The third
+    # has no inflow and a share equal to its total in value, but another
+    # object, so it is formatted field by field.
     rat = _rat_memo() if memo else rat_str
     agg = LevelAggregates(total, inflow)
     quiet = LevelAggregates(agg.total_R, Fraction(0))
     assert quiet.s_n is quiet.total_R is agg.total_R
-    for k, row in enumerate([agg, quiet]):
+    twin = LevelAggregates(total, Fraction(0))
+    twin.s_n = Fraction(total)
+    assert twin.s_n == twin.total_R and twin.s_n is not twin.total_R
+    for k, row in enumerate([agg, quiet, twin]):
         want = _canon(_reference_aggregates(net_id, n + k, row))
         assert _aggregates_row(net_id, n + k, row, rat) == want
 
@@ -147,6 +157,68 @@ def test_an_aggregates_row_is_the_encoded_record(total, inflow, net_id, n, memo)
 def test_an_edge_row_is_the_encoded_record(e, memo):
     rat = _rat_memo() if memo else rat_str
     assert _edge_row(e, rat) == _canon(_reference_edge(e))
+
+
+PROV_INTS = ("case", "network", "step", "task")
+PROV_NULLABLE = ("subtask", "w", "wk")
+big_ints = st.integers(-(10**30), 10**30)
+# Notes that need escaping: quotes, backslashes, control and non-ASCII
+# characters, astral ones and a lone surrogate (as JSON may spell one)
+# included.
+notes = st.text(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u2603\U0001f600\ud800')
+    | st.characters()
+)
+odd_values = st.booleans() | st.floats() | st.text(max_size=3) | st.none()
+
+
+@st.composite
+def provenance_rows(draw):
+    """A row a bundle may hold: one the engine writes (ints up to 10**30,
+    nulls, any note, no discards), or one `export` may read, with a key
+    more or less, a value of another type, or discards."""
+    row = {key: draw(big_ints) for key in PROV_INTS}
+    row.update({key: draw(st.none() | big_ints) for key in PROV_NULLABLE})
+    row["note"] = draw(st.none() | notes)
+    row["discards"] = []
+    change = draw(st.sampled_from(["none", "extra", "missing", "odd", "discards"]))
+    if change == "extra":
+        row[draw(st.text(max_size=8))] = draw(odd_values | big_ints)
+    elif change == "missing":
+        del row[draw(st.sampled_from(sorted(row)))]
+    elif change == "odd":
+        row[draw(st.sampled_from(sorted(row)))] = draw(odd_values)
+    elif change == "discards":
+        row["discards"] = [
+            {
+                "bound": "1/8",
+                "edge_network": 1,
+                "network": 2,
+                "patterns": ["0*"],
+                "source": "0",
+                "step": 3,
+                "target": "011",
+            }
+        ]
+    # In the engine's order or in a reloaded row's, or any other.
+    keys = draw(st.permutations(list(row)))
+    return {key: row[key] for key in keys}
+
+
+@given(provenance_rows())
+def test_a_provenance_row_is_the_encoded_record(row):
+    assert _prov_row(row) == _canon(row)
+
+
+def test_the_engine_provenance_rows_are_formatted_not_encoded(monkeypatch):
+    # Every row of a run that has no discards takes the f-string: with the
+    # encoder gone, the formatter still gives its bytes.
+    bundle = build(RunConfig(preset="family", depth=12, networks=3))
+    rows = [r for r in bundle.provenance if not r["discards"]]
+    assert 0 < len(rows) < len(bundle.provenance)
+    want = [_canon(r) for r in rows]
+    monkeypatch.setattr(cli, "_canon", None)
+    assert [_prov_row(r) for r in rows] == want
 
 
 def _reference_write(bundle, outdir):

@@ -16,6 +16,7 @@ MAP_OPERATIONS = {
     "floor_in",
     "overlay",
     "meets",
+    "prefix_cubes_disjoint",
     "push_down",
     "coalesce",
     "_grouped_sum",

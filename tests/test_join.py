@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from treeflow.bitseq import BitString
 from treeflow.cubes import Cube, subtract_many
-from treeflow.network import ConstructionError, DelayTable, meets
+from treeflow.network import (
+    ConstructionError,
+    DelayTable,
+    meets,
+    prefix_cubes_disjoint,
+)
 
 B = BitString.from_str
 F = Fraction
@@ -97,6 +102,49 @@ def test_meets_is_the_nested_loop(sides):
 def test_meets_splits_like_the_nested_loop(sides):
     a, b = map(cubes, sides)
     assert meets(a, b) == nested_loop(a, b)
+
+
+def prefix_st(n):
+    """A prefix cube: positions 1..k pinned, the rest free."""
+    return st.integers(0, n).flatmap(
+        lambda k: st.text(alphabet="01", min_size=k, max_size=k).map(
+            lambda head: head + "*" * (n - k)
+        )
+    )
+
+
+@st.composite
+def prefix_staircase_st(draw, n):
+    """A prefix cube peeled out of a shorter one it lies in, and perhaps
+    the hole too: nested-prefix cubes that share no vertex, as a stored
+    suffix tier holds them."""
+    k, j = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    head = draw(st.text(alphabet="01", min_size=j, max_size=j))
+    hole = head + "*" * (n - j)
+    return peel(head[:k] + "*" * (n - k), hole) + draw(st.sampled_from([[], [hole]]))
+
+
+def suffix_tier_st(n):
+    """Staircases, nested and duplicate prefix cubes, and cubes that are
+    not prefix cubes, in any order."""
+    part = st.one_of(
+        prefix_staircase_st(n),
+        st.lists(prefix_st(n), max_size=4),
+        prefix_st(n).map(lambda p: [p, p]),
+        st.lists(pattern_st(n), max_size=2),
+    )
+    return st.lists(part, max_size=4).flatmap(
+        lambda parts: st.permutations([p for ps in parts for p in ps])
+    )
+
+
+@given(st.integers(0, 40).flatmap(suffix_tier_st))
+def test_prefix_cubes_disjoint_is_the_nested_loop(patterns):
+    # True exactly when every cube is a prefix cube and no two meet.
+    tier = cubes(patterns)
+    prefix = all("*" not in p.rstrip("*") for p in patterns)
+    apart = all(i == j for i, j in nested_loop(tier, tier))
+    assert prefix_cubes_disjoint(tier) == (prefix and apart)
 
 
 # --- delay tables --------------------------------------------------------
