@@ -18,7 +18,7 @@ The verify reports are pinned the same way, as one digest per run over
 every report's payload without its runtime, and so are the deep
 `atom`-240, `family`-240 and `hyperimmune`-72 bundles, with one digest
 over every frame of the built networks and one over every frame of their
-reload.
+reload. The verify reports of the deep `atom`-240 bundle are pinned too.
 """
 
 import hashlib
@@ -349,3 +349,16 @@ def test_deep_reloaded_frames_match_recorded_digest(deep_bundle):
     preset, depth, _bundle, out = deep_bundle
     want = DEEP_DIGESTS[(preset, depth)]["reloaded frames"]
     assert _frames_digest(read_bundle(out)) == want
+
+
+# verify --checks all on atom-240 makes every frame of its largest tables.
+DEEP_REPORT_DIGESTS = {
+    ("atom", 240): "53903d0a6c8d7a731ce007ecdfa451e7f1707856261c1438be6e61a3ca6d5ea1",
+}
+
+
+@pytest.mark.parametrize("preset,depth", sorted(DEEP_REPORT_DIGESTS))
+def test_deep_reports_match_recorded_digest(deep_bundles, preset, depth):
+    bundle, _out = deep_bundles(preset, depth)
+    payloads = (r.to_payload() for r in run_checks(bundle))
+    assert _payload_digest(payloads) == DEEP_REPORT_DIGESTS[(preset, depth)]
