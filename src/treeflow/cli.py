@@ -66,7 +66,7 @@ from treeflow.network import (
     ExtraEdge,
     LevelAggregates,
     meets,
-    prefix_cubes_disjoint,
+    prefix_spans,
     rat_parse,
     rat_str,
 )
@@ -327,7 +327,7 @@ def _table_from_record(rec: dict, rat: Callable[[str], Fraction]) -> DelayTable:
     cubes = [c for c, _ in suffix]
     # Stored entries are mostly prefix cubes, which sorting clears; the
     # join runs only when it cannot, and then names the first pair.
-    if not prefix_cubes_disjoint(cubes):
+    if prefix_spans(cubes) is None:
         for i, j in meets(cubes, cubes):
             if i != j:
                 where = f"network {rec['network']}, level {table.level}"

@@ -58,6 +58,7 @@ hash computes a modular inverse on every call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -198,17 +199,87 @@ def _pins(cubes: list[Cube], idx) -> tuple[int, int, int, int]:
     return ones, zeros, all1, all1 | all0
 
 
-def meets(a: list[Cube], b: list[Cube]) -> list[tuple[int, int]]:
-    """Every index pair (i, j) whose cubes a[i] and b[j] share a vertex, in
-    nested-loop order: by i, then by j.
+def prefix_spans(cubes: list[Cube]) -> Optional[list[tuple[int, int, int]]]:
+    """The cubes, all of one level, as intervals of vertex values sorted by
+    lower end: (lo, hi, index) per cube, when every cube is a prefix cube
+    (positions 1..k pinned, the rest free) and no two share a vertex;
+    else None. A prefix cube is the dyadic interval [value, value + count),
+    and two such intervals are nested or apart, so once sorted by lower end
+    the cubes are disjoint exactly when each starts at or after the end of
+    the one before."""
+    spans = []
+    for i, c in enumerate(cubes):
+        free = c.care ^ ((1 << c.length) - 1)
+        if free & (free + 1):
+            return None
+        spans.append((c.value, c.value + free + 1, i))
+    spans.sort()
+    end = 0
+    for lo, hi, _ in spans:
+        if lo < end:
+            return None
+        end = hi
+    return spans
 
-    The join is unate-recursive, as in Espresso. A cube that misses the
-    other side's supercube drops out. Then both sides split on a bit that
-    a cube of one pins to 0 and a cube of the other to 1; a cube free on
-    it goes to both halves, and a pair free on it counts in the 0 half
-    only. Sides with no such bit meet pairwise. A scan tests each pair
-    once and a split makes a few passes over both sides, so sides with few
-    pairs per cube are scanned."""
+
+def _dyadic_join(
+    cubes: list[Cube], spans: list[tuple[int, int, int]]
+) -> list[list[int]]:
+    """For each cube, the indices of the cubes of spans, disjoint prefix
+    cubes as `prefix_spans` gives them, that it meets, in span order.
+
+    Each cube walks down the dyadic tree from the whole level, holding
+    the run [s, e) of the sorted intervals that meet the current node.
+    A lone interval is tested against the cube directly, and a node below
+    which the cube pins nothing meets its whole run. Else no interval
+    holds the node, so each lies inside it: a pinned run of the cube goes
+    down to one node, whose run is cut out by a bisection of the upper
+    ends and one of the lower ends, and a free bit parts the node's run
+    between its two halves."""
+    lows = [lo for lo, _, _ in spans]
+    highs = [hi for _, hi, _ in spans]
+    order = [k for _, _, k in spans]
+    found = []
+    for cube in cubes:
+        care, value = cube.care, cube.value
+        hit: list[int] = []
+        todo = [(cube.length, 0, 0, len(lows))]  # (free bits k, node low end, s, e)
+        while todo:
+            k, lo, s, e = todo.pop()
+            while s < e:
+                if e - s == 1:
+                    # The interval's pins are the bits of lo - hi = -size.
+                    if not (value ^ lows[s]) & care & (lows[s] - highs[s]):
+                        hit.append(order[s])
+                    break
+                below = (1 << k) - 1
+                if not care & below:
+                    hit += order[s:e]
+                    break
+                half = 1 << (k - 1)
+                if care & half:
+                    k = (below & ~care).bit_length()
+                    lo |= value & (below ^ ((1 << k) - 1))
+                    s = bisect_right(highs, lo, s, e)
+                    e = bisect_left(lows, lo + (1 << k), s, e)
+                else:
+                    k -= 1
+                    mid = bisect_left(lows, lo + half, s, e)
+                    todo.append((k, lo + half, mid, e))
+                    e = mid
+        found.append(hit)
+    return found
+
+
+def _unate_join(a: list[Cube], b: list[Cube]) -> list[tuple[int, int]]:
+    """`meets` for any two lists of cubes, by unate recursion as in
+    Espresso. A cube that misses the other side's supercube drops out.
+    Then both sides split on a bit that a cube of one pins to 0 and a
+    cube of the other to 1; a cube free on it goes to both halves, and a
+    pair free on it counts in the 0 half only. Sides with no such bit
+    meet pairwise. A scan tests each pair once and a split makes a few
+    passes over both sides, so sides with few pairs per cube are
+    scanned."""
     out: list[tuple[int, int]] = []
     todo = [(range(len(a)), range(len(b)))]
     split = False  # a lone scan leaves the pairs in order
@@ -241,27 +312,34 @@ def meets(a: list[Cube], b: list[Cube]) -> list[tuple[int, int]]:
     return out
 
 
-def prefix_cubes_disjoint(cubes: list[Cube]) -> bool:
-    """Whether the cubes, all of one level, are prefix cubes (positions
-    1..k pinned, the rest free) that pairwise share no vertex. A prefix
-    cube is the interval [value, value + count) of vertex values, and two
-    such intervals are nested or apart, so once sorted by lower end the
-    cubes are disjoint exactly when each starts at or after the end of the
-    one before. False when some cube is not a prefix cube, so that only
-    `meets` can tell."""
-    spans = []
-    for c in cubes:
-        free = c.care ^ ((1 << c.length) - 1)
-        if free & (free + 1):
-            return False
-        spans.append((c.value, c.value + free + 1))
-    spans.sort()
-    end = 0
-    for lo, hi in spans:
-        if lo < end:
-            return False
-        end = hi
-    return True
+def meets(a: list[Cube], b: list[Cube]) -> list[tuple[int, int]]:
+    """Every index pair (i, j) whose cubes a[i] and b[j] share a vertex, in
+    nested-loop order: by i, then by j.
+
+    Sides with at most 8 pairs of cubes per cube are scanned pair by pair
+    by `_unate_join`, which costs less than sorting either side; an empty
+    side, which meets nothing, is one of them. Larger sides take one of
+    two paths. When b, or else a, is a set of disjoint prefix cubes
+    (`prefix_spans`), each cube of the other side walks its sorted
+    intervals down the dyadic tree (`_dyadic_join`). A delay partition,
+    and a tier of delay writes, is such a set on every preset but
+    `hyperimmune`. Any other pair of sides, such as `hyperimmune`'s class
+    cubes against frame items, or the loader's self-join of a tier whose
+    entries overlap, goes through the unate recursion of `_unate_join`."""
+    if len(a) * len(b) <= 8 * (len(a) + len(b)):
+        return _unate_join(a, b)
+    spans = prefix_spans(b)
+    if spans is not None:
+        hits = _dyadic_join(a, spans)
+        return [(i, j) for i, js in enumerate(hits) for j in sorted(js)]
+    spans = prefix_spans(a)
+    if spans is None:
+        return _unate_join(a, b)
+    found: list[list[int]] = [[] for _ in a]
+    for j, iis in enumerate(_dyadic_join(b, spans)):
+        for i in iis:
+            found[i].append(j)
+    return [(i, j) for i, js in enumerate(found) for j in js]
 
 
 def _carve(items: Items, cuts: Items, pairs) -> Items:
@@ -271,23 +349,48 @@ def _carve(items: Items, cuts: Items, pairs) -> Items:
     their intersection with the cut's value.
 
     A cut meets only peel pieces of an earlier cut, so an item is carved
-    by its first cut, then each peel piece by the later cuts it meets."""
-    hits: dict[int, list] = {}
+    by its first cut, the least index among its cuts, then each peel piece
+    by the later cuts it meets. When the items and the cuts are disjoint
+    prefix cubes (`prefix_spans`), as on every preset but `hyperimmune`,
+    each piece is a dyadic interval that holds every cut it meets: an
+    item's cuts are sorted by lower end once, and a piece's cuts are the
+    run whose lower ends fall in its interval, cut out by two bisections.
+    Else each peel piece filters its item's cuts. Both give the same
+    pieces in the same order."""
+    tier = [c for c, _ in cuts]
+    dyadic = (
+        prefix_spans(tier) is not None
+        and prefix_spans([c for c, _ in items]) is not None
+    )
+    low = [c.value for c in tier].__getitem__  # a prefix cube's lower end
+    hits: dict[int, list[int]] = {}
     for i, j in pairs:
-        hits.setdefault(i, []).append(cuts[j])
+        hits.setdefault(i, []).append(j)
     out: Items = []
     for i, item in enumerate(items):
-        todo = [(item, hits.get(i, ()))]
+        left = hits.get(i)
+        if left is None:
+            out.append(item)
+            continue
+        if dyadic:
+            left.sort(key=low)
+        todo = [(item, left)]
         while todo:
             (p, v), left = todo.pop()
             if not left:
                 out.append((p, v))
                 continue
-            (o, s), rest = left[0], left[1:]
+            o, s = cuts[min(left)]
             todo.append(((p.intersect(o), s), ()))
             for q in reversed(p.subtract(o)):
                 qc, qv = q.care, q.value
-                meet = [h for h in rest if not (h[0].value ^ qv) & h[0].care & qc]
+                if dyadic:
+                    lo = bisect_left(left, qv, key=low)
+                    meet = left[lo : bisect_left(left, qv + q.count(), lo, key=low)]
+                else:
+                    meet = [
+                        j for j in left if not (tier[j].value ^ qv) & tier[j].care & qc
+                    ]
                 todo.append(((q, v), meet))
     return out
 
@@ -299,10 +402,15 @@ def push_down(items: Items, parts: Items) -> tuple[Items, Fraction]:
 
     Each live part walks its items: all of them, testing each for a meet,
     when it is the only live part, else the ones `meets` pairs it with.
-    Output is in nested-loop order, by part, then by item. A per-part memo
-    maps id(v) to the group of the integers (v, s), so the Fraction reads
-    happen once per value object and the share once per distinct (v, s),
-    as one Fraction. id keys are sound: every v lives in items throughout.
+    Parts of s = 1 carry nothing and are dropped first; when every part
+    has s = 1, the join has an empty side and pairs nothing. A delay
+    partition is disjoint prefix cubes on every preset but `hyperimmune`,
+    so `meets` answers a large push by its dyadic descent, and class-cube
+    parts by its unate path. Output is in nested-loop order, by part, then
+    by item. A per-part memo maps id(v) to the group of the integers
+    (v, s), so the Fraction reads happen once per value object and the
+    share once per distinct (v, s), as one Fraction. id keys are sound:
+    every v lives in items throughout.
     The carried mass is summed on the input side, v * (1 - s) times the
     parent vertices of each group over one common denominator, never from
     the shares written out, so the ledger of the push still catches a

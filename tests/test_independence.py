@@ -16,7 +16,9 @@ MAP_OPERATIONS = {
     "floor_in",
     "overlay",
     "meets",
-    "prefix_cubes_disjoint",
+    "prefix_spans",
+    "_dyadic_join",
+    "_unate_join",
     "push_down",
     "coalesce",
     "_grouped_sum",

@@ -2,18 +2,23 @@
 suffix writes, each against a longhand oracle kept in this file."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeflow import network
 from treeflow.bitseq import BitString
+from treeflow.constructions import RunConfig, build
 from treeflow.cubes import Cube, subtract_many
 from treeflow.network import (
     ConstructionError,
     DelayTable,
+    _carve,
+    _dyadic_join,
     meets,
-    prefix_cubes_disjoint,
+    prefix_spans,
 )
 
 B = BitString.from_str
@@ -144,7 +149,216 @@ def test_prefix_cubes_disjoint_is_the_nested_loop(patterns):
     tier = cubes(patterns)
     prefix = all("*" not in p.rstrip("*") for p in patterns)
     apart = all(i == j for i, j in nested_loop(tier, tier))
-    assert prefix_cubes_disjoint(tier) == (prefix and apart)
+    assert (prefix_spans(tier) is not None) == (prefix and apart)
+
+
+def test_prefix_spans_are_sorted_intervals():
+    tier = cubes(["1*", "00", "01"])
+    assert prefix_spans(tier) == [(0, 1, 1), (1, 2, 2), (2, 4, 0)]
+    assert prefix_spans([]) == []
+
+
+# --- the dyadic join -------------------------------------------------------
+
+
+def random_prefix(rng, n):
+    k = rng.randint(0, n)
+    return "".join(rng.choice("01") for _ in range(k)) + "*" * (n - k)
+
+
+def dyadic_partition(rng, n, size):
+    """A cover of the level by up to size prefix cubes: a random cube is
+    split on its first free position until there are enough, or none is
+    left to split."""
+    parts = ["*" * n]
+    while len(parts) < size:
+        splittable = [i for i, p in enumerate(parts) if "*" in p]
+        if not splittable:
+            break
+        i = rng.choice(splittable)
+        p = parts.pop(i)
+        k = p.index("*")
+        parts[i:i] = [p[:k] + "0" + p[k + 1 :], p[:k] + "1" + p[k + 1 :]]
+    return parts
+
+
+def disjoint_prefix_side(rng, n):
+    """Disjoint prefix cubes as delay tables hold them: staircases peeled
+    around prefix holes, or a partition with some parts dropped (the
+    parts of s = 1 that a push leaves out), in any order."""
+    if rng.random() < 0.5:
+        out = []
+        for region in dyadic_partition(rng, n, rng.randint(1, 8)):
+            if rng.random() < 0.7:
+                hole = random_prefix(rng, n)
+                hole = "".join(h if r == "*" else r for r, h in zip(region, hole))
+                out += peel(region, hole)
+            else:
+                out.append(region)
+    else:
+        out = dyadic_partition(rng, n, rng.randint(1, 400))
+    if rng.random() < 0.5:
+        out = [p for p in out if rng.random() < 0.7]
+    rng.shuffle(out)
+    return out
+
+
+def frame_shaped(rng, n):
+    """A free or pinned head, a free gap, a pinned run and a free tail, as
+    frame items below a delay write are."""
+    head_end, gap_end, run_end = sorted(rng.randint(0, n) for _ in range(3))
+    head = rng.choice(["*", "01"])
+    return (
+        "".join(rng.choice(head) for _ in range(head_end))
+        + "*" * (gap_end - head_end)
+        + "".join(rng.choice("01") for _ in range(run_end - gap_end))
+        + "*" * (n - run_end)
+    )
+
+
+def random_pattern(rng, n):
+    return "".join(rng.choice("01**") for _ in range(n))
+
+
+def other_side(rng, n):
+    """Up to several hundred cubes of any of the shapes a join meets:
+    nested and duplicate prefix cubes, frame-shaped cubes, arbitrary ones,
+    or another disjoint prefix side."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        return []
+    if shape == 1:
+        return disjoint_prefix_side(rng, n)
+    size = rng.randint(1, 300)
+    make = [
+        lambda: random_prefix(rng, n),
+        lambda: frame_shaped(rng, n),
+        lambda: random_pattern(rng, n),
+    ][shape - 2]
+    out = [make() for _ in range(size)]
+    return out + rng.sample(out, rng.randint(0, min(3, len(out))))
+
+
+def dyadic_sides(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    return disjoint_prefix_side(rng, n), other_side(rng, n)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.booleans())
+def test_meets_by_descent_is_the_nested_loop(seed, disjoint_first):
+    # The disjoint prefix side given as a and as b.
+    disjoint, other = map(cubes, dyadic_sides(seed))
+    a, b = (disjoint, other) if disjoint_first else (other, disjoint)
+    assert meets(a, b) == nested_loop(a, b)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32))
+def test_dyadic_join_is_the_nested_loop(seed):
+    # Below the scan's size too: each cube's hits, in span order.
+    disjoint, other = map(cubes, dyadic_sides(seed))
+    spans = prefix_spans(disjoint)
+    want = [[k for _, _, k in spans if c.intersect(disjoint[k])] for c in other]
+    assert _dyadic_join(other, spans) == want
+
+
+@pytest.mark.parametrize("side", [[], ["0*"], ["0*", "10", "11"]])
+def test_an_empty_side_meets_nothing(side):
+    assert meets(cubes(side), []) == meets([], cubes(side)) == []
+    assert _dyadic_join([], prefix_spans(cubes(side))) == []
+    assert _dyadic_join(cubes(side), []) == [[] for _ in side]
+
+
+# --- the carve -------------------------------------------------------------
+
+
+def carve_by_filter(items, cuts, pairs):
+    """`_carve` with no interval path: each peel piece filters the later
+    cuts of its item for the ones that meet it."""
+    hits = {}
+    for i, j in pairs:
+        hits.setdefault(i, []).append(cuts[j])
+    out = []
+    for i, item in enumerate(items):
+        todo = [(item, hits.get(i, ()))]
+        while todo:
+            (p, v), left = todo.pop()
+            if not left:
+                out.append((p, v))
+                continue
+            (o, s), rest = left[0], left[1:]
+            todo.append(((p.intersect(o), s), ()))
+            for q in reversed(p.subtract(o)):
+                todo.append(((q, v), [h for h in rest if h[0].intersect(q)]))
+    return out
+
+
+def carve_sides(seed):
+    """A cover of the level and a tier of disjoint cuts over it, both with
+    delays. The cover is prefix cubes, or a class-cube cover as a
+    `hyperimmune` suffix tier leaves it; the cuts are disjoint prefix
+    cubes, or pieces of one cube minus others."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 24)
+    if rng.random() < 0.7:
+        cover = cubes(dyadic_partition(rng, n, rng.randint(1, 60)))
+    else:
+        hole = Cube.from_pattern(random_pattern(rng, n))
+        cover = Cube(n).subtract(hole) + [hole]
+    if rng.random() < 0.8:
+        tier = cubes(disjoint_prefix_side(rng, n))
+    else:
+        base, *holes = cubes([random_pattern(rng, n) for _ in range(4)])
+        tier = subtract_many(base, holes)
+    items = [(c, rng.choice(DELAYS)) for c in cover]
+    cuts = [(c, rng.choice(DELAYS)) for c in tier]
+    return items, cuts
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32))
+def test_carve_is_the_filtered_carve(seed):
+    items, cuts = carve_sides(seed)
+    pairs = nested_loop([c for c, _ in items], [c for c, _ in cuts])
+    assert _carve(items, cuts, pairs) == carve_by_filter(items, cuts, pairs)
+
+
+# --- which path answers ----------------------------------------------------
+
+
+def count_paths(monkeypatch):
+    """(caller of meets, whether its sides were too large to scan) for each
+    join, by the path that answered it."""
+    calls = {"_dyadic_join": [], "_unate_join": []}
+    for name, seen in calls.items():
+        join = getattr(network, name)
+
+        def counted(x, y, join=join, seen=seen):
+            large = len(x) * len(y) > 8 * (len(x) + len(y))
+            seen.append((sys._getframe(2).f_code.co_name, large))  # meets' caller
+            return join(x, y)
+
+        monkeypatch.setattr(network, name, counted)
+    return calls
+
+
+def test_staircase_push_downs_take_the_descent(monkeypatch):
+    calls = count_paths(monkeypatch)
+    build(RunConfig(preset="nonstochastic", depth=128))
+    # Its three push-downs of delay staircases: 98 x 62, 161 x 164 and
+    # 105 x 194 cubes. Every other join is small enough to scan.
+    assert calls["_dyadic_join"] == [("push_down", True)] * 3
+    assert all(not large for _, large in calls["_unate_join"])
+
+
+def test_class_cube_joins_take_the_unate_path(monkeypatch):
+    calls = count_paths(monkeypatch)
+    build(RunConfig(preset="hyperimmune", depth=62))
+    # A partition with class-cube parts against its frame (29 x 40 cubes):
+    # neither side is made of prefix cubes.
+    assert ("push_down", True) in calls["_unate_join"]
 
 
 # --- delay tables --------------------------------------------------------
