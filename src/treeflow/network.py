@@ -381,8 +381,13 @@ def _carve(items: Items, cuts: Items, pairs) -> Items:
                 out.append((p, v))
                 continue
             o, s = cuts[min(left)]
+            pieces = p.subtract(o)
+            if len(left) == 1:  # no cut is left for the peel pieces
+                out += [(q, v) for q in pieces]
+                out.append((p.intersect(o), s))
+                continue
             todo.append(((p.intersect(o), s), ()))
-            for q in reversed(p.subtract(o)):
+            for q in reversed(pieces):
                 qc, qv = q.care, q.value
                 if dyadic:
                     lo = bisect_left(left, qv, key=low)
