@@ -390,6 +390,85 @@ def test_corrupted_weight_trips_only_conservation():
     assert rep.witness["level"] == len(e.target)
 
 
+def test_raised_stored_total_trips_only_conservation():
+    b = build(RunConfig(preset="nonstochastic", depth=12))
+    net = b.network(1)
+    agg = net.aggregates[5]
+    raised = agg.total_R + Fraction(1, 1 << 40)
+    # A raised total raises s_n too, so sn_bound still passes.
+    net.aggregates[5] = LevelAggregates(raised, agg.extra_inflow)
+    rep = _assert_only_fails(run_checks(b), "conservation")
+    assert rep.witness == {
+        "network": 1,
+        "level": 5,
+        "identity": "stored total",
+        "lhs": rat_str(agg.total_R),
+        "rhs": rat_str(raised),
+    }
+
+
+def test_lowered_last_frame_item_trips_only_conservation_balance():
+    b = build(RunConfig(preset="nonstochastic", depth=12))
+    net = b.network(1)
+    frame = net.frames[12]
+    before = net.aggregates[12]
+    # Halve the smallest item of the last frame and store the total that
+    # results: the stored total agrees, the push from level 11 does not.
+    # A lowered child keeps every separator halving and all support.
+    k = min(range(len(frame)), key=lambda i: frame[i][1] * frame[i][0].count())
+    cube, v = frame[k]
+    net.frames[12] = frame[:k] + [(cube, v / 2)] + frame[k + 1:]
+    lowered = before.total_R - v / 2 * cube.count()
+    net.aggregates[12] = LevelAggregates(lowered, before.extra_inflow)
+    rep = _assert_only_fails(run_checks(b), "conservation")
+    assert rep.witness == {
+        "network": 1,
+        "level": 12,
+        "identity": "level balance",
+        "lhs": rat_str(lowered),
+        "rhs": rat_str(before.total_R),
+    }
+
+
+def test_discard_record_without_its_cubes_trips_only_conservation():
+    # family-12 silences 0000000 on network 2 at step 7, its one discard.
+    b = build(RunConfig(preset="family", depth=12))
+    (d,) = b.discards
+    assert (d.network_id, d.edge.step_drawn) == (2, 7)
+    assert [c.pattern() for c in d.cubes] == ["0000000"]
+    # Same edge and bound, so the allowance and the mass bound hold.
+    b.discards[0] = dataclasses.replace(d, cubes=())
+    rep = _assert_only_fails(run_checks(b), "conservation")
+    assert rep.witness == {
+        "network": 2,
+        "level": 7,
+        "identity": "unrecorded dead region",
+        "region": "0000000",
+    }
+
+
+def test_record_of_a_live_region_trips_only_conservation():
+    # The children 0000000* of family-12's silenced vertex get no mass and
+    # pass none on, so a record of them at step 8 meets the discard bound
+    # and the zero-flow test; only their delay, s < 1, betrays it.
+    b = build(RunConfig(preset="family", depth=12))
+    (d,) = b.discards
+    below = Cube.from_pattern("0000000*")
+    assert all(s != 1 for c, s in b.network(2).tables[8].s_partition() if c.overlap(below))
+    b.discards.append(
+        dataclasses.replace(
+            d, cubes=(below,), edge=dataclasses.replace(d.edge, step_drawn=8)
+        )
+    )
+    rep = _assert_only_fails(run_checks(b), "conservation")
+    assert rep.witness == {
+        "network": 2,
+        "level": 8,
+        "identity": "recorded region not silenced",
+        "region": "0000000*",
+    }
+
+
 def test_moved_class_member_trips_only_duplication(hyper32):
     b = build(RunConfig(preset="hyperimmune", depth=32))
     net = b.network(1)
@@ -433,6 +512,28 @@ def test_sn_bound_budget_leaves_out_discards_from_their_step():
         "network": 2,
         "level": 30,
         "s_n": rat_str(budget - Fraction(1, 1 << 80)),
+        "budget": rat_str(budget),
+    }
+
+
+def test_sn_bound_budget_leaves_out_only_the_networks_own_discards():
+    # hyperimmune-32's discards are all on network 2, so network 1's
+    # budget at level 30 is the install loss alone.
+    b = build(RunConfig(preset="hyperimmune", depth=32))
+    assert {d.network_id for d in b.discards} == {2}
+    rho = b.config.rho_base
+    budget = 1 - sum(Fraction(1, (n + rho) ** 2) for n in range(1, 31))
+    low = budget - Fraction(1, 1 << 80)
+    aggregates = b.network(1).aggregates
+    aggregates[30] = LevelAggregates(budget, Fraction(0))
+    assert check_sn_bound(b).passed
+    aggregates[30] = LevelAggregates(low, Fraction(0))
+    rep = check_sn_bound(b)
+    assert not rep.passed
+    assert rep.witness == {
+        "network": 1,
+        "level": 30,
+        "s_n": rat_str(low),
         "budget": rat_str(budget),
     }
 
