@@ -110,9 +110,18 @@ def _check(name: str, register: bool = True):
     return wrap
 
 
-# Both sums below count vertices per distinct value first, keyed by the
-# integers of the value (hashing a Fraction costs a modular inverse), and
-# then take one Fraction product per value.
+# Both sums below count vertices per distinct term first, keyed by the
+# integers of the term (hashing a Fraction costs a modular inverse), and
+# then add the counted terms as integers over one common denominator, so
+# that a sum makes one Fraction.
+
+
+def _counted_sum(counts: dict[tuple[int, int], int]) -> Fraction:
+    """The sum of k * a / d over the entries (a, d): k."""
+    common = lcm(*(d for _, d in counts))
+    return Fraction(
+        sum(a * k * (common // d) for (a, d), k in counts.items()), common
+    )
 
 
 def _frame_total(net, n) -> Fraction:
@@ -120,31 +129,33 @@ def _frame_total(net, n) -> Fraction:
     for c, v in net.frames[n]:
         key = (v.numerator, v.denominator)
         counts[key] = counts.get(key, 0) + c.count()
-    return sum((Fraction(a * k, b) for (a, b), k in counts.items()), ZERO)
+    return _counted_sum(counts)
 
 
 def _pre_mass(net, level, cubes) -> Fraction:
     """Mass arriving at `cubes` (level `level`) before level edges land."""
-    hits: dict[tuple[int, int, int, int], int] = {}
+    hits: dict[tuple[int, int], int] = {}
     parts = [(c, s) for c, s in net.tables[level - 1].s_partition() if s != 1]
     items = [(c, v) for c, v in net.frames[level - 1] if v]
+    masks = [(cube.care, cube.value) for cube in cubes]
     for j, i in _meeting_pairs([c for c, _ in parts], [c for c, _ in items]):
         (c2, s), (c, v) = parts[j], items[i]
-        child = c.intersect(c2).extend(1)
-        k = sum(child.overlap(cube) for cube in cubes)
+        # the children of the pair's common vertices, counted in each cube
+        # from the masks alone
+        care = (c.care | c2.care) << 1
+        value = (c.value | c2.value) << 1
+        k = 0
+        for cube_care, cube_value in masks:
+            if not (value ^ cube_value) & care & cube_care:
+                k += 1 << (level - (care | cube_care).bit_count())
         if k:
-            key = (v.numerator, v.denominator, s.numerator, s.denominator)
+            # each hit child vertex receives v * (1 - s) / 2
+            key = (
+                v.numerator * (s.denominator - s.numerator),
+                2 * v.denominator * s.denominator,
+            )
             hits[key] = hits.get(key, 0) + k
-    # each hit child vertex receives v * (1 - s) / 2; the terms are added
-    # as integers over one common denominator
-    common = lcm(*(2 * vd * sd for _, vd, _, sd in hits))
-    return Fraction(
-        sum(
-            vn * (sd - sn) * k * (common // (2 * vd * sd))
-            for (vn, vd, sn, sd), k in hits.items()
-        ),
-        common,
-    )
+    return _counted_sum(hits)
 
 
 def _stream_task(bundle, n: int) -> int:
@@ -226,7 +237,11 @@ def check_no_overlap(bundle) -> CheckReport:
 def check_conservation(bundle) -> CheckReport:
     """Per level: frame total equals pushed share plus edge inflow, the
     stored aggregates match both, and held mass splits into the delayed
-    part plus exactly the recorded discard regions."""
+    part plus exactly the recorded discard regions.
+
+    Each network's landing edges are indexed by the level they land on,
+    and its recorded discard cubes by the step that drew them, once, so a
+    level reads only its own."""
 
     def fail(net, n, what, **sides):
         return CheckFailed({"network": net.network_id, "level": n, "identity": what, **sides})
@@ -235,6 +250,9 @@ def check_conservation(bundle) -> CheckReport:
         return fail(net, n, what, lhs=rat_str(lhs), rhs=rat_str(rhs))
 
     for net in bundle.networks:
+        landing: dict[int, list] = {}
+        for e in net.edges:
+            landing.setdefault(len(e.target), []).append(e)
         for n in range(bundle.depth + 1):
             total = _frame_total(net, n)
             agg = net.aggregates[n]
@@ -244,12 +262,7 @@ def check_conservation(bundle) -> CheckReport:
                 continue
             pushed = _pre_mass(net, n, [Cube.whole_level(n)])
             inflow = sum(
-                (
-                    e.q * net.frame_eval(e.source)
-                    for e in net.edges
-                    if len(e.target) == n
-                ),
-                ZERO,
+                (e.q * net.frame_eval(e.source) for e in landing.get(n, ())), ZERO
             )
             if inflow != agg.extra_inflow:
                 raise unequal(net, n, "stored inflow", inflow, agg.extra_inflow)
@@ -257,14 +270,13 @@ def check_conservation(bundle) -> CheckReport:
                 raise unequal(net, n, "level balance", total, pushed + inflow)
         # Held mass at each level: the s = 1 region must be exactly the
         # recorded discard regions, nothing more.
+        silenced: dict[int, list[Cube]] = {}
+        for d in bundle.discards:
+            if d.network_id == net.network_id:
+                silenced.setdefault(d.edge.step_drawn, []).extend(d.cubes)
         for n in range(bundle.depth + 1):
             dead = [c for c, s in net.tables[n].s_partition() if s == 1]
-            recorded = [
-                c
-                for d in bundle.discards
-                if d.network_id == net.network_id and d.edge.step_drawn == n
-                for c in d.cubes
-            ]
+            recorded = silenced.get(n, [])
             extra = dead
             for cube in recorded:
                 extra = [p for piece in extra for p in piece.subtract(cube)]
@@ -291,22 +303,27 @@ def check_conservation(bundle) -> CheckReport:
 def check_sn_bound(bundle) -> CheckReport:
     """Level aggregates stay above the install-loss budget and 1/2. The
     budget also leaves out the allowance of every discard the network has
-    recorded up to the level."""
+    recorded up to the level.
+
+    The ladder 1 - sum over k <= n of 1/(k + rho)^2 is the same on every
+    network, so it is summed once; a network's allowance grows only at the
+    steps that drew one of its discards."""
     rho = bundle.config.rho_base
+    ladder = [ONE]
+    for n in range(1, bundle.depth + 1):
+        ladder.append(ladder[-1] - Fraction(1, (n + rho) ** 2))
     for net in bundle.networks:
-        loss = ZERO
-        for n in range(bundle.depth + 1):
-            if n >= 1:
-                loss += Fraction(1, (n + rho) ** 2)
-            allowance = sum(
-                (
-                    d.bound
-                    for d in bundle.discards
-                    if d.network_id == net.network_id and d.edge.step_drawn <= n
-                ),
-                ZERO,
-            )
-            budget = ONE - loss - allowance
+        drawn: dict[int, Fraction] = {}
+        for d in bundle.discards:
+            if d.network_id == net.network_id:
+                # a step before level 0 counts from level 0
+                step = max(d.edge.step_drawn, 0)
+                drawn[step] = drawn.get(step, ZERO) + d.bound
+        allowance = ZERO
+        for n, rung in enumerate(ladder):
+            if n in drawn:
+                allowance += drawn[n]
+            budget = rung - allowance if allowance else rung
             s_n = net.aggregates[n].s_n
             if s_n < budget or s_n < HALF:
                 raise CheckFailed({
@@ -448,7 +465,11 @@ def _head_regions(m_pieces, w_pieces, shift):
 def _level_mismatch(m_pieces, w_pieces, shift, walk):
     """(b, head of the first region, head, tail) for a region whose tail
     map differs from that of the first region with the same b, or None.
-    Counts the regions in `walk`."""
+    Counts the regions in `walk`.
+
+    At m = w (shift 0) the regions are counted and nothing is compared:
+    y[:w] is y there, so both sides of the identity are P(y) P(z), and
+    every region's tail map is the constant 1."""
     refs = [None, None]
     for head, prefixes, tails in _head_regions(m_pieces, w_pieces, shift):
         for b in (0, 1):
@@ -457,6 +478,8 @@ def _level_mismatch(m_pieces, w_pieces, shift, walk):
                 walk["zero_prefix_regions"] += 1
                 continue
             walk["regions"] += 1
+            if not shift:
+                continue
             if refs[b] is None:
                 refs[b] = head, prefix, tails[b]
                 continue
@@ -482,7 +505,9 @@ def check_ratio_identity(bundle) -> CheckReport:
     all pairs exactly when each region's tail map t -> P(H b t) / P(H b)
     is the same as that of the first region, for b = 0 and b = 1. Regions
     with zero prefix flow are left out, and so are levels m with an
-    unsettled task in (w, m]."""
+    unsettled task in (w, m]. A level m = w is walked for its regions and
+    coverage but compares nothing: there z[:w] = z and y[:w] = y, so the
+    identity reads P(y) P(z) = P(z) P(y) and holds for every pair."""
     if bundle.config.preset not in T2_PRESETS:
         return NOT_APPLICABLE
     depth = bundle.depth
@@ -522,7 +547,8 @@ def check_ratio_identity(bundle) -> CheckReport:
                 continue
             walk["levels"] += 1
             regions = walk["regions"]
-            bad = _level_mismatch(_flow_pieces(net, m), w_pieces, m - w, walk)
+            m_pieces = w_pieces if m == w else _flow_pieces(net, m)
+            bad = _level_mismatch(m_pieces, w_pieces, m - w, walk)
             if walk["regions"] > regions:
                 covered.add(i)
             if bad is None:
@@ -621,7 +647,11 @@ def _unhalved(children, parents):
     2 v > u is decided once per pair of value objects, as the integer
     comparison 2 v.num u.den > u.num v.den (both denominators positive);
     a frame holds few values in many pieces. id keys are sound: both
-    frames hold every value throughout."""
+    frames hold every value throughout.
+
+    A child item inside one of the parent cubes it meets has no vertex
+    under no parent item, so only the other child items are cut by
+    `subtract_many` for their rest."""
     below = [(p.extend(1), u) for p, u in parents]
     under: list[list] = [[] for _ in children]
     for i, j in _meeting_pairs([c for c, _ in children], [b for b, _ in below]):
@@ -637,7 +667,7 @@ def _unhalved(children, parents):
                 )
             if more:
                 yield c.intersect(b), v, u
-        if v > 0:
+        if v > 0 and not any(c.care & b.care == b.care for b, _ in met):
             for rest in subtract_many(c, [b for b, _ in met]):
                 yield rest, v, ZERO
 
@@ -651,13 +681,11 @@ def check_separators(bundle) -> CheckReport:
     separators: dict[int, list[int]] = {}
     coverage: dict[str, list[dict]] = {}
     for net in bundle.networks:
-        levels = [
-            n
-            for n in range(depth + 1)
-            if all(
-                len(e.source) >= n or len(e.target) < n for e in net.edges
-            )
-        ]
+        # an edge crosses the levels len(source) + 1 .. len(target)
+        crossed = {
+            n for e in net.edges for n in range(len(e.source) + 1, len(e.target) + 1)
+        }
+        levels = [n for n in range(depth + 1) if n not in crossed]
         separators[net.network_id] = levels
         walked = coverage[str(net.network_id)] = []
         for n in levels:

@@ -3,6 +3,7 @@ place and watch exactly one check trip."""
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,8 +24,11 @@ from treeflow.scheduler import ResourceLimit
 from treeflow.verify import (
     _acting_net,
     _active_tasks,
+    _frame_total,
+    _level_mismatch,
     _longest_image,
     _meeting_pairs,
+    _pre_mass,
     _stable_tasks,
     _stream_task,
     _unhalved,
@@ -275,6 +279,21 @@ def test_tripled_edge_in_transit_trips_ratio_identity():
     rep = check_ratio_identity(b)
     assert not rep.passed
     _assert_genuine_ratio_witness(b, rep.witness)
+
+
+def test_level_mismatch_compares_from_one_level_below_w():
+    # No bundle here has a compared level m = w + 1, so pieces stand in.
+    # P_w is 2 on 00 and 1 elsewhere; at m = w P_m is P_w, and the
+    # identity reads P(y) P(z) = P(z) P(y): regions counted, none differs.
+    w_pieces = [(0b11, 0b00, 1), (0, 0, 1)]
+    walk = {"regions": 0, "zero_prefix_regions": 0}
+    assert _level_mismatch(w_pieces, w_pieces, 0, walk) is None
+    assert walk == {"regions": 4, "zero_prefix_regions": 0}
+    # At m = w + 1, P(000) = 3 and P(001) = 1 under head 0, against 1 and
+    # 1 under head 1: the tail maps of b = 0 differ at tail 0.
+    m_pieces = [(0b111, 0b000, 2), (0, 0, 1)]
+    walk = {"regions": 0, "zero_prefix_regions": 0}
+    assert _level_mismatch(m_pieces, [(0, 0, 1)], 1, walk) == (0, 0, 1, 0)
 
 
 def _halve_head_region(bundle, net_id, head, level):
@@ -651,7 +670,10 @@ def _pairwise_unhalved(children, parents):
                 yield rest, v, Fraction(0)
 
 
-def _random_frame(rng, length, rounds):
+_POOL = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)]
+
+
+def _random_frame(rng, length, rounds, pool=_POOL, keep=0.9):
     """A disjoint cube map of one level: the whole level cut along random
     free positions, some pieces dropped, values from a small pool."""
     cubes = [Cube.whole_level(length)]
@@ -663,8 +685,7 @@ def _random_frame(rng, length, rounds):
         bit = rng.choice([1 << s for s in range(length) if not c.care >> s & 1])
         cubes += [Cube(length, c.care | bit, c.value), Cube(length, c.care | bit, c.value | bit)]
     rng.shuffle(cubes)
-    pool = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)]
-    return [(c, rng.choice(pool)) for c in cubes if rng.random() < 0.9]
+    return [(c, rng.choice(pool)) for c in cubes if rng.random() < keep]
 
 
 def _staircase(length, heads):
@@ -733,6 +754,180 @@ def test_bucketed_unhalved_matches_the_pairwise_walk_on_bundles(corruption):
         assert list(_unhalved(net.frames[n], net.frames[n - 1])) == list(
             _pairwise_unhalved(net.frames[n], net.frames[n - 1])
         ), n
+
+
+def _frame_total_longhand(net, n):
+    """A frame's total, one Fraction product and sum per item."""
+    return sum((v * c.count() for c, v in net.frames[n]), Fraction(0))
+
+
+def _pre_mass_longhand(net, level, cubes):
+    """The mass arriving at `cubes`, Fraction by Fraction: every part with
+    s != 1 against every frame item, and each child vertex they share
+    counted in each cube through the intersected and extended cubes."""
+    total = Fraction(0)
+    for part, s in net.tables[level - 1].s_partition():
+        if s == 1:
+            continue
+        for c, v in net.frames[level - 1]:
+            common = c.intersect(part)
+            if common is None or not v:
+                continue
+            child = common.extend(1)
+            total += v * (1 - s) / 2 * sum(child.overlap(cube) for cube in cubes)
+    return total
+
+
+def _bare_net(level, frame, partition=None):
+    """What the sums read of a network: the frame of one level and a table
+    there with a fixed s partition."""
+    table = SimpleNamespace(s_partition=lambda: partition)
+    return SimpleNamespace(frames={level: frame}, tables={level: table})
+
+
+_VALUES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 12)]
+_DELAYS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 8)]
+_KEEP = st.sampled_from([0.0, 0.5, 0.9, 1.0])  # 0.0 makes an empty frame
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10), _KEEP, st.randoms(use_true_random=False))
+def test_frame_total_is_the_fraction_sum(length, keep, rng):
+    frame = _random_frame(rng, length, rng.randrange(60), _VALUES, keep)
+    net = _bare_net(length, frame)
+    assert _frame_total(net, length) == _frame_total_longhand(net, length)
+
+
+def _random_cube(rng, length):
+    care = rng.getrandbits(length) if length else 0
+    return Cube(length, care, rng.getrandbits(length) & care if length else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10),
+    _KEEP,
+    st.sampled_from(["whole level", "children", "random"]),
+    st.randoms(use_true_random=False),
+)
+def test_pre_mass_is_the_fraction_sum(level, keep, where, rng):
+    parts = _random_frame(rng, level - 1, rng.randrange(40), _DELAYS, 1.0)
+    items = _random_frame(rng, level - 1, rng.randrange(60), _VALUES, keep)
+    net = _bare_net(level - 1, items, parts)
+    if where == "whole level":
+        cubes = [Cube.whole_level(level)]
+    elif where == "children":
+        # several cubes, each a child region with one of its free bits
+        # pinned or one of its pins freed: they cut across the children
+        cubes = []
+        for c, _ in rng.sample(items, min(len(items), 4)):
+            below = c.extend(1)
+            bit = 1 << rng.randrange(level)
+            care = below.care ^ bit
+            cubes.append(Cube(level, care, (below.value | bit) & care))
+    else:
+        cubes = [_random_cube(rng, level) for _ in range(rng.randrange(1, 5))]
+    assert _pre_mass(net, level, cubes) == _pre_mass_longhand(net, level, cubes)
+
+
+def test_pre_mass_of_silenced_parts_and_no_cubes_is_zero():
+    items = [(Cube.from_pattern("0*"), Fraction(1, 2)), (Cube.from_pattern("1*"), Fraction(1, 4))]
+    dead = _bare_net(2, items, [(Cube.whole_level(2), Fraction(1))])
+    assert _pre_mass(dead, 3, [Cube.whole_level(3)]) == 0
+    live = _bare_net(2, items, [(Cube.whole_level(2), Fraction(1, 2))])
+    assert _pre_mass(live, 3, []) == 0
+    assert _pre_mass(live, 3, [Cube.whole_level(3)]) == Fraction(3, 4)
+
+
+def _sn_budgets_longhand(bundle):
+    """{(network, level): budget}, by the per-network loop that sums the
+    loss and each level's allowance afresh."""
+    rho = bundle.config.rho_base
+    out = {}
+    for net in bundle.networks:
+        loss = Fraction(0)
+        for n in range(bundle.depth + 1):
+            if n >= 1:
+                loss += Fraction(1, (n + rho) ** 2)
+            allowance = sum(
+                (
+                    d.bound
+                    for d in bundle.discards
+                    if d.network_id == net.network_id and d.edge.step_drawn <= n
+                ),
+                Fraction(0),
+            )
+            out[net.network_id, n] = 1 - loss - allowance
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.integers(1, 4),
+    st.lists(
+        st.tuples(st.integers(1, 3), st.integers(-2, 14), st.integers(2, 9)),
+        max_size=8,
+    ),
+)
+@example(6, 2, [(1, 3, 2), (1, 3, 5), (2, 2, 3), (2, 3, 4)])
+def test_sn_bound_budgets_are_the_per_network_loop(depth, rho, drawn):
+    # Discards on any of three networks, several at one step, some drawn
+    # before level 0 or past the depth; network 3 is not in the bundle.
+    discards = [
+        SimpleNamespace(
+            network_id=k, edge=SimpleNamespace(step_drawn=step), bound=Fraction(1, 1 << e)
+        )
+        for k, step, e in drawn
+    ]
+    networks = [
+        SimpleNamespace(network_id=k, aggregates=[None] * (depth + 1)) for k in (1, 2)
+    ]
+    bundle = SimpleNamespace(
+        config=SimpleNamespace(rho_base=rho), depth=depth, networks=networks, discards=discards
+    )
+    budgets = _sn_budgets_longhand(bundle)
+
+    def share(s_n):
+        return SimpleNamespace(s_n=s_n)
+
+    for net in networks:
+        for n in range(depth + 1):
+            net.aggregates[n] = share(max(budgets[net.network_id, n], Fraction(1, 2)))
+    assert check_sn_bound(bundle).passed
+    eps = Fraction(1, 1 << 80)
+    for (k, n), budget in budgets.items():
+        net = networks[k - 1]
+        kept = net.aggregates[n]
+        net.aggregates[n] = share(budget - eps)
+        rep = check_sn_bound(bundle)
+        assert rep.witness == {
+            "network": k, "level": n, "s_n": rat_str(budget - eps), "budget": rat_str(budget)
+        }
+        net.aggregates[n] = kept
+
+
+_UNHALVED_SHAPES = {
+    # 01*0 lies inside the parent 0**, extended to 0***
+    "inside one parent": (["0**", "10*"], ["01*0", "00**"]),
+    # *00* is 000* under 0*** and 100* under 10**; *1*1 is 01*1 under
+    # 0*** and 11*1 under no parent
+    "across two parents": (["0**", "10*"], ["*00*", "*1*1"]),
+    # 11** and 111* meet no parent
+    "under none": (["0**", "10*"], ["11**", "011*"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_UNHALVED_SHAPES)),
+    st.lists(st.sampled_from(_VALUES), min_size=4, max_size=4),
+)
+def test_unhalved_skips_the_rest_only_of_children_inside_a_parent(shape, values):
+    parent_patterns, child_patterns = _UNHALVED_SHAPES[shape]
+    parents = [(Cube.from_pattern(p), values[k]) for k, p in enumerate(parent_patterns)]
+    children = [(Cube.from_pattern(c), values[2 + k]) for k, c in enumerate(child_patterns)]
+    assert list(_unhalved(children, parents)) == list(_pairwise_unhalved(children, parents))
 
 
 @pytest.mark.parametrize("via", ["frame item", "edge in transit"])
