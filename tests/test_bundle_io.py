@@ -330,6 +330,13 @@ HAND_WRITTEN = {
     "an empty file": "",
     "only blank lines": "\n \n\t\n",
     "a bad value after blank lines": '\n\n{"a":1}\n\n{"a":}\n',
+    # Line breaks that str.splitlines takes and JSON does not: inside a
+    # string value they cut the row in two, between rows they separate.
+    "a raw line separator in a string value": '{"a":1}\n{"b":"x\u2028y"}\n',
+    "a raw next line in a string value": '{"a":"x\x85y"}\n{"b":2}\n',
+    "a vertical tab between rows": '{"a":1}\x0b{"b":2}\n',
+    "a form feed between rows": '{"a":1}\x0c{"b":2}\n',
+    "a file separator between rows": '{"a":1}\x1c{"b":2}\n',
 }
 
 
@@ -581,6 +588,21 @@ FAULTS = {
         NONSTOCHASTIC,
         _set_in_last_row("provenance.jsonl", "discards", 5),
         "provenance.jsonl row 8: discards 5 is not a list",
+    ),
+    "provenance discards that are null": (
+        NONSTOCHASTIC,
+        _set_in_last_row("provenance.jsonl", "discards", None),
+        "provenance.jsonl row 8: discards None is not a list",
+    ),
+    "a provenance step that is a bool": (
+        NONSTOCHASTIC,
+        _set_in_last_row("provenance.jsonl", "step", True),
+        "provenance.jsonl row 8: step True is not an int",
+    ),
+    "a w that is a float": (
+        NONSTOCHASTIC,
+        _set_in_last_row("provenance.jsonl", "w", 1.5),
+        "provenance.jsonl row 8: w 1.5 is not an int or null",
     ),
     # Provenance that does not cover the steps and their edges.
     "a provenance row too few": (

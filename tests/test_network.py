@@ -854,6 +854,29 @@ def test_a_wrong_clean_level_total_trips_the_ledger(monkeypatch, tmp_path, capsy
     _assert_ledger_trips_on_first_read(tmp_path, capsys, skew)
 
 
+def test_a_corrupt_record_scale_trips_make_with_both_totals(tmp_path):
+    out = tmp_path / "bundle"
+    assert main(["build", "--preset", "nonstochastic", "--depth", "8",
+                 "--out", str(out)]) == 0
+    net = read_bundle(out).networks[0]
+    # Reading a level-8 value pushes every level and makes level 8 alone:
+    # the clean levels 6 and 7 wait as frame 5, scaled.
+    net.frame_eval(BitString(8, 0))
+    m, num, den, total = net._unmade[7]
+    assert (m, total) == (5, F(148505, 165888))
+    net._unmade[7] = (m, 3 * num, den, total)
+    # The made frame holds three times the total, 445515/165888, named
+    # in lowest terms; the record stays, so a second read fails the same.
+    for _ in range(2):
+        with pytest.raises(ConstructionError) as err:
+            net.frames
+        assert str(err.value) == (
+            "conservation ledger broken at level 7: "
+            "made frame 148505/55296 != 148505/165888"
+        )
+    assert 7 in net._unmade
+
+
 def test_a_wrong_scale_in_make_trips_the_ledger(monkeypatch, tmp_path, capsys):
     scale = ElementaryNetwork._scale
 

@@ -907,6 +907,129 @@ def test_sn_bound_budgets_are_the_per_network_loop(depth, rho, drawn):
         net.aggregates[n] = kept
 
 
+def _sn_fails_longhand(s_n, budget):
+    return s_n < budget or s_n < Fraction(1, 2)
+
+
+# How a level's share is set against its budget b, before the check runs
+# (eps is 2^-90): b or 1/2, whichever is larger, or that just above or
+# below it; or b itself, or just below b, even where b is under 1/2.
+_SN_SHIFTS = {
+    "floor": lambda b, eps: max(b, Fraction(1, 2)),
+    "above": lambda b, eps: max(b, Fraction(1, 2)) + eps,
+    "below": lambda b, eps: max(b, Fraction(1, 2)) - eps,
+    "budget": lambda b, eps: b,
+    "under budget": lambda b, eps: b - eps,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 240),
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(1, 2), st.integers(-3, 245), st.integers(2, 70)),
+        max_size=12,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(1, 2), st.integers(0, 240), st.sampled_from(sorted(_SN_SHIFTS))
+        ),
+        max_size=4,
+    ),
+)
+@example(240, 3, [(2, 100, 3)], [(2, 240, "under budget")])
+@example(240, 1, [], [(1, 240, "budget"), (2, 17, "below")])
+def test_sn_bound_decides_as_the_fraction_ladder(depth, rho, drawn, shifts):
+    # Deep ladders, random discard sets on two networks, and a few shares
+    # set against the budget that the Fraction ladder gives: the check's
+    # verdict and witness are those of the first level, network by network,
+    # where the longhand comparison fails.
+    discards = [
+        SimpleNamespace(
+            network_id=k, edge=SimpleNamespace(step_drawn=step), bound=Fraction(1, 1 << e)
+        )
+        for k, step, e in drawn
+    ]
+    networks = [
+        SimpleNamespace(network_id=k, aggregates=[None] * (depth + 1)) for k in (1, 2)
+    ]
+    bundle = SimpleNamespace(
+        config=SimpleNamespace(rho_base=rho), depth=depth, networks=networks, discards=discards
+    )
+    budgets = _sn_budgets_longhand(bundle)
+    shares = {key: max(b, Fraction(1, 2)) for key, b in budgets.items()}
+    eps = Fraction(1, 1 << 90)
+    for k, n, how in shifts:
+        if n <= depth:
+            shares[k, n] = _SN_SHIFTS[how](budgets[k, n], eps)
+    for (k, n), s_n in shares.items():
+        networks[k - 1].aggregates[n] = SimpleNamespace(s_n=s_n)
+    failing = sorted(
+        key for key, s_n in shares.items() if _sn_fails_longhand(s_n, budgets[key])
+    )
+    rep = check_sn_bound(bundle)
+    if not failing:
+        assert rep.passed
+        return
+    k, n = failing[0]
+    assert rep.witness == {
+        "network": k,
+        "level": n,
+        "s_n": rat_str(shares[k, n]),
+        "budget": rat_str(budgets[k, n]),
+    }
+
+
+def _delay_bad_longhand(v):
+    return v != 0 and (v.numerator != 1 or not 0 < v <= 1)
+
+
+_ANY_RATIONAL = st.fractions() | st.builds(
+    Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)
+)
+_NEAR_DELAYS = st.builds(
+    Fraction, st.sampled_from([-2, -1, 0, 1, 2, 3]), st.integers(1, 2**80)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_ANY_RATIONAL | _NEAR_DELAYS, min_size=4, max_size=4),
+    st.permutations(["default", "vertex", "suffix", "subtree"]),
+)
+@example(
+    [Fraction(1), Fraction(-1, 3), Fraction(3, 2), Fraction(0)],
+    ["default", "vertex", "suffix", "subtree"],
+)
+def test_delay_form_decides_as_the_fraction_test(values, order):
+    # One value at each of a table's four kinds of entry, on a stand-in
+    # table the engine's own would refuse; the witness is the first bad
+    # value in the order the check reads them.
+    at = dict(zip(order, values))
+    table = SimpleNamespace(
+        level=3,
+        default=at["default"],
+        vertex={BitString.from_str("010"): at["vertex"]},
+        suffix=[(Cube.from_pattern("1*0"), at["suffix"])],
+        subtree={BitString.from_str("11"): at["subtree"]},
+    )
+    net = SimpleNamespace(network_id=1, tables=[table])
+    rep = check_delay_form(SimpleNamespace(networks=[net], depth=3))
+    where = {"default": None, "vertex": "010", "suffix": "1*0", "subtree": "11"}
+    bad = [k for k in ("default", "vertex", "suffix", "subtree") if _delay_bad_longhand(at[k])]
+    if not bad:
+        assert rep.passed
+        return
+    assert rep.witness == {
+        "network": 1,
+        "level": 3,
+        "kind": bad[0],
+        "where": where[bad[0]],
+        "value": rat_str(at[bad[0]]),
+    }
+
+
 _UNHALVED_SHAPES = {
     # 01*0 lies inside the parent 0**, extended to 0***
     "inside one parent": (["0**", "10*"], ["01*0", "00**"]),
