@@ -128,11 +128,29 @@ def _load_jsonl(path: Path) -> list[dict]:
     """The rows of a .jsonl file: one JSON object per line, where a line
     that is blank under str.strip() holds no row. A line is accepted
     exactly when json.loads accepts it: one value between JSON whitespace.
-    It is decoded in place, so an error names the column json.loads
-    names. A line that is not accepted, or whose value is not an object,
-    is a BundleError naming path:line."""
+    A line that is not accepted, or whose value is not an object, is a
+    BundleError naming path:line.
+
+    A well-formed file, as the writer writes it, is read by one decode per
+    line from its first character: every line must decode to its end as
+    an object. At the first line that does not, the file is read again
+    from its top by the full loop, which decodes each line in place
+    between its JSON whitespace, so an error names the column json.loads
+    names: every refusal and its text are those of the full loop."""
+    lines = _read_text(path).splitlines()
     rows = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    try:
+        for line in lines:
+            row, end = _decode(line)
+            if end != len(line) or not isinstance(row, dict):
+                break
+            rows.append(row)
+        else:
+            return rows
+    except json.JSONDecodeError:
+        pass
+    rows = []
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         doc = line.rstrip(_JSON_SPACE)
@@ -384,6 +402,9 @@ def read_bundle(path: Path) -> ConstructionBundle:
     row formats nothing; any other s_n is compared with the lowest-terms
     form of total_R - extra_inflow.
 
+    Each .jsonl file is read by `_load_jsonl`: a well-formed file, as the
+    writer writes it, by one decode per line, and any other by the full
+    per-line loop, so every refusal and its text are those of that loop.
     Every levels and aggregates row must name a network and level of the
     bundle, and every int field must be an int; provenance holds one row
     per step, in order, and the row of each edge's step gives the edge's

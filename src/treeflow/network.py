@@ -852,23 +852,34 @@ class ElementaryNetwork:
         total): frame m is made and levels m + 1 .. n are clean, so each
         cube gains the n - m free low bits in between and each value object
         is scaled once by num/den, the frame n - m push-downs would make,
-        item for item. The ledger checks the frame's total against the
-        total `_push` worked out; the record is dropped only once it
-        passes, so a second read fails the same way."""
+        item for item. The ledger is summed in the same loop, as vertex
+        counts per scaled value object, and compared with the total `_push`
+        worked out in integers, over one common denominator; a Fraction is
+        made only for the error's text. The record is dropped only once the
+        ledger passes, so a second read fails the same way."""
         m, num, den, total = self._unmade[n]
         items: Items = []
+        # id of a value of frame m -> [its scaled value, vertices of frame m]
+        scaled: dict[int, list] = {}
+        shift = n - m
         if num:
-            scaled: dict[int, Fraction] = {}
             for c, v in self._frames[m]:
-                w = scaled.get(id(v))
-                if w is None:
-                    w = scaled[id(v)] = Fraction(v.numerator * num, v.denominator * den)
-                items.append((c.extend(n - m), w))
-        made = items_total(items)
-        if made != total:
+                group = scaled.get(id(v))
+                if group is None:
+                    w = Fraction(v.numerator * num, v.denominator * den)
+                    group = scaled[id(v)] = [w, 0]
+                group[1] += c.count()
+                items.append((c.extend(shift), group[0]))
+        common = math.lcm(*(w.denominator for w, _ in scaled.values()))
+        # each vertex of frame m has 2^shift descendants at level n
+        made = sum(
+            w.numerator * (common // w.denominator) * count
+            for w, count in scaled.values()
+        ) << shift
+        if made * total.denominator != total.numerator * common:
             raise ConstructionError(
                 f"conservation ledger broken at level {n}: "
-                f"made frame {made} != {total}"
+                f"made frame {Fraction(made, common)} != {total}"
             )
         self._frames[n] = items
         del self._unmade[n]

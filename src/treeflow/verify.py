@@ -32,7 +32,6 @@ from treeflow.scheduler import ResourceLimit, task_networks
 Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 T2_PRESETS = {"atom", "family", "hyperimmune"}
 LENGTH_PRESETS = {"nonstochastic", "atom"}
@@ -112,19 +111,19 @@ def _check(name: str, register: bool = True):
 
 # Both sums below count vertices per distinct term first, keyed by the
 # integers of the term (hashing a Fraction costs a modular inverse), and
-# then add the counted terms as integers over one common denominator, so
-# that a sum makes one Fraction.
+# then add the counted terms as integers over one common denominator. A
+# sum is the pair (num, den), den > 0 and not in lowest terms: the checks
+# compare such pairs by cross-multiplication, and a Fraction is made only
+# for a witness's text.
 
 
-def _counted_sum(counts: dict[tuple[int, int], int]) -> Fraction:
-    """The sum of k * a / d over the entries (a, d): k."""
+def _counted_sum(counts: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """The sum of k * a / d over the entries (a, d): k, as a pair."""
     common = lcm(*(d for _, d in counts))
-    return Fraction(
-        sum(a * k * (common // d) for (a, d), k in counts.items()), common
-    )
+    return sum(a * k * (common // d) for (a, d), k in counts.items()), common
 
 
-def _frame_total(net, n) -> Fraction:
+def _frame_total(net, n) -> tuple[int, int]:
     counts: dict[tuple[int, int], int] = {}
     for c, v in net.frames[n]:
         key = (v.numerator, v.denominator)
@@ -132,7 +131,7 @@ def _frame_total(net, n) -> Fraction:
     return _counted_sum(counts)
 
 
-def _pre_mass(net, level, cubes) -> Fraction:
+def _pre_mass(net, level, cubes) -> tuple[int, int]:
     """Mass arriving at `cubes` (level `level`) before level edges land."""
     hits: dict[tuple[int, int], int] = {}
     parts = [(c, s) for c, s in net.tables[level - 1].s_partition() if s != 1]
@@ -158,20 +157,33 @@ def _pre_mass(net, level, cubes) -> Fraction:
     return _counted_sum(hits)
 
 
-def _stream_task(bundle, n: int) -> int:
-    return bundle.state.stream.task(n)
+def _inflow(net, edges) -> tuple[int, int]:
+    """q * R(source) summed over `edges`, as a pair."""
+    counts: dict[tuple[int, int], int] = {}
+    for e in edges:
+        r = net.frame_eval(e.source)
+        key = (e.q.numerator * r.numerator, e.q.denominator * r.denominator)
+        counts[key] = counts.get(key, 0) + 1
+    return _counted_sum(counts)
 
 
-def _active_tasks(bundle) -> list[int]:
-    return sorted({_stream_task(bundle, n) for n in range(1, bundle.depth + 1)})
+def _level_tasks(bundle) -> list[Optional[int]]:
+    """The stream's task at each level: entry n is level n's, for n in
+    1..depth, and entry 0, the root's, is None. A check types it once."""
+    task = bundle.state.stream.task
+    return [None, *(task(n) for n in range(1, bundle.depth + 1))]
 
 
-def _stable_tasks(bundle) -> dict[int, int]:
+def _active_tasks(level_tasks) -> list[int]:
+    return sorted(set(level_tasks[1:]))
+
+
+def _stable_tasks(bundle, level_tasks) -> dict[int, int]:
     """Tasks whose session start no longer moves, mapped to their w."""
     depth = bundle.depth
     cutoff = (3 * depth) // 4
     out = {}
-    for i in _active_tasks(bundle):
+    for i in _active_tasks(level_tasks):
         w = bundle.state.start((i,), depth)
         if w is not None and bundle.state.barrier((i,)) <= cutoff:
             out[i] = w
@@ -191,10 +203,6 @@ def _acting_net(bundle, i: int) -> int:
 @_check("delay_form")
 def check_delay_form(bundle) -> CheckReport:
     """Every stored delay is 0 or a unit fraction 1/M."""
-
-    def bad(v):
-        return v != 0 and (v.numerator != 1 or not 0 < v <= 1)
-
     for net in bundle.networks:
         for table in net.tables:
             entries = [("default", None, table.default)]
@@ -202,7 +210,9 @@ def check_delay_form(bundle) -> CheckReport:
             entries += [("suffix", c, v) for c, v in table.suffix]
             entries += [("subtree", r, v) for r, v in table.subtree.items()]
             for kind, where, v in entries:
-                if bad(Fraction(v)):
+                # a Fraction's denominator is positive, so 0 or 1/M is a
+                # numerator of 0 or 1
+                if v.numerator not in (0, 1):
                     # Only the entry reported is formatted.
                     if where is not None:
                         where = where.pattern() if kind == "suffix" else str(where)
@@ -241,13 +251,22 @@ def check_conservation(bundle) -> CheckReport:
 
     Each network's landing edges are indexed by the level they land on,
     and its recorded discard cubes by the step that drew them, once, so a
-    level reads only its own."""
+    level reads only its own. The totals, pre-push masses and inflows are
+    (num, den) pairs, and each identity is exact: a cross-multiplication.
+    A level with no landing edge sums no inflow."""
 
     def fail(net, n, what, **sides):
         return CheckFailed({"network": net.network_id, "level": n, "identity": what, **sides})
 
-    def unequal(net, n, what, lhs, rhs):
-        return fail(net, n, what, lhs=rat_str(lhs), rhs=rat_str(rhs))
+    def same(net, n, what, lhs, rhs):
+        """Fail unless the (num, den) pairs lhs and rhs are equal."""
+        (a, b), (c, d) = lhs, rhs
+        if a * d != c * b:
+            lhs, rhs = rat_str(Fraction(a, b)), rat_str(Fraction(c, d))
+            raise fail(net, n, what, lhs=lhs, rhs=rhs)
+
+    def pair(v: Fraction) -> tuple[int, int]:
+        return v.numerator, v.denominator
 
     for net in bundle.networks:
         landing: dict[int, list] = {}
@@ -256,18 +275,15 @@ def check_conservation(bundle) -> CheckReport:
         for n in range(bundle.depth + 1):
             total = _frame_total(net, n)
             agg = net.aggregates[n]
-            if total != agg.total_R:
-                raise unequal(net, n, "stored total", total, agg.total_R)
+            same(net, n, "stored total", total, pair(agg.total_R))
             if n == 0:
                 continue
-            pushed = _pre_mass(net, n, [Cube.whole_level(n)])
-            inflow = sum(
-                (e.q * net.frame_eval(e.source) for e in landing.get(n, ())), ZERO
-            )
-            if inflow != agg.extra_inflow:
-                raise unequal(net, n, "stored inflow", inflow, agg.extra_inflow)
-            if total != pushed + inflow:
-                raise unequal(net, n, "level balance", total, pushed + inflow)
+            p, p_den = _pre_mass(net, n, [Cube.whole_level(n)])
+            edges = landing.get(n)
+            i, i_den = _inflow(net, edges) if edges else (0, 1)
+            same(net, n, "stored inflow", (i, i_den), pair(agg.extra_inflow))
+            pushed_and_inflow = (p * i_den + i * p_den, p_den * i_den)
+            same(net, n, "level balance", total, pushed_and_inflow)
         # Held mass at each level: the s = 1 region must be exactly the
         # recorded discard regions, nothing more.
         silenced: dict[int, list[Cube]] = {}
@@ -306,31 +322,44 @@ def check_sn_bound(bundle) -> CheckReport:
     recorded up to the level.
 
     The ladder 1 - sum over k <= n of 1/(k + rho)^2 is the same on every
-    network, so it is summed once; a network's allowance grows only at the
-    steps that drew one of its discards."""
+    network, so it is summed once, as (num, den) pairs over a running
+    common denominator; a network's allowance, a pair too, grows only at
+    the steps that drew one of its discards. s_n is compared with the
+    budget and with 1/2 by cross-multiplication, and a Fraction is made
+    only for a witness."""
     rho = bundle.config.rho_base
-    ladder = [ONE]
+    ladder = [(1, 1)]
+    num = den = 1
     for n in range(1, bundle.depth + 1):
-        ladder.append(ladder[-1] - Fraction(1, (n + rho) ** 2))
+        square = (n + rho) ** 2
+        common = lcm(den, square)
+        num, den = num * (common // den) - common // square, common
+        ladder.append((num, den))
     for net in bundle.networks:
-        drawn: dict[int, Fraction] = {}
+        drawn: dict[int, list[Fraction]] = {}
         for d in bundle.discards:
             if d.network_id == net.network_id:
                 # a step before level 0 counts from level 0
-                step = max(d.edge.step_drawn, 0)
-                drawn[step] = drawn.get(step, ZERO) + d.bound
-        allowance = ZERO
-        for n, rung in enumerate(ladder):
-            if n in drawn:
-                allowance += drawn[n]
-            budget = rung - allowance if allowance else rung
+                drawn.setdefault(max(d.edge.step_drawn, 0), []).append(d.bound)
+        allowed, per = 0, 1  # the allowance, allowed / per
+        for n, (num, den) in enumerate(ladder):
+            for bound in drawn.get(n, ()):
+                common = lcm(per, bound.denominator)
+                allowed = (
+                    allowed * (common // per)
+                    + bound.numerator * (common // bound.denominator)
+                )
+                per = common
+            if allowed:  # the budget: the rung less the allowance
+                num, den = num * per - allowed * den, den * per
             s_n = net.aggregates[n].s_n
-            if s_n < budget or s_n < HALF:
+            a, b = s_n.numerator, s_n.denominator
+            if a * den < num * b or 2 * a < b:
                 raise CheckFailed({
                     "network": net.network_id,
                     "level": n,
                     "s_n": rat_str(s_n),
-                    "budget": rat_str(budget),
+                    "budget": rat_str(Fraction(num, den)),
                 })
 
 
@@ -511,13 +540,12 @@ def check_ratio_identity(bundle) -> CheckReport:
     if bundle.config.preset not in T2_PRESETS:
         return NOT_APPLICABLE
     depth = bundle.depth
-    stable = _stable_tasks(bundle)
-    tasks = _active_tasks(bundle)
+    level_tasks = _level_tasks(bundle)
+    stable = _stable_tasks(bundle, level_tasks)
+    tasks = _active_tasks(level_tasks)
     usable: dict[int, list[int]] = {}
     for i, w in stable.items():
-        levels = [
-            m for m in range(w, depth + 1) if _stream_task(bundle, m) == i
-        ]
+        levels = [m for m in range(w, depth + 1) if level_tasks[m] == i]
         if levels:
             usable[i] = levels
     walk = {
@@ -537,7 +565,7 @@ def check_ratio_identity(bundle) -> CheckReport:
             (
                 n
                 for n in range(w + 1, depth + 1)
-                if _stream_task(bundle, n) not in stable
+                if level_tasks[n] not in stable
             ),
             depth + 1,
         )
@@ -667,7 +695,7 @@ def _unhalved(children, parents):
                 )
             if more:
                 yield c.intersect(b), v, u
-        if v > 0 and not any(c.care & b.care == b.care for b, _ in met):
+        if v.numerator > 0 and not any(c.care & b.care == b.care for b, _ in met):
             for rest in subtract_many(c, [b for b, _ in met]):
                 yield rest, v, ZERO
 
@@ -708,7 +736,8 @@ def check_separators(bundle) -> CheckReport:
                     "P": rat_str(p),
                     "P_parent": rat_str(p_parent),
                 })
-    stable = _stable_tasks(bundle)
+    level_tasks = _level_tasks(bundle)
+    stable = _stable_tasks(bundle, level_tasks)
     for i, w in sorted(stable.items()):
         net = bundle.network(_acting_net(bundle, i))
         for e in net.edges:
@@ -723,7 +752,7 @@ def check_separators(bundle) -> CheckReport:
         "separators": {str(k): v for k, v in separators.items()},
         "coverage": coverage,
         "session_starts": {str(i): w for i, w in sorted(stable.items())},
-        "unsettled": sorted(set(_active_tasks(bundle)) - set(stable)),
+        "unsettled": sorted(set(_active_tasks(level_tasks)) - set(stable)),
     }
 
 
@@ -743,12 +772,12 @@ def check_discards(bundle) -> CheckReport:
                 "bound": rat_str(d.bound),
                 "expected": rat_str(want),
             })
-        mass = _pre_mass(net, level, list(d.cubes))
-        if mass > d.bound:
+        num, den = _pre_mass(net, level, list(d.cubes))
+        if num * d.bound.denominator > d.bound.numerator * den:
             raise CheckFailed({
                 "network": d.network_id,
                 "level": level,
-                "mass": rat_str(mass),
+                "mass": rat_str(Fraction(num, den)),
                 "bound": rat_str(d.bound),
                 "patterns": [c.pattern() for c in d.cubes],
             })
@@ -856,7 +885,7 @@ def check_extension_shadow(
             f"{depth}, {tasks_named}, every network: the extension-shadow "
             f"walk visits every prefix on which a task is still live"
         )
-    tasks = [task] if task is not None else _active_tasks(bundle)
+    tasks = [task] if task is not None else _active_tasks(_level_tasks(bundle))
     ops = bundle.operators
 
     memo: dict[tuple[int, BitString], bool] = {}

@@ -3,6 +3,7 @@ place and watch exactly one check trip."""
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -25,12 +26,13 @@ from treeflow.verify import (
     _acting_net,
     _active_tasks,
     _frame_total,
+    _inflow,
     _level_mismatch,
+    _level_tasks,
     _longest_image,
     _meeting_pairs,
     _pre_mass,
     _stable_tasks,
-    _stream_task,
     _unhalved,
     check_conservation,
     check_delay_form,
@@ -146,14 +148,14 @@ def test_ratio_identity_coverage_bar_can_trip(hyper32):
 def _compared_levels(bundle):
     """task -> (w, the levels m >= w of the task with no unsettled task in
     (w, m]) for the settled tasks: the levels the ratio check compares."""
-    stable = _stable_tasks(bundle)
+    stable = _stable_tasks(bundle, _level_tasks(bundle))
+    task = bundle.state.stream.task
     out = {}
     for i, w in sorted(stable.items()):
         out[i] = w, [
             m
             for m in range(w, bundle.depth + 1)
-            if _stream_task(bundle, m) == i
-            and all(_stream_task(bundle, n) in stable for n in range(w + 1, m + 1))
+            if task(m) == i and all(task(n) in stable for n in range(w + 1, m + 1))
         ]
     return out
 
@@ -778,6 +780,53 @@ def _pre_mass_longhand(net, level, cubes):
     return total
 
 
+def _counted_fraction(counts):
+    """The sum of k * a / d over the entries (a, d): k, as one Fraction:
+    the sums as the checks made them before they returned pairs."""
+    common = lcm(*(d for _, d in counts))
+    return Fraction(sum(a * k * (common // d) for (a, d), k in counts.items()), common)
+
+
+def _frame_total_fraction(net, n):
+    """A frame's total as one Fraction, counted per value's integers."""
+    counts = {}
+    for c, v in net.frames[n]:
+        key = (v.numerator, v.denominator)
+        counts[key] = counts.get(key, 0) + c.count()
+    return _counted_fraction(counts)
+
+
+def _pre_mass_fraction(net, level, cubes):
+    """The mass arriving at `cubes` as one Fraction, each meeting pair's
+    child vertices counted in each cube from the masks."""
+    hits = {}
+    parts = [(c, s) for c, s in net.tables[level - 1].s_partition() if s != 1]
+    items = [(c, v) for c, v in net.frames[level - 1] if v]
+    masks = [(cube.care, cube.value) for cube in cubes]
+    for j, i in _meeting_pairs([c for c, _ in parts], [c for c, _ in items]):
+        (c2, s), (c, v) = parts[j], items[i]
+        care = (c.care | c2.care) << 1
+        value = (c.value | c2.value) << 1
+        k = 0
+        for cube_care, cube_value in masks:
+            if not (value ^ cube_value) & care & cube_care:
+                k += 1 << (level - (care | cube_care).bit_count())
+        if k:
+            key = (
+                v.numerator * (s.denominator - s.numerator),
+                2 * v.denominator * s.denominator,
+            )
+            hits[key] = hits.get(key, 0) + k
+    return _counted_fraction(hits)
+
+
+def _pair_value(pair):
+    """The value of a sum's (num, den) pair, whose den must be positive."""
+    num, den = pair
+    assert den > 0
+    return Fraction(num, den)
+
+
 def _bare_net(level, frame, partition=None):
     """What the sums read of a network: the frame of one level and a table
     there with a fixed s partition."""
@@ -795,7 +844,9 @@ _KEEP = st.sampled_from([0.0, 0.5, 0.9, 1.0])  # 0.0 makes an empty frame
 def test_frame_total_is_the_fraction_sum(length, keep, rng):
     frame = _random_frame(rng, length, rng.randrange(60), _VALUES, keep)
     net = _bare_net(length, frame)
-    assert _frame_total(net, length) == _frame_total_longhand(net, length)
+    total = _pair_value(_frame_total(net, length))
+    assert total == _frame_total_fraction(net, length)
+    assert total == _frame_total_longhand(net, length)
 
 
 def _random_cube(rng, length):
@@ -827,16 +878,38 @@ def test_pre_mass_is_the_fraction_sum(level, keep, where, rng):
             cubes.append(Cube(level, care, (below.value | bit) & care))
     else:
         cubes = [_random_cube(rng, level) for _ in range(rng.randrange(1, 5))]
-    assert _pre_mass(net, level, cubes) == _pre_mass_longhand(net, level, cubes)
+    mass = _pair_value(_pre_mass(net, level, cubes))
+    assert mass == _pre_mass_fraction(net, level, cubes)
+    assert mass == _pre_mass_longhand(net, level, cubes)
 
 
 def test_pre_mass_of_silenced_parts_and_no_cubes_is_zero():
     items = [(Cube.from_pattern("0*"), Fraction(1, 2)), (Cube.from_pattern("1*"), Fraction(1, 4))]
     dead = _bare_net(2, items, [(Cube.whole_level(2), Fraction(1))])
-    assert _pre_mass(dead, 3, [Cube.whole_level(3)]) == 0
+    assert _pair_value(_pre_mass(dead, 3, [Cube.whole_level(3)])) == 0
     live = _bare_net(2, items, [(Cube.whole_level(2), Fraction(1, 2))])
-    assert _pre_mass(live, 3, []) == 0
-    assert _pre_mass(live, 3, [Cube.whole_level(3)]) == Fraction(3, 4)
+    assert _pair_value(_pre_mass(live, 3, [])) == 0
+    assert _pair_value(_pre_mass(live, 3, [Cube.whole_level(3)])) == Fraction(3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_DELAYS[1:]), st.sampled_from(_VALUES)), max_size=8
+    )
+)
+def test_inflow_is_the_fraction_sum(landing):
+    # Edges of weight q from sources of value R, two on each source; the
+    # stand-in network answers frame_eval from the sources' values.
+    sources = [BitString(3, k) for k in range(len(landing))]
+    values = {x: r for x, (_, r) in zip(sources, landing)}
+    net = SimpleNamespace(frame_eval=values.__getitem__)
+    edges = [
+        SimpleNamespace(q=q, source=sources[k // 2])
+        for k, (q, _) in enumerate(landing)
+    ]
+    want = sum((e.q * values[e.source] for e in edges), Fraction(0))
+    assert _pair_value(_inflow(net, edges)) == want
 
 
 def _sn_budgets_longhand(bundle):
@@ -1188,7 +1261,7 @@ def _vertex_walk(bundle, admits):
     flow_eval and visits each one with P > 0, so the pruned walk must reach
     the same verdict, witness and counters."""
     depth = bundle.depth
-    tasks = _active_tasks(bundle)
+    tasks = _active_tasks(_level_tasks(bundle))
     counts = {"paths": 0, "qualifying": 0, "via_edge": 0, "via_discard": 0}
     for net in bundle.networks:
         ends = {}
