@@ -139,16 +139,16 @@ def _load_jsonl(path: Path) -> list[dict]:
     names: every refusal and its text are those of the full loop."""
     lines = _read_text(path).splitlines()
     rows = []
-    try:
-        for line in lines:
+    for line in lines:
+        try:
             row, end = _decode(line)
-            if end != len(line) or not isinstance(row, dict):
-                break
-            rows.append(row)
-        else:
-            return rows
-    except json.JSONDecodeError:
-        pass
+        except json.JSONDecodeError:
+            break
+        if end != len(line) or not isinstance(row, dict):
+            break
+        rows.append(row)
+    else:
+        return rows
     rows = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
